@@ -132,9 +132,8 @@ int main(int argc, char** argv) {
     t.print(std::cout);
     std::cout << "\n";
   }
-  std::cout << "(data trans/fJ include the EB_Inv control-line overhead; "
-               "with SCT_OBS=OFF the fJ splits read 0 and the transition "
-               "columns carry the comparison)\n\n";
+  std::cout << "(data trans/fJ include the EB_Inv control-line "
+               "overhead)\n\n";
 
   // Contract 2: bus-invert earns its keep on random data.
   const enc::EncOutcome* idCrypto = find(outcomes, "identity", "crypto");

@@ -126,10 +126,8 @@ BusStatus Tl1Bus::submitOrPoll(Tl1Request& req, Kind expectedKind) {
       req.acceptCycle = clock_.cycle();
       ++outstanding(req.kind);
       requestQueue_.push_back(&req);
-      if constexpr (obs::kEnabled) {
-        if (obsDepth_ != nullptr) {
-          obsDepth_->record(requestQueue_.size());
-        }
+      if (obsDepth_ != nullptr) {
+        obsDepth_->record(requestQueue_.size());
       }
       return BusStatus::Request;
     }
@@ -274,27 +272,20 @@ void Tl1Bus::finish(Tl1Request& req, BusStatus result) {
       ++stats_.readBusErrors;
     }
   }
-  if constexpr (obs::kEnabled) {
-    if (obsLatency_ != nullptr) noteFinishObs(req, result);
-  }
+  if (obsLatency_ != nullptr) noteFinishObs(req, result);
 }
 
 void Tl1Bus::attachObs(obs::StatsRegistry& reg, obs::TraceRecorder* rec) {
-  if constexpr (obs::kEnabled) {
-    const std::string& n = name();
-    obsWaits_ = &reg.histogram(n + ".txn_wait_cycles", {0, 1, 2, 4, 8, 16});
-    obsBurst_ = &reg.histogram(n + ".burst_beats", {1, 2, 4});
-    obsDepth_ = &reg.histogram(n + ".queue_depth", {1, 2, 4, 8});
-    obsErrors_ = &reg.counter(n + ".bus_errors");
-    obsRec_ = rec;
-    // Last: obsLatency_ doubles as the attached flag, so it must only
-    // become non-null once every other handle is live.
-    obsLatency_ =
-        &reg.histogram(n + ".txn_latency_cycles", {1, 2, 4, 8, 16, 32});
-  } else {
-    (void)reg;
-    (void)rec;
-  }
+  const std::string& n = name();
+  obsWaits_ = &reg.histogram(n + ".txn_wait_cycles", {0, 1, 2, 4, 8, 16});
+  obsBurst_ = &reg.histogram(n + ".burst_beats", {1, 2, 4});
+  obsDepth_ = &reg.histogram(n + ".queue_depth", {1, 2, 4, 8});
+  obsErrors_ = &reg.counter(n + ".bus_errors");
+  obsRec_ = rec;
+  // Last: obsLatency_ doubles as the attached flag, so it must only
+  // become non-null once every other handle is live.
+  obsLatency_ =
+      &reg.histogram(n + ".txn_latency_cycles", {1, 2, 4, 8, 16, 32});
 }
 
 void Tl1Bus::noteFinishObs(const Tl1Request& req, BusStatus result) {

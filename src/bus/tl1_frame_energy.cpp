@@ -104,13 +104,11 @@ double Tl1FrameEnergy::packedCycleEnergy() {
     const unsigned n = static_cast<unsigned>(cnt[k]);
     transitions_[k] += n;
     e += coeff_[k] * static_cast<double>(n);
-    if constexpr (obs::kEnabled) {
-      if (ledger_ != nullptr) {
-        ledger_->addDeferred(static_cast<SignalId>(k),
-                             static_cast<obs::TxClass>(ownerClass_[k]),
-                             ownerSlave_[k], master_,
-                             coeff_[k] * static_cast<double>(n));
-      }
+    if (ledger_ != nullptr) {
+      ledger_->addDeferred(static_cast<SignalId>(k),
+                           static_cast<obs::TxClass>(ownerClass_[k]),
+                           ownerSlave_[k], master_,
+                           coeff_[k] * static_cast<double>(n));
     }
   }
   return e;

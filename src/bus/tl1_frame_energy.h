@@ -53,9 +53,7 @@ class Tl1FrameEnergy {
   // measurably hot on the Table 3 benchmark.
   [[gnu::always_inline]] inline void addressPhase(
       const AddressPhaseInfo& info) {
-    if constexpr (obs::kEnabled) {
-      if (ledger_ != nullptr) noteAddressOwners(info);
-    }
+    if (ledger_ != nullptr) noteAddressOwners(info);
     touch(SignalId::EB_A, info.address);
     touch(SignalId::EB_Instr, info.kind == Kind::InstrFetch);
     touch(SignalId::EB_Write, info.kind == Kind::Write);
@@ -68,9 +66,7 @@ class Tl1FrameEnergy {
   }
 
   [[gnu::always_inline]] inline void readBeat(const DataBeatInfo& info) {
-    if constexpr (obs::kEnabled) {
-      if (ledger_ != nullptr) noteBeatOwners(info, /*isWrite=*/false);
-    }
+    if (ledger_ != nullptr) noteBeatOwners(info, /*isWrite=*/false);
     if (info.error) {
       strobe(SignalId::EB_RBErr);
       strobe(SignalId::EB_Last);
@@ -87,9 +83,7 @@ class Tl1FrameEnergy {
   }
 
   [[gnu::always_inline]] inline void writeBeat(const DataBeatInfo& info) {
-    if constexpr (obs::kEnabled) {
-      if (ledger_ != nullptr) noteBeatOwners(info, /*isWrite=*/true);
-    }
+    if (ledger_ != nullptr) noteBeatOwners(info, /*isWrite=*/true);
     if (info.error) {
       strobe(SignalId::EB_WBErr);
       strobe(SignalId::EB_Last);
@@ -149,25 +143,21 @@ class Tl1FrameEnergy {
           const unsigned n = static_cast<unsigned>(std::popcount(diff));
           transitions_[i] += n;
           e += coeff_[i] * static_cast<double>(n);
-          if constexpr (obs::kEnabled) {
-            // Same product, same accumulation order as `e`: the
-            // ledger's deferred cycle sum stays bit-identical to it,
-            // and the commit below mirrors `total_fJ_ += e` exactly.
-            if (ledger_ != nullptr) {
-              ledger_->addDeferred(static_cast<SignalId>(i),
-                                   static_cast<obs::TxClass>(ownerClass_[i]),
-                                   ownerSlave_[i], master_,
-                                   coeff_[i] * static_cast<double>(n));
-            }
+          // Same product, same accumulation order as `e`: the
+          // ledger's deferred cycle sum stays bit-identical to it,
+          // and the commit below mirrors `total_fJ_ += e` exactly.
+          if (ledger_ != nullptr) {
+            ledger_->addDeferred(static_cast<SignalId>(i),
+                                 static_cast<obs::TxClass>(ownerClass_[i]),
+                                 ownerSlave_[i], master_,
+                                 coeff_[i] * static_cast<double>(n));
           }
         }
       }
     }
     lastCycle_fJ_ = e;
     total_fJ_ += e;
-    if constexpr (obs::kEnabled) {
-      if (ledger_ != nullptr) ledger_->commitCycle();
-    }
+    if (ledger_ != nullptr) ledger_->commitCycle();
   }
 
   // -- Results ---------------------------------------------------------

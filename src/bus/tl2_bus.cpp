@@ -190,10 +190,8 @@ BusStatus Tl2Bus::submitOrPoll(Tl2Request& req) {
       } else {
         scheduleRequest(req);
       }
-      if constexpr (obs::kEnabled) {
-        if (obsDepth_ != nullptr) {
-          obsDepth_->record(requestQueue_.size());
-        }
+      if (obsDepth_ != nullptr) {
+        obsDepth_->record(requestQueue_.size());
       }
       return BusStatus::Request;
     }
@@ -408,9 +406,7 @@ void Tl2Bus::completeAddressPhase(Tl2Request& req, bool notify) {
     notifyAddressPhase(info);
   }
   req.addrCyclesLeft = 0;
-  if constexpr (obs::kEnabled) {
-    if (obsRec_ != nullptr) noteAddrPhaseObs(req);
-  }
+  if (obsRec_ != nullptr) noteAddrPhaseObs(req);
   if (req.slave < 0) {
     missFinishCycles_.pop_front();
     finish(req, BusStatus::Error, req.addrDoneCycle);
@@ -445,9 +441,7 @@ void Tl2Bus::completeDataPhase(RequestRing& queue, bool notify) {
     notifyDataPhase(info);
   }
   req.dataCyclesLeft = 0;
-  if constexpr (obs::kEnabled) {
-    if (obsRec_ != nullptr) noteDataPhaseObs(req);
-  }
+  if (obsRec_ != nullptr) noteDataPhaseObs(req);
   finish(req, ok ? BusStatus::Ok : BusStatus::Error, req.dataDoneCycle);
 }
 
@@ -481,9 +475,7 @@ void Tl2Bus::finish(Tl2Request& req, BusStatus result, std::uint64_t cycle) {
   } else {
     stats_.bytesRead += req.bytes;
   }
-  if constexpr (obs::kEnabled) {
-    if (obsLatency_ != nullptr) noteFinishObs(req, result);
-  }
+  if (obsLatency_ != nullptr) noteFinishObs(req, result);
 }
 
 void Tl2Bus::reset() {
@@ -561,19 +553,14 @@ void Tl2Bus::loadState(ckpt::StateReader& r) {
 }
 
 void Tl2Bus::attachObs(obs::StatsRegistry& reg, obs::TraceRecorder* rec) {
-  if constexpr (obs::kEnabled) {
-    const std::string& n = name();
-    obsDepth_ = &reg.histogram(n + ".queue_depth", {1, 2, 4, 8});
-    obsErrors_ = &reg.counter(n + ".bus_errors");
-    obsRec_ = rec;
-    // Last: obsLatency_ doubles as the attached flag, so it must only
-    // become non-null once every other handle is live.
-    obsLatency_ =
-        &reg.histogram(n + ".txn_latency_cycles", {1, 2, 4, 8, 16, 32});
-  } else {
-    (void)reg;
-    (void)rec;
-  }
+  const std::string& n = name();
+  obsDepth_ = &reg.histogram(n + ".queue_depth", {1, 2, 4, 8});
+  obsErrors_ = &reg.counter(n + ".bus_errors");
+  obsRec_ = rec;
+  // Last: obsLatency_ doubles as the attached flag, so it must only
+  // become non-null once every other handle is live.
+  obsLatency_ =
+      &reg.histogram(n + ".txn_latency_cycles", {1, 2, 4, 8, 16, 32});
 }
 
 void Tl2Bus::noteAddrPhaseObs(const Tl2Request& req) {

@@ -46,6 +46,7 @@
 #include "bus/ec_request.h"
 #include "bus/ec_types.h"
 #include "bus/small_ring.h"
+#include "obs/obs.h"
 #include "obs/stats.h"
 #include "obs/trace_json.h"
 #include "sim/clock.h"

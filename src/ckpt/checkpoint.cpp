@@ -1,5 +1,6 @@
 #include "ckpt/checkpoint.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -58,12 +59,30 @@ Snapshot Snapshot::deserialize(const std::uint8_t* data, std::size_t size) {
     s.tag = r.str();
     s.version = r.u32();
     const std::uint32_t len = r.u32();
+    // Checked before allocating: the length field is untrusted.
+    if (len > r.remaining()) {
+      throw CheckpointError("checkpoint section '" + s.tag +
+                            "' truncated: claims " + std::to_string(len) +
+                            " payload bytes, have " +
+                            std::to_string(r.remaining()));
+    }
     s.payload.resize(len);
     r.bytes(s.payload.data(), len);
     snap.sections_.push_back(std::move(s));
   }
   if (!r.done()) {
     throw CheckpointError("trailing bytes after last checkpoint section");
+  }
+  // Tags must be unique: find() would silently take the first. Sorted,
+  // so a crafted file with many sections costs n log n, not n^2.
+  std::vector<std::string_view> tags;
+  tags.reserve(snap.sections_.size());
+  for (const Section& s : snap.sections_) tags.emplace_back(s.tag);
+  std::sort(tags.begin(), tags.end());
+  const auto dup = std::adjacent_find(tags.begin(), tags.end());
+  if (dup != tags.end()) {
+    throw CheckpointError("duplicate checkpoint section tag '" +
+                          std::string(*dup) + "'");
   }
   return snap;
 }

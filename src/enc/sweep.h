@@ -46,7 +46,7 @@ struct EncOutcome {
   std::uint64_t cycles = 0;  ///< Workload-phase bus cycles.
   double total_fJ = 0.0;     ///< Whole-interface energy (model total).
   double perTxn_fJ = 0.0;    ///< total_fJ / transactions.
-  /// Ledger splits (SCT_OBS builds; zero with the hooks compiled out):
+  /// Ledger splits:
   double dataBus_fJ = 0.0;  ///< EB_RData + EB_WData + EB_Inv.
   double addrBus_fJ = 0.0;  ///< EB_A.
   /// Transition splits (always live — model counters):

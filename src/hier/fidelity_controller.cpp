@@ -52,12 +52,10 @@ void FidelityController::attachProfile(power::PowerProfile& profile) {
 
 void FidelityController::attachObs(obs::StatsRegistry& reg,
                                    obs::TraceRecorder* rec) {
-  if constexpr (obs::kEnabled) {
-    obsRoiCycles_ = &reg.counter(name_ + ".roi_cycles");
-    obsDrainWait_ = &reg.counter(name_ + ".drain_wait_cycles");
-    obsRec_ = rec;
-    obsSwitches_ = &reg.counter(name_ + ".switches");
-  }
+  obsRoiCycles_ = &reg.counter(name_ + ".roi_cycles");
+  obsDrainWait_ = &reg.counter(name_ + ".drain_wait_cycles");
+  obsRec_ = rec;
+  obsSwitches_ = &reg.counter(name_ + ".switches");
 }
 
 void FidelityController::enterRoi() {
@@ -123,17 +121,15 @@ void FidelityController::onSwitchCompleted(std::uint64_t cycle) {
   const std::uint64_t waited = cycle - switchRequestCycle_;
   drainWaitCycles_ += waited;
   closeRegion(cycle);
-  if constexpr (obs::kEnabled) {
-    if (obsSwitches_ != nullptr) {
-      obsSwitches_->add();
-      obsDrainWait_->add(waited);
-      if (obsRec_ != nullptr) {
-        const char* name = bus_.active() == Fidelity::Tl1 ? "switch_to_tl1"
-                                                          : "switch_to_tl2";
-        obsRec_->instant("hier", name, cycle, obs::Track::Bus,
-                         obs::TraceArg{"switches", switches_},
-                         obs::TraceArg{"waited", waited});
-      }
+  if (obsSwitches_ != nullptr) {
+    obsSwitches_->add();
+    obsDrainWait_->add(waited);
+    if (obsRec_ != nullptr) {
+      const char* name = bus_.active() == Fidelity::Tl1 ? "switch_to_tl1"
+                                                        : "switch_to_tl2";
+      obsRec_->instant("hier", name, cycle, obs::Track::Bus,
+                       obs::TraceArg{"switches", switches_},
+                       obs::TraceArg{"waited", waited});
     }
   }
 }
@@ -149,9 +145,7 @@ void FidelityController::closeRegion(std::uint64_t boundary) {
     if (r.fidelity == Fidelity::Tl1) {
       const std::uint64_t len = r.toCycle - r.fromCycle;
       roiCycles_ += len;
-      if constexpr (obs::kEnabled) {
-        if (obsRoiCycles_ != nullptr) obsRoiCycles_->add(len);
-      }
+      if (obsRoiCycles_ != nullptr) obsRoiCycles_->add(len);
     } else if (profile_ != nullptr) {
       // Stitch: one aggregate sample per TL2 region, stamped with its
       // closing boundary. Cycle-resolved ROI samples carry the cycle

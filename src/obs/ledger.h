@@ -66,8 +66,7 @@ constexpr const char* txClassName(TxClass c) {
 
 /// Slave dimension: decoded index -1 (miss) .. 7 (decoder limit),
 /// stored shifted by one. Master dimension: platform masters (CPU,
-/// DMA, bridge, ...). Shared by the live ledger and LedgerView so the
-/// view type exists identically in SCT_OBS=OFF builds.
+/// DMA, bridge, ...).
 inline constexpr std::size_t kLedgerSlaveSlots = 9;
 inline constexpr std::size_t kLedgerMasterSlots = 4;
 
@@ -132,8 +131,6 @@ inline void merge(LedgerView& into, const LedgerView& add) {
   into.total += add.total;
 }
 
-#if SCT_OBS_ENABLED
-
 class EnergyLedger {
  public:
   static constexpr std::size_t kSlaveSlots = kLedgerSlaveSlots;
@@ -146,7 +143,7 @@ class EnergyLedger {
   SCT_OBS_COLD void add(bus::SignalId bundle, TxClass cls, int slave,
                         int master, double fJ) {
     account(bundle, cls, slave, master, fJ);
-    total_fJ_ += fJ;
+    acc_.total += fJ;
   }
 
   /// Record one contribution of the cycle in progress (cycle-accurate
@@ -160,25 +157,23 @@ class EnergyLedger {
 
   /// Fold the deferred cycle sum into the total (once per bus cycle).
   void commitCycle() {
-    total_fJ_ += cycle_fJ_;
+    acc_.total += cycle_fJ_;
     cycle_fJ_ = 0.0;
   }
 
   /// Bit-identical to the attached model's totalEnergy_fJ().
-  double total_fJ() const { return total_fJ_; }
+  double total_fJ() const { return acc_.total; }
 
   double byBundle_fJ(bus::SignalId id) const {
-    return byBundle_[static_cast<std::size_t>(id)];
+    return acc_.byBundle[static_cast<std::size_t>(id)];
   }
   double byClass_fJ(TxClass c) const {
-    return byClass_[static_cast<std::size_t>(c)];
+    return acc_.byClass[static_cast<std::size_t>(c)];
   }
   /// `slave` in [-1, kSlaveSlots - 2]; -1 aggregates decode misses.
-  double bySlave_fJ(int slave) const {
-    return bySlave_[slaveSlot(slave)];
-  }
+  double bySlave_fJ(int slave) const { return acc_.bySlave[slaveSlot(slave)]; }
   double byMaster_fJ(int master) const {
-    return byMaster_[masterSlot(master)];
+    return acc_.byMaster[masterSlot(master)];
   }
 
   void reset() { *this = EnergyLedger{}; }
@@ -187,40 +182,34 @@ class EnergyLedger {
   /// session boundary (cycle_fJ_ folded already — the serve pool only
   /// snapshots at quiesce, where commitCycle has run), paired with
   /// delta() for per-session attribution.
-  LedgerView view() const {
-    LedgerView v;
-    v.byBundle = byBundle_;
-    v.byClass = byClass_;
-    v.bySlave = bySlave_;
-    v.byMaster = byMaster_;
-    v.total = total_fJ_;
-    return v;
-  }
+  LedgerView view() const { return acc_; }
 
   /// -- Checkpoint (see ckpt/checkpoint.h): every split accumulator and
-  /// both totals, bit-exact. The OBS=OFF stub writes the same-shaped
-  /// empty section so snapshots stay loadable across builds with the
-  /// hooks compiled out. Version 2: EB_Inv joined the signal
+  /// both totals, bit-exact, behind a leading "accumulators present"
+  /// byte that is always true. Version 2: EB_Inv joined the signal
   /// inventory, growing the per-bundle accumulator array by one slot.
   static constexpr std::uint32_t kCkptVersion = 2;
 
   void saveState(ckpt::StateWriter& w) const {
     w.b(true);  // Accumulators present.
-    for (const double v : byBundle_) w.f64(v);
-    for (const double v : byClass_) w.f64(v);
-    for (const double v : bySlave_) w.f64(v);
-    for (const double v : byMaster_) w.f64(v);
-    w.f64(total_fJ_);
+    for (const double v : acc_.byBundle) w.f64(v);
+    for (const double v : acc_.byClass) w.f64(v);
+    for (const double v : acc_.bySlave) w.f64(v);
+    for (const double v : acc_.byMaster) w.f64(v);
+    w.f64(acc_.total);
     w.f64(cycle_fJ_);
   }
 
   void loadState(ckpt::StateReader& r) {
-    if (!r.b()) return;  // Saved by an OBS=OFF build: nothing recorded.
-    for (double& v : byBundle_) v = r.f64();
-    for (double& v : byClass_) v = r.f64();
-    for (double& v : bySlave_) v = r.f64();
-    for (double& v : byMaster_) v = r.f64();
-    total_fJ_ = r.f64();
+    if (!r.b()) {
+      throw ckpt::CheckpointError(
+          "EnergyLedger::loadState: section carries no accumulators");
+    }
+    for (double& v : acc_.byBundle) v = r.f64();
+    for (double& v : acc_.byClass) v = r.f64();
+    for (double& v : acc_.bySlave) v = r.f64();
+    for (double& v : acc_.byMaster) v = r.f64();
+    acc_.total = r.f64();
     cycle_fJ_ = r.f64();
   }
 
@@ -236,50 +225,15 @@ class EnergyLedger {
 
   void account(bus::SignalId bundle, TxClass cls, int slave, int master,
                double fJ) {
-    byBundle_[static_cast<std::size_t>(bundle)] += fJ;
-    byClass_[static_cast<std::size_t>(cls)] += fJ;
-    bySlave_[slaveSlot(slave)] += fJ;
-    byMaster_[masterSlot(master)] += fJ;
+    acc_.byBundle[static_cast<std::size_t>(bundle)] += fJ;
+    acc_.byClass[static_cast<std::size_t>(cls)] += fJ;
+    acc_.bySlave[slaveSlot(slave)] += fJ;
+    acc_.byMaster[masterSlot(master)] += fJ;
   }
 
-  std::array<double, bus::kSignalCount> byBundle_{};
-  std::array<double, kTxClassCount> byClass_{};
-  std::array<double, kSlaveSlots> bySlave_{};
-  std::array<double, kMasterSlots> byMaster_{};
-  double total_fJ_ = 0.0;
-  double cycle_fJ_ = 0.0;
+  LedgerView acc_;         ///< Every split accumulator and the total.
+  double cycle_fJ_ = 0.0;  ///< Deferred sum of the cycle in progress.
 };
-
-#else // !SCT_OBS_ENABLED
-
-class EnergyLedger {
- public:
-  static constexpr std::size_t kSlaveSlots = kLedgerSlaveSlots;
-  static constexpr std::size_t kMasterSlots = kLedgerMasterSlots;
-  void add(bus::SignalId, TxClass, int, int, double) {}
-  void addDeferred(bus::SignalId, TxClass, int, int, double) {}
-  void commitCycle() {}
-  double total_fJ() const { return 0.0; }
-  double byBundle_fJ(bus::SignalId) const { return 0.0; }
-  double byClass_fJ(TxClass) const { return 0.0; }
-  double bySlave_fJ(int) const { return 0.0; }
-  double byMaster_fJ(int) const { return 0.0; }
-  void reset() {}
-  LedgerView view() const { return LedgerView{}; }
-
-  static constexpr std::uint32_t kCkptVersion = 2;
-  void saveState(ckpt::StateWriter& w) const { w.b(false); }
-  void loadState(ckpt::StateReader& r) {
-    if (r.b()) {
-      // Section written by an OBS=ON build: skip its accumulators.
-      const std::size_t n = bus::kSignalCount + kTxClassCount +
-                            kSlaveSlots + kMasterSlots + 2;
-      for (std::size_t i = 0; i < n; ++i) (void)r.f64();
-    }
-  }
-};
-
-#endif // SCT_OBS_ENABLED
 
 } // namespace sct::obs
 

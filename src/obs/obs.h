@@ -1,22 +1,12 @@
-// Observability subsystem master switch.
+// Observability subsystem: shared hook discipline.
 //
-// The whole obs layer — stats registry, energy-attribution ledger,
+// The obs layer — stats registry, energy-attribution ledger,
 // Chrome-trace recorder and every hook threaded through the simulation
-// stack — honours one compile-time switch: the SCT_OBS CMake option
-// defines SCT_OBS_ENABLED for every target. With it off, the classes in
-// obs/ collapse to empty inline stubs and every hook site is guarded by
-// `if constexpr (obs::kEnabled)`, so instrumented builds and bare
-// builds produce identical simulation behaviour and the bare build
-// carries zero instructions for observability. With it on (the
-// default), a hook whose sink is not attached costs one branch on a
-// cached pointer — the same discipline as the buses' cached
-// slave-control pointers.
+// stack — is always built. A hook whose sink is not attached costs one
+// branch on a cached pointer — the same discipline as the buses'
+// cached slave-control pointers.
 #ifndef SCT_OBS_OBS_H
 #define SCT_OBS_OBS_H
-
-#ifndef SCT_OBS_ENABLED
-#define SCT_OBS_ENABLED 1
-#endif
 
 // Emission bodies (span/instant construction, argument packing) live in
 // out-of-line cold functions so the hot simulation paths carry only a
@@ -29,12 +19,5 @@
 #else
 #define SCT_OBS_COLD
 #endif
-
-namespace sct::obs {
-
-/// Compile-time availability of the observability subsystem.
-inline constexpr bool kEnabled = (SCT_OBS_ENABLED != 0);
-
-} // namespace sct::obs
 
 #endif // SCT_OBS_OBS_H

@@ -1,7 +1,5 @@
 #include "obs/stats.h"
 
-#if SCT_OBS_ENABLED
-
 #include <algorithm>
 #include <ostream>
 
@@ -165,5 +163,3 @@ void StatsRegistry::writeJson(std::ostream& os) const {
 }
 
 } // namespace sct::obs
-
-#endif // SCT_OBS_ENABLED

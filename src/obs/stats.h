@@ -16,16 +16,11 @@
 #define SCT_OBS_STATS_H
 
 #include <cstdint>
+#include <deque>
 #include <iosfwd>
+#include <map>
 #include <string>
 #include <vector>
-
-#include "obs/obs.h"
-
-#if SCT_OBS_ENABLED
-
-#include <deque>
-#include <map>
 
 namespace sct::obs {
 
@@ -148,73 +143,5 @@ class StatsRegistry {
 };
 
 } // namespace sct::obs
-
-#else // !SCT_OBS_ENABLED
-
-namespace sct::obs {
-
-// Inert stand-ins: same API, no state, no behaviour. Registry handles
-// point at shared statics — harmless, since every mutator is a no-op.
-
-class Counter {
- public:
-  void add(std::uint64_t = 1) {}
-  std::uint64_t value() const { return 0; }
-};
-
-class Gauge {
- public:
-  void set(double) {}
-  void add(double) {}
-  double value() const { return 0.0; }
-};
-
-class Histogram {
- public:
-  explicit Histogram(std::vector<std::uint64_t> = {}) {}
-  void record(std::uint64_t) {}
-  std::uint64_t count() const { return 0; }
-  std::uint64_t sum() const { return 0; }
-  double mean() const { return 0.0; }
-};
-
-struct SnapshotEntry {
-  enum class Type : std::uint8_t { Counter, Gauge, Histogram };
-  std::string name;
-  Type type = Type::Counter;
-  std::uint64_t count = 0;
-  double value = 0.0;
-  std::vector<std::uint64_t> bounds;
-  std::vector<std::uint64_t> buckets;
-};
-
-struct Snapshot {
-  std::vector<SnapshotEntry> entries;
-  const SnapshotEntry* find(const std::string&) const { return nullptr; }
-  void writeJson(std::ostream&) const {}
-};
-
-inline void merge(Snapshot&, const Snapshot&) {}
-
-class StatsRegistry {
- public:
-  Counter& counter(const std::string&) { return counter_; }
-  Gauge& gauge(const std::string&) { return gauge_; }
-  Histogram& histogram(const std::string&, std::vector<std::uint64_t>) {
-    return histogram_;
-  }
-  std::size_t size() const { return 0; }
-  Snapshot snapshot() const { return {}; }
-  void writeJson(std::ostream&) const {}
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;
-};
-
-} // namespace sct::obs
-
-#endif // SCT_OBS_ENABLED
 
 #endif // SCT_OBS_STATS_H

@@ -1,7 +1,5 @@
 #include "obs/trace_json.h"
 
-#if SCT_OBS_ENABLED
-
 #include <ostream>
 
 namespace sct::obs {
@@ -44,5 +42,3 @@ void TraceRecorder::writeJson(std::ostream& os) const {
 }
 
 } // namespace sct::obs
-
-#endif // SCT_OBS_ENABLED

@@ -19,12 +19,7 @@
 
 #include <cstdint>
 #include <iosfwd>
-
-#include "obs/obs.h"
-
-#if SCT_OBS_ENABLED
 #include <vector>
-#endif
 
 namespace sct::obs {
 
@@ -37,8 +32,6 @@ enum class Track : std::uint8_t {
   DataPhase = 4,
   Master = 5,
 };
-
-#if SCT_OBS_ENABLED
 
 /// Optional small payload attached to an event; rendered into the
 /// trace_event "args" object. Name pointers must be string literals
@@ -135,44 +128,6 @@ class TraceRecorder {
   std::size_t size_ = 0;
   std::uint64_t dropped_ = 0;
 };
-
-#else // !SCT_OBS_ENABLED
-
-struct TraceArg {
-  const char* name = nullptr;
-  std::uint64_t value = 0;
-};
-
-class TraceRecorder {
- public:
-  struct Event {
-    const char* cat = nullptr;
-    const char* name = nullptr;
-    std::uint64_t ts = 0;
-    std::uint64_t dur = 0;
-    Track track = Track::Kernel;
-    char phase = 'X';
-    TraceArg a0;
-    TraceArg a1;
-  };
-
-  explicit TraceRecorder(std::size_t = 0) {}
-  void span(const char*, const char*, std::uint64_t, std::uint64_t, Track,
-            TraceArg = {}, TraceArg = {}) {}
-  void instant(const char*, const char*, std::uint64_t, Track, TraceArg = {},
-               TraceArg = {}) {}
-  std::size_t size() const { return 0; }
-  std::size_t capacity() const { return 0; }
-  std::uint64_t dropped() const { return 0; }
-  const Event& event(std::size_t) const { return dummy_; }
-  void writeJson(std::ostream&) const {}
-  void clear() {}
-
- private:
-  Event dummy_;
-};
-
-#endif // SCT_OBS_ENABLED
 
 } // namespace sct::obs
 

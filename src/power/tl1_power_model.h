@@ -107,14 +107,9 @@ class Tl1PowerModel final : public bus::Tl1Observer,
   /// XOR path (diagnostics, not serialized — resets with the object).
   std::uint64_t packedLaneCycles() const { return engine_.packedLaneCycles(); }
 
-  /// Publish power.packed_lane_cycles into `reg`. Compiles to nothing
-  /// with SCT_OBS=OFF.
+  /// Publish power.packed_lane_cycles into `reg`.
   void publishObs(obs::StatsRegistry& reg) const {
-    if constexpr (obs::kEnabled) {
-      reg.counter("power.packed_lane_cycles").add(engine_.packedLaneCycles());
-    } else {
-      (void)reg;
-    }
+    reg.counter("power.packed_lane_cycles").add(engine_.packedLaneCycles());
   }
 
   /// -- Checkpoint (see ckpt/checkpoint.h): the full signal state —

@@ -92,6 +92,11 @@ class Tl2PowerModel final : public bus::Tl2Observer, public IntervalPowerIf {
   }
 
  private:
+  template <bool kAttributed>
+  void chargeAddressPhase(const bus::Tl2PhaseInfo& info);
+  template <bool kAttributed>
+  void chargeDataPhase(const bus::Tl2PhaseInfo& info);
+  template <bool kAttributed>
   void addTransitions(bus::SignalId id, double n);
 
   SignalEnergyTable table_;
@@ -99,9 +104,9 @@ class Tl2PowerModel final : public bus::Tl2Observer, public IntervalPowerIf {
   double total_fJ_ = 0.0;
   double intervalMarker_fJ_ = 0.0;
 
-  // Energy attribution (null = detached). The phase context is stamped
-  // at the top of each observer callback before the addTransitions
-  // calls it covers.
+  // Energy attribution (null = detached). While a ledger is attached,
+  // each observer callback stamps the phase context before the charge
+  // body it covers.
   obs::EnergyLedger* ledger_ = nullptr;
   int master_ = 0;
   obs::TxClass ctxClass_ = obs::TxClass::DataRead;

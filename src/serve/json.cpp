@@ -129,8 +129,15 @@ class Parser {
 
   JsonValue parseValue() {
     switch (peek()) {
-      case '{': return parseObject();
-      case '[': return parseArray();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxJsonDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+        }
+        JsonValue v = peek() == '{' ? parseObject() : parseArray();
+        --depth_;
+        return v;
+      }
       case '"': return JsonValue::makeString(parseString());
       case 't':
         if (!consumeKeyword("true")) fail("bad keyword");
@@ -273,6 +280,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< Containers open around pos_.
 };
 
 } // namespace

@@ -65,8 +65,14 @@ class JsonValue {
   std::map<std::string, JsonValue> object_;
 };
 
-/// Parse one complete JSON document; trailing non-whitespace or any
-/// syntax error throws JsonError with an offset-bearing message.
+/// Deepest array/object nesting parseJson accepts. The parser recurses
+/// once per level, so the cap bounds its stack use on hostile input;
+/// protocol lines nest two levels.
+inline constexpr std::size_t kMaxJsonDepth = 64;
+
+/// Parse one complete JSON document; trailing non-whitespace, nesting
+/// deeper than kMaxJsonDepth or any syntax error throws JsonError with
+/// an offset-bearing message.
 JsonValue parseJson(std::string_view text);
 
 /// Append `text` JSON-escaped (quotes included) to `out`.

@@ -81,9 +81,7 @@ void Clock::parkHandler(HandlerId id, std::uint64_t wakeCycle) {
   if (h.wake == wakeCycle) return;
   h.wake = wakeCycle;
   minWakeDirty_ = true;
-  if constexpr (obs::kEnabled) {
-    if (obsParks_ != nullptr) notePark(id, wakeCycle);
-  }
+  if (obsParks_ != nullptr) notePark(id, wakeCycle);
 }
 
 void Clock::notePark(HandlerId id, std::uint64_t wakeCycle) {
@@ -192,9 +190,7 @@ void Clock::maybeWarp(std::uint64_t target) {
   // (parked-handler wake or end of run) still produces real edges with
   // the exact timestamps a fully clocked run would give them.
   const std::uint64_t skip = stop - cycle_ - 1;
-  if constexpr (obs::kEnabled) {
-    if (obsWarps_ != nullptr) noteWarp(cycle_, skip);
-  }
+  if (obsWarps_ != nullptr) noteWarp(cycle_, skip);
   cycle_ += skip;
   kernel_.postponeArmed(periodicId_, skip * period_);
 }
@@ -282,9 +278,7 @@ void Clock::runInline(std::uint64_t target) {
       const std::uint64_t stop = std::min(minWakeCycle(), target);
       if (stop > cycle_ + 1) {
         const std::uint64_t skip = stop - cycle_ - 1;
-        if constexpr (obs::kEnabled) {
-          if (obsWarps_ != nullptr) noteWarp(cycle_, skip);
-        }
+        if (obsWarps_ != nullptr) noteWarp(cycle_, skip);
         cycle_ += skip;
         rise += skip * period_;
       }
@@ -294,16 +288,11 @@ void Clock::runInline(std::uint64_t target) {
 }
 
 void Clock::attachObs(obs::StatsRegistry& reg, obs::TraceRecorder* rec) {
-  if constexpr (obs::kEnabled) {
-    obsWarps_ = &reg.counter(name_ + ".warps");
-    obsWarpLen_ =
-        &reg.histogram(name_ + ".warp_cycles", {1, 2, 4, 8, 16, 64, 256});
-    obsParks_ = &reg.counter(name_ + ".parks");
-    obsRec_ = rec;
-  } else {
-    (void)reg;
-    (void)rec;
-  }
+  obsWarps_ = &reg.counter(name_ + ".warps");
+  obsWarpLen_ =
+      &reg.histogram(name_ + ".warp_cycles", {1, 2, 4, 8, 16, 64, 256});
+  obsParks_ = &reg.counter(name_ + ".parks");
+  obsRec_ = rec;
 }
 
 void Clock::noteWarp(std::uint64_t fromCycle, std::uint64_t skip) {

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/obs.h"
 #include "obs/stats.h"
 #include "obs/trace_json.h"
 #include "sim/kernel.h"
@@ -138,8 +139,7 @@ class Clock final : private PeriodicProcess {
 
   /// Resolve observability handles ("<name>.warps", "<name>.warp_cycles",
   /// "<name>.parks") in `reg` and optionally mirror warp/park events
-  /// into `rec`. Until called, every hook is one null-check; compiled
-  /// out entirely under SCT_OBS=OFF.
+  /// into `rec`. Until called, every hook is one null-check.
   void attachObs(obs::StatsRegistry& reg, obs::TraceRecorder* rec = nullptr);
 
   /// -- Checkpoint (see ckpt/checkpoint.h) ------------------------------

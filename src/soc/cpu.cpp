@@ -539,13 +539,9 @@ void MipsCore::invalidateICacheRange(Address addr, std::size_t bytes) {
 }
 
 void MipsCore::publishObs(obs::StatsRegistry& reg) const {
-  if constexpr (obs::kEnabled) {
-    reg.counter("iss.block_hits").add(blocks_.stats().hits);
-    reg.counter("iss.block_misses").add(blocks_.stats().misses);
-    reg.counter("iss.invalidations").add(blocks_.stats().invalidations);
-  } else {
-    (void)reg;
-  }
+  reg.counter("iss.block_hits").add(blocks_.stats().hits);
+  reg.counter("iss.block_misses").add(blocks_.stats().misses);
+  reg.counter("iss.invalidations").add(blocks_.stats().invalidations);
 }
 
 // ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ class MipsCore final : public sim::Module {
   void invalidateICacheRange(bus::Address addr, std::size_t bytes);
 
   /// Publish dispatch-loop counters (iss.block_hits, iss.block_misses,
-  /// iss.invalidations) into `reg`. Compiles to nothing with SCT_OBS=OFF.
+  /// iss.invalidations) into `reg`.
   void publishObs(obs::StatsRegistry& reg) const;
 
   /// Drive the clock until the core halts. Returns true if it halted

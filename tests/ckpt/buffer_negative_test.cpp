@@ -5,8 +5,8 @@
 // times per sweep, so "garbage in, exception out" is a load-bearing
 // contract, exercised here byte-surgically (bad magic, bad format
 // version, truncation at every prefix, oversized/undersized section
-// length fields, trailing garbage, and registry-level version skew
-// through the buffer path).
+// length fields, trailing garbage, duplicate section tags, and
+// registry-level version skew through the buffer path).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "ckpt/checkpoint.h"
+#include "obs/ledger.h"
 
 namespace sct {
 namespace {
@@ -99,11 +100,43 @@ TEST(SnapshotBufferNegative, CorruptedSectionLengthIsRejected) {
   expectRefusal([&] { ckpt::Snapshot::loadFromBuffer(oversized); },
                 "truncated");
 
+  // Near 4 GiB: refused before the payload buffer is sized (the
+  // section name in the message shows the early length check).
+  std::vector<std::uint8_t> huge = buf;
+  huge[lenPos] = 0xF0;
+  huge[lenPos + 1] = huge[lenPos + 2] = huge[lenPos + 3] = 0xFF;
+  expectRefusal([&] { ckpt::Snapshot::loadFromBuffer(huge); },
+                "section 'blob' truncated: claims 4294967280 payload bytes");
+
   // Undersized: the unclaimed payload tail becomes trailing garbage.
   std::vector<std::uint8_t> undersized = buf;
   undersized[lenPos] -= 1;
   expectRefusal([&] { ckpt::Snapshot::loadFromBuffer(undersized); },
                 "trailing bytes");
+}
+
+TEST(SnapshotBufferNegative, DuplicateSectionTagIsRejected) {
+  // Two "blob" sections: find() would silently take the first.
+  Blob blob;
+  const std::vector<std::uint8_t> one = blobBuffer(blob);
+  std::vector<std::uint8_t> two = one;
+  two[12] = 2;  // Section count (LE u32 after magic and format).
+  two.insert(two.end(), one.begin() + 16, one.end());
+  expectRefusal([&] { ckpt::Snapshot::loadFromBuffer(two); },
+                "duplicate checkpoint section tag 'blob'");
+}
+
+TEST(SnapshotBufferNegative, LedgerSectionWithoutAccumulatorsIsRejected) {
+  // The ledger's leading "accumulators present" byte is always written
+  // true. A section holding only a false byte must be refused rather
+  // than leave the restore target's stale accumulators in place.
+  obs::EnergyLedger ledger;
+  ckpt::CheckpointRegistry reg;
+  reg.add("ledger", ledger);
+  ckpt::Snapshot crafted;
+  crafted.addSection("ledger", obs::EnergyLedger::kCkptVersion, {0});
+  expectRefusal([&] { reg.loadAll(crafted); },
+                "EnergyLedger::loadState: section carries no accumulators");
 }
 
 TEST(SnapshotBufferNegative, TrailingGarbageIsRejected) {

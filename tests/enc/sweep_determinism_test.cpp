@@ -8,9 +8,8 @@
 //    (runFromBoot): restoring the snapshot is indistinguishable from
 //    re-running the boot, per the ckpt restore-equivalence guarantee.
 //  * bus-invert actually earns its keep on the random-data crypto
-//    workload: fewer data-bus transitions than the identity codec, and
-//    (in SCT_OBS builds, where the ledger splits are live) less
-//    data-bus energy.
+//    workload: fewer data-bus transitions and less data-bus energy
+//    than the identity codec.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -116,12 +115,7 @@ TEST(EncSweep, BusInvertBeatsIdentityOnRandomDataCrypto) {
   EXPECT_EQ(bi.transactions, id.transactions);
   EXPECT_EQ(bi.cycles, id.cycles);
   EXPECT_LT(bi.dataTransitions, id.dataTransitions);
-  // The ledger splits are live only in SCT_OBS builds; when compiled
-  // out both sides are zero and the energy claim is covered by the
-  // transition counters above.
-  if (id.dataBus_fJ > 0.0 || bi.dataBus_fJ > 0.0) {
-    EXPECT_LT(bi.dataBus_fJ, id.dataBus_fJ);
-  }
+  EXPECT_LT(bi.dataBus_fJ, id.dataBus_fJ);
   // A data-bus codec leaves the address bus alone.
   EXPECT_EQ(bi.addrTransitions, id.addrTransitions);
 }

@@ -354,7 +354,6 @@ TEST_F(HybridFixture, AddressWatchPullsCryptoTrafficIntoTl1) {
   EXPECT_GT(bus.tl1().stats().writeTransactions, 0u);
 }
 
-#if SCT_OBS_ENABLED
 TEST_F(HybridFixture, ObsCountersAndDrainWaitArePublished) {
   FidelityController ctrl(clk, bus);
   obs::StatsRegistry reg;
@@ -379,7 +378,6 @@ TEST_F(HybridFixture, ObsCountersAndDrainWaitArePublished) {
   }
   EXPECT_EQ(instants, 2u);
 }
-#endif
 
 } // namespace
 } // namespace sct::hier

@@ -6,7 +6,10 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
+#include "power/coeff_table.h"
+#include "serve/daemon.h"
 #include "serve/json.h"
 
 namespace sct {
@@ -39,6 +42,11 @@ TEST(ServeJson, ParsesNestedStructures) {
   EXPECT_FALSE(arr[4].asBool());
   EXPECT_EQ(arr[5].kind(), JsonValue::Kind::Null);
   EXPECT_EQ(v.find("b")->find("c")->asString(), "x");
+  // Nesting up to the cap parses; objects and arrays count alike.
+  const std::string deepest = std::string(serve::kMaxJsonDepth, '[') +
+                              std::string(serve::kMaxJsonDepth, ']');
+  EXPECT_NO_THROW(parseJson(deepest));
+  EXPECT_THROW(parseJson("{\"a\":" + deepest + "}"), JsonError);
 }
 
 TEST(ServeJson, StringEscapes) {
@@ -56,6 +64,8 @@ TEST(ServeJson, RejectsMalformedInput) {
   EXPECT_THROW(parseJson("\"unterminated"), JsonError);
   EXPECT_THROW(parseJson("{\"a\":01x}"), JsonError);
   EXPECT_THROW(parseJson("nul"), JsonError);
+  // Refused at the depth cap, before the recursion exhausts the stack.
+  EXPECT_THROW(parseJson(std::string(1000000, '[')), JsonError);
 }
 
 TEST(ServeJson, WriterEscapesStrings) {
@@ -81,6 +91,25 @@ TEST(ServeJson, NumbersSurviveRoundTripBitExact) {
   std::string inf;
   serve::appendJsonNumber(inf, std::numeric_limits<double>::infinity());
   EXPECT_EQ(inf, "null");
+}
+
+TEST(ServeJson, DeepJobLineIsAnErrorLineAndServingContinues) {
+  serve::ServeEngine engine(power::SignalEnergyTable{}, 1);
+  std::vector<std::string> lines;
+  const serve::ServeEngine::Sink sink = [&lines](const std::string& line) {
+    lines.push_back(line);
+  };
+  engine.submitLine(std::string(1000000, '['), sink);
+  engine.submitLine(R"({"id":"after","scenario":"auth"})", sink);
+  engine.drain();
+  // The error line is emitted synchronously, before the job is queued.
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(parseJson(lines[0]).find("error")->asString().find(
+                "nesting deeper than"),
+            std::string::npos);
+  EXPECT_EQ(parseJson(lines[1]).find("event")->asString(), "result");
+  EXPECT_EQ(engine.errors(), 1u);
+  EXPECT_EQ(engine.completed(), 1u);
 }
 
 } // namespace

@@ -89,9 +89,7 @@ TEST(ServeCard, RecycledSessionsAreBitIdentical) {
   const serve::SessionOutcome first = card.runSession(steps);
   ASSERT_TRUE(first.ok);
   EXPECT_TRUE(first.expected);
-  if (obs::kEnabled) {
-    EXPECT_GT(first.energy.total, 0.0);
-  }
+  EXPECT_GT(first.energy.total, 0.0);
 
   // Serve more sessions on the SAME instance — a different scenario in
   // between to dirty the state — recycling before each. The repeat of
@@ -182,9 +180,7 @@ TEST(ServeEngine, ResultLinesAreValidJsonWithAttribution) {
   EXPECT_EQ(v.find("scenario")->asString(), "auth");
   EXPECT_TRUE(v.find("ok")->asBool());
   EXPECT_TRUE(v.find("expected")->asBool());
-  if (obs::kEnabled) {
-    EXPECT_GT(v.find("energy_fJ")->asNumber(), 0.0);
-  }
+  EXPECT_GT(v.find("energy_fJ")->asNumber(), 0.0);
   EXPECT_GT(v.find("cycles")->asNumber(), 0.0);
   // Per-class and per-bundle attribution are complete.
   EXPECT_EQ(v.find("by_class")->asObject().size(), obs::kTxClassCount);
