@@ -311,8 +311,9 @@ void Fork_Sweep(benchmark::State& state) {
     // boot, not thread-level parallelism (that is ParallelRunner's
     // business and already benchmarked by sec43_exploration).
     runner.runForks(variants, /*threads=*/1,
-                    [](const ckpt::Snapshot& snap, std::size_t i) {
-                      SweepSoc s{soc::SocConfig{}};
+                    [] { return SweepSoc(soc::SocConfig{}); },
+                    [](SweepSoc& s, const ckpt::Snapshot& snap,
+                       std::size_t i) {
                       s.restore(snap);
                       runSweepVariant(s, i);
                     });

@@ -117,10 +117,11 @@ int main() {
               fromDisk.sections().size(), fromDisk.serialize().size());
 
   // --- Fork the sweep from the shared snapshot ------------------------
+  // One SoC is built for the whole sweep and restored per variant.
   std::vector<VariantResult> forked(kVariants);
   runner.runForks(kVariants, /*threads=*/1,
-                  [&](const ckpt::Snapshot& snap, std::size_t i) {
-                    Soc s{soc::SocConfig{}};
+                  [] { return Soc(soc::SocConfig{}); },
+                  [&](Soc& s, const ckpt::Snapshot& snap, std::size_t i) {
                     s.restore(snap);
                     forked[i] = runVariant(s, i);
                   });

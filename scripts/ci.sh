@@ -10,8 +10,11 @@
 # output stay alive, measures nothing).
 # Pass 2 — the same suite under AddressSanitizer + UndefinedBehavior-
 # Sanitizer (the SCT_SANITIZE option; it disables LTO itself).
+# Pass 3 — ThreadSanitizer over the labels whose tests run the fork
+# pool with threads > 1 (ckpt, sca, eh, enc): its workers share one
+# variant counter and each own a recycled rig.
 #
-# Both passes use the presets in CMakePresets.json, so what CI checks
+# All passes use the presets in CMakePresets.json, so what CI checks
 # is exactly what `cmake --preset release` gives a developer.
 set -eu
 
@@ -64,6 +67,12 @@ for preset in release asan-ubsan; do
   run ctest --preset "$preset" -L enc --parallel "$jobs"
 done
 
+run cmake --preset tsan -DSCT_WERROR=ON
+run cmake --build --preset tsan --parallel "$jobs"
+for label in ckpt sca eh enc; do
+  run ctest --preset tsan -L "$label" --parallel "$jobs"
+done
+
 echo "==> bench smoke (tiny workload)"
 run env SCT_BENCH_TINY=1 ./build/bench/table3_simperf \
   --benchmark_min_time=0.01
@@ -76,4 +85,4 @@ run env SCT_BENCH_TINY=1 ./build/bench/sca_bench \
 run env SCT_BENCH_TINY=1 ./build/bench/enc_sweep_bench \
   --benchmark_min_time=0.01
 
-echo "CI: both passes green"
+echo "CI: all three passes green"

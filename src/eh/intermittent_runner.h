@@ -151,11 +151,16 @@ class IntermittentRunner {
                               std::uint64_t maxCycles = 2'000'000);
 
   /// Restore a snapshot taken by an identically constructed runner.
+  /// Legal on a runner that already ran: together with run()'s own
+  /// reset of the per-run state, a recycled runner behaves exactly like
+  /// a fresh one.
   void adopt(const ckpt::Snapshot& snap) { registry_.loadAll(snap); }
 
   /// Execute the workload from the current platform state under
   /// `field` and `scheme`. Returns when the done marker is written and
-  /// the core halts, or when cfg.maxWallCycles elapse.
+  /// the core halts, or when cfg.maxWallCycles elapse. Resets every
+  /// piece of per-run state the snapshot does not carry (supply,
+  /// detector, wall counters, hook flags) on entry.
   RunResult run(const FieldProfile& field, const BackupScheme& scheme,
                 const RunnerConfig& cfg);
 

@@ -77,10 +77,8 @@ SweepRunner::SweepRunner(const power::SignalEnergyTable& table,
         return parent.bootToMarker(kPreludeMagic);
       }) {}
 
-SweepOutcome SweepRunner::runVariant(const ckpt::Snapshot& snap,
+SweepOutcome SweepRunner::runVariant(IntermittentRunner& runner,
                                      const SweepVariant& v) const {
-  IntermittentRunner runner(*table_, program_);
-  runner.adopt(snap);
   const std::unique_ptr<FieldProfile> field = makeProfile(v.profile, v.seed);
   const std::unique_ptr<BackupScheme> scheme = makeScheme(v.scheme);
   SweepOutcome out;
@@ -92,22 +90,23 @@ SweepOutcome SweepRunner::runVariant(const ckpt::Snapshot& snap,
 std::vector<SweepOutcome> SweepRunner::run(
     const std::vector<SweepVariant>& grid, unsigned threads) const {
   std::vector<SweepOutcome> results(grid.size());
-  fork_.runForks(grid.size(), threads,
-                 [&](const ckpt::Snapshot& snap, std::size_t i) {
-                   results[i] = runVariant(snap, grid[i]);
-                 });
+  // adopt() rewinds every checkpointed section; run() resets the
+  // supply, detector and wall counters it does not carry.
+  fork_.runForks(
+      grid.size(), threads,
+      [&] { return IntermittentRunner(*table_, program_); },
+      [&](IntermittentRunner& runner, const ckpt::Snapshot& snap,
+          std::size_t i) {
+        runner.adopt(snap);
+        results[i] = runVariant(runner, grid[i]);
+      });
   return results;
 }
 
 SweepOutcome SweepRunner::runFromBoot(const SweepVariant& v) const {
   IntermittentRunner runner(*table_, program_);
   runner.bootToMarker(kPreludeMagic);
-  const std::unique_ptr<FieldProfile> field = makeProfile(v.profile, v.seed);
-  const std::unique_ptr<BackupScheme> scheme = makeScheme(v.scheme);
-  SweepOutcome out;
-  out.variant = v;
-  out.result = runner.run(*field, *scheme, cfg_);
-  return out;
+  return runVariant(runner, v);
 }
 
 } // namespace sct::eh

@@ -4,13 +4,13 @@
 // boot prelude (RAM zeroize + EEPROM scan) before the measured crypto
 // phase — exactly the amortizable prefix ForkRunner exists for. One
 // parent runner boots the workload to the prelude marker at a quiesce
-// point and is snapshotted; each variant restores that snapshot into a
-// fresh, identically constructed runner, attaches its own scheme ×
-// field supply, and runs only the intermittent main phase. Results are
-// written into caller-owned slots keyed by variant index (the
-// ParallelRunner discipline), and the supply/field evaluation is a
-// pure function of wall cycle — so the sweep output is bit-identical
-// at any worker count.
+// point and is snapshotted; each variant restores that snapshot into
+// its worker's recycled runner (built identically to the parent),
+// attaches its own scheme × field supply, and runs only the
+// intermittent main phase. Results are written into caller-owned slots
+// keyed by variant index (the ParallelRunner discipline), and the
+// supply/field evaluation is a pure function of wall cycle — so the
+// sweep output is bit-identical at any worker count.
 #ifndef SCT_EH_SWEEP_H
 #define SCT_EH_SWEEP_H
 
@@ -61,14 +61,16 @@ class SweepRunner {
 
   /// The boot-per-variant reference: construct a fresh runner, execute
   /// the prelude, then the intermittent phase. Bit-identical outcomes
-  /// to run() (restore-equivalence), used as the bench baseline and
-  /// the equivalence test.
+  /// to run() (restore-equivalence into a recycled runner), used as the
+  /// bench baseline and the equivalence test.
   SweepOutcome runFromBoot(const SweepVariant& v) const;
 
   const ckpt::Snapshot& snapshot() const { return fork_.snapshot(); }
 
  private:
-  SweepOutcome runVariant(const ckpt::Snapshot& snap,
+  /// The intermittent main phase of `v` on a runner already at the
+  /// prelude marker (adopted or booted).
+  SweepOutcome runVariant(IntermittentRunner& runner,
                           const SweepVariant& v) const;
 
   const power::SignalEnergyTable* table_;

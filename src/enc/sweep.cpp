@@ -102,10 +102,11 @@ const std::vector<std::uint8_t>& flashImage() {
 }
 
 // One sweep platform. Construction order fixes the clock handler ids
-// (bus falling = 0, master rising = 1); the boot side and every variant
-// construct identically, which is exactly what Clock::loadState demands.
-// The master itself is NOT registered for checkpointing — it is
-// per-variant configuration (each variant replays its own trace).
+// (bus falling = 0, master rising = 1); the boot side and every worker
+// rig construct identically, which is exactly what Clock::loadState
+// demands. The master itself is NOT registered for checkpointing — it
+// is per-variant configuration: each variant restarts it over its own
+// workload trace.
 struct Platform {
   sim::Kernel kernel;
   sim::Clock clk{kernel, "clk", 10};
@@ -296,22 +297,21 @@ const trace::BusTrace& SweepRunner::workload(const std::string& name) const {
   throw std::invalid_argument("unknown sweep workload: " + name);
 }
 
-EncOutcome SweepRunner::runVariant(const ckpt::Snapshot& snap,
-                                   const EncVariant& v) const {
-  Platform p(table_, workload(v.workload));
-  p.reg.loadAll(snap);
-  const std::unique_ptr<bus::BusCodec> codec = makeCodec(v.codec);
-  p.bus.setCodec(codec.get());
-  return measure(p, p.master, v);
-}
-
 std::vector<EncOutcome> SweepRunner::run(const std::vector<EncVariant>& grid,
                                          unsigned threads) const {
   std::vector<EncOutcome> results(grid.size());
-  fork_.runForks(grid.size(), threads,
-                 [&](const ckpt::Snapshot& snap, std::size_t i) {
-                   results[i] = runVariant(snap, grid[i]);
-                 });
+  fork_.runForks(
+      grid.size(), threads, [&] { return Platform(table_, bootTrace_); },
+      [&](Platform& p, const ckpt::Snapshot& snap, std::size_t i) {
+        // loadAll rewinds every checkpointed section; the master and
+        // the codec are the per-variant state it does not carry.
+        p.reg.loadAll(snap);
+        p.master.restart(workload(grid[i].workload));
+        const std::unique_ptr<bus::BusCodec> codec = makeCodec(grid[i].codec);
+        p.bus.setCodec(codec.get());
+        results[i] = measure(p, p.master, grid[i]);
+        p.bus.setCodec(nullptr);  // The codec dies with this variant.
+      });
   return results;
 }
 

@@ -5,8 +5,9 @@
 // measured workload phase — the amortizable prefix ForkRunner exists
 // for. One parent platform replays the boot trace to completion at a
 // quiesce point and is snapshotted; each variant restores that snapshot
-// into a fresh, identically constructed platform, installs its codec on
-// the bus, and replays only its workload trace. Outcomes are energy
+// into its worker's recycled platform (built identically to the
+// parent), restarts the replay master over its workload trace, installs
+// its codec on the bus, and replays only that trace. Outcomes are energy
 // deltas between the post-boot and post-workload obs-ledger snapshots
 // (bit-stable: the restored start state is bit-identical on every
 // worker), so the sweep output is bit-identical at any worker count.
@@ -14,9 +15,10 @@
 // The clock checkpoint demands an exactly matching handler set between
 // save and restore, so the replay master is constructed on both sides
 // (bus process first, master second) but deliberately NOT checkpointed:
-// it is per-variant configuration — each variant's master is built over
-// its own workload trace, and workload traces issue back-to-back, so a
-// restored clock at boot-end cycle N replays them identically to the
+// it is per-variant configuration — each variant restarts the master
+// over its own workload trace (ReplayMaster::restart keeps the handler
+// registered), and workload traces issue back-to-back, so a restored
+// clock at boot-end cycle N replays them identically to the
 // boot-per-variant reference (runFromBoot, the equivalence baseline).
 #ifndef SCT_ENC_SWEEP_H
 #define SCT_ENC_SWEEP_H
@@ -86,9 +88,6 @@ class SweepRunner {
   const trace::BusTrace& workload(const std::string& name) const;
 
  private:
-  EncOutcome runVariant(const ckpt::Snapshot& snap,
-                        const EncVariant& v) const;
-
   power::SignalEnergyTable table_;
   trace::BusTrace bootTrace_;
   std::vector<std::pair<std::string, trace::BusTrace>> workloads_;

@@ -78,6 +78,14 @@ class AddressWatchTrigger final : public RoiTrigger {
   bool armed(std::uint64_t cycle) const { return cycle < armedUntil_; }
   std::uint64_t hits() const { return hits_; }
 
+  /// Forget every hit: disarmed, hit count zero. A watcher reused after
+  /// a restore rewound the clock must not read as armed from a hit the
+  /// rewound run never made.
+  void reset() {
+    armedUntil_ = 0;
+    hits_ = 0;
+  }
+
  private:
   std::vector<Window> windows_;
   std::uint64_t holdCycles_;

@@ -19,6 +19,7 @@ void RoiProfiler::beginTrace(std::uint64_t noiseSeed) {
   noiseSeed_ = noiseSeed;
   started_ = false;
   samples_.clear();
+  trigger_.reset();
 }
 
 void RoiProfiler::addressPhase(const bus::AddressPhaseInfo& info) {

@@ -56,8 +56,9 @@ class RoiProfiler final : public bus::Tl1Observer {
               std::vector<hier::AddressWatchTrigger::Window> windows,
               const CaptureConfig& cfg);
 
-  /// Reset for the next trace: clears samples and arms the capture
-  /// with this trace's noise seed.
+  /// Reset for the next trace: clears samples and the ROI trigger's
+  /// hits, and arms the capture with this trace's noise seed. Every
+  /// trace on a reused profiler starts exactly as on a fresh one.
   void beginTrace(std::uint64_t noiseSeed);
 
   bool started() const { return started_; }

@@ -1,6 +1,7 @@
 #include "sca/corpus.h"
 
 #include <cstring>
+#include <iterator>
 
 namespace sct::sca {
 
@@ -9,6 +10,12 @@ namespace {
 constexpr char kMagic[8] = {'S', 'C', 'T', 'C', 'O', 'R', 'P', '\n'};
 /// Byte offset of the u64 trace count inside the header.
 constexpr std::streamoff kCountOffset = 8 + 4 * 4;
+/// Header size: magic, four u32 fields, the u64 trace count.
+constexpr std::size_t kHeaderBytes = 8 + 4 * 4 + 8;
+/// Per-trace metadata block: key+pt+ct (8 u32), noise seed, payloadLen.
+constexpr std::size_t kTraceMetaBytes = 4 * 8 + 8 + 4;
+/// Longest zigzag varint a sample delta can take (ceil(64 / 7)).
+constexpr std::uint64_t kMaxVarintBytes = 10;
 
 void putU32(std::vector<std::uint8_t>& b, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
@@ -87,7 +94,7 @@ std::vector<std::uint8_t> encodeTrace(const TraceRecord& record,
   }
 
   std::vector<std::uint8_t> blob;
-  blob.reserve(44 + payload.size());
+  blob.reserve(kTraceMetaBytes + payload.size());
   for (const std::uint32_t k : record.meta.key) putU32(blob, k);
   for (const std::uint32_t p : record.meta.plaintext) putU32(blob, p);
   for (const std::uint32_t c : record.meta.ciphertext) putU32(blob, c);
@@ -106,8 +113,9 @@ TraceCorpusWriter::TraceCorpusWriter(const std::string& path,
     : path_(path), header_(header) {
   out_.open(path, std::ios::binary | std::ios::trunc);
   if (!out_) throw CorpusError("cannot open corpus for writing: " + path);
-  std::vector<std::uint8_t> h;
-  h.insert(h.end(), kMagic, kMagic + 8);
+  // Built from the magic rather than inserted into an empty vector:
+  // GCC 12 misreports that insert as a -Wstringop-overflow.
+  std::vector<std::uint8_t> h(std::begin(kMagic), std::end(kMagic));
   putU32(h, kCorpusFormatVersion);
   putU32(h, header_.samplesPerTrace);
   putU32(h, header_.quantDenom);
@@ -160,7 +168,7 @@ void TraceCorpusWriter::close() {
 TraceCorpusReader::TraceCorpusReader(const std::string& path) : path_(path) {
   in_.open(path, std::ios::binary);
   if (!in_) throw CorpusError("cannot open corpus: " + path);
-  std::uint8_t h[8 + 4 * 4 + 8];
+  std::uint8_t h[kHeaderBytes];
   in_.read(reinterpret_cast<char*>(h), sizeof h);
   if (in_.gcount() != static_cast<std::streamsize>(sizeof h)) {
     throw CorpusError("corpus header truncated: " + path);
@@ -182,6 +190,26 @@ TraceCorpusReader::TraceCorpusReader(const std::string& path) : path_(path) {
   if (header_.quantDenom == 0) {
     throw CorpusError("corpus quantDenom is zero: " + path);
   }
+  // Nothing may be sized from the header before it is checked against
+  // the file: every trace costs its metadata block plus at least one
+  // payload byte per sample, so a header promising more than the file
+  // holds is refused here, before any reader or analyzer allocates.
+  in_.seekg(0, std::ios::end);
+  const std::streamoff end = in_.tellg();
+  in_.seekg(static_cast<std::streamoff>(kHeaderBytes));
+  if (end < static_cast<std::streamoff>(kHeaderBytes) || !in_) {
+    throw CorpusError("cannot size corpus: " + path);
+  }
+  remaining_ = static_cast<std::uint64_t>(end) - kHeaderBytes;
+  const std::uint64_t minTraceBytes =
+      kTraceMetaBytes + std::uint64_t{header_.samplesPerTrace};
+  if (header_.traceCount > remaining_ / minTraceBytes) {
+    throw CorpusError("corpus header claims " +
+                      std::to_string(header_.traceCount) +
+                      " traces of at least " + std::to_string(minTraceBytes) +
+                      " bytes, but only " + std::to_string(remaining_) +
+                      " bytes follow the header: " + path);
+  }
 }
 
 bool TraceCorpusReader::next(TraceRecord& out) {
@@ -195,7 +223,7 @@ bool TraceCorpusReader::next(TraceRecord& out) {
     return false;
   }
 
-  std::uint8_t fixed[4 * 8 + 8 + 4];  // key+pt+ct (8 u32), seed, payloadLen
+  std::uint8_t fixed[kTraceMetaBytes];
   in_.read(reinterpret_cast<char*>(fixed), sizeof fixed);
   if (in_.gcount() != static_cast<std::streamsize>(sizeof fixed)) {
     throw CorpusError("corpus truncated in trace " + std::to_string(read_) +
@@ -203,6 +231,7 @@ bool TraceCorpusReader::next(TraceRecord& out) {
                       std::to_string(header_.traceCount) + " traces): " +
                       path_);
   }
+  remaining_ -= sizeof fixed;
   BlockReader r{fixed, sizeof fixed};
   for (std::uint32_t& k : out.meta.key) k = r.u32("key");
   for (std::uint32_t& p : out.meta.plaintext) p = r.u32("plaintext");
@@ -210,6 +239,21 @@ bool TraceCorpusReader::next(TraceRecord& out) {
   out.meta.noiseSeed = r.u64("noiseSeed");
   const std::uint32_t payloadBytes = r.u32("payloadBytes");
 
+  // Checked before the payload buffer is sized from it.
+  if (payloadBytes > remaining_) {
+    throw CorpusError("trace " + std::to_string(read_) + " claims " +
+                      std::to_string(payloadBytes) +
+                      " payload bytes, but only " +
+                      std::to_string(remaining_) + " remain: " + path_);
+  }
+  if (payloadBytes > kMaxVarintBytes * header_.samplesPerTrace) {
+    throw CorpusError("trace " + std::to_string(read_) + " claims " +
+                      std::to_string(payloadBytes) +
+                      " payload bytes, more than " +
+                      std::to_string(kMaxVarintBytes) + " per sample for " +
+                      std::to_string(header_.samplesPerTrace) +
+                      " samples: " + path_);
+  }
   std::vector<std::uint8_t> payload(payloadBytes);
   in_.read(reinterpret_cast<char*>(payload.data()),
            static_cast<std::streamsize>(payloadBytes));
@@ -217,6 +261,7 @@ bool TraceCorpusReader::next(TraceRecord& out) {
     throw CorpusError("corpus truncated in trace " + std::to_string(read_) +
                       " samples: " + path_);
   }
+  remaining_ -= payloadBytes;
 
   out.samples.clear();
   out.samples.reserve(header_.samplesPerTrace);

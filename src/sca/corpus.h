@@ -19,7 +19,8 @@
 //    mismatches and trailing bytes all raise CorpusError with a
 //    message naming the problem — never silent garbage (the golden
 //    tiny-corpus test pins the byte layout; tests/sca exercises every
-//    refusal path).
+//    refusal path). Lengths read from the file are checked against the
+//    bytes the file still holds before anything is allocated from them.
 //  * Self-describing per trace. Key, plaintext, ciphertext and the
 //    noise seed travel with each trace, so an analyzer can verify its
 //    leakage model against ground truth and a corpus can mix keys.
@@ -133,6 +134,9 @@ class TraceCorpusReader {
   std::string path_;
   CorpusHeader header_;
   std::uint64_t read_ = 0;
+  /// File bytes not yet consumed: every length read from the file is
+  /// checked against it before anything is sized from that length.
+  std::uint64_t remaining_ = 0;
 };
 
 } // namespace sct::sca

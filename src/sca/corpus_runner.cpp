@@ -69,12 +69,14 @@ CaptureConfig capFor(const CorpusConfig& cfg) {
   return cap;
 }
 
+} // namespace
+
 /// One instrumented platform: SoC + power model + ROI profiler, with
 /// the checkpoint registry covering the SoC's fourteen sections plus
 /// "pm" (the CardInstance discipline — restoring the power model's
 /// accumulators makes every fork's energy stream start from the
 /// identical bit pattern). The profiler itself is NOT checkpointed:
-/// it is per-trace scratch state, armed fresh by beginTrace().
+/// it is per-trace scratch state, reset by beginTrace().
 struct TraceRig {
   Tl1Soc soc;
   power::Tl1PowerModel pm;
@@ -98,8 +100,6 @@ struct TraceRig {
     registry.add("pm", pm);
   }
 };
-
-} // namespace
 
 void publishGenerateObs(const GenerateStats& s, obs::StatsRegistry& reg) {
   reg.counter("sca.traces").add(s.traces);
@@ -138,9 +138,12 @@ std::uint64_t CorpusRunner::maskSeedFor(const CorpusConfig& cfg,
   return sim::hash64(cfg.leak.maskSeed, index);
 }
 
-TraceRecord CorpusRunner::captureTrace(const ckpt::Snapshot& snap,
+TraceRecord CorpusRunner::captureTrace(TraceRig& rig,
+                                       const ckpt::Snapshot& snap,
                                        std::uint64_t index) const {
-  TraceRig rig(table_, program_, capFor(cfg_));
+  // The rig may have run other traces: the restore rewinds every
+  // checkpointed section, and the per-trace state the snapshot does not
+  // carry — plaintext, mask stream, profiler — is set below.
   rig.registry.loadAll(snap);
 
   TraceRecord rec;
@@ -179,7 +182,8 @@ TraceRecord CorpusRunner::captureTrace(const ckpt::Snapshot& snap,
 }
 
 TraceRecord CorpusRunner::runOne(std::uint64_t index) const {
-  return captureTrace(fork_.snapshot(), index);
+  TraceRig rig(table_, program_, capFor(cfg_));
+  return captureTrace(rig, fork_.snapshot(), index);
 }
 
 GenerateStats CorpusRunner::generate(const std::string& path,
@@ -196,11 +200,13 @@ GenerateStats CorpusRunner::generate(const std::string& path,
     const std::uint64_t n =
         std::min<std::uint64_t>(cfg_.batchTraces, cfg_.traces - base);
     blobs.assign(static_cast<std::size_t>(n), {});
-    fork_.runForks(static_cast<std::size_t>(n), threads,
-                   [&](const ckpt::Snapshot& snap, std::size_t i) {
-                     blobs[i] = encodeTrace(
-                         captureTrace(snap, base + i), cfg_.samplesPerTrace);
-                   });
+    fork_.runForks(
+        static_cast<std::size_t>(n), threads,
+        [&] { return TraceRig(table_, program_, capFor(cfg_)); },
+        [&](TraceRig& rig, const ckpt::Snapshot& snap, std::size_t i) {
+          blobs[i] = encodeTrace(captureTrace(rig, snap, base + i),
+                                 cfg_.samplesPerTrace);
+        });
     // Index-ordered append: the file's bytes are independent of which
     // worker finished first.
     for (const std::vector<std::uint8_t>& b : blobs) writer.appendEncoded(b);

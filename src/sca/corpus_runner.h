@@ -5,13 +5,15 @@
 // time. CorpusRunner reuses the ckpt::ForkRunner discipline: one
 // parent SoC boots a tiny key-loading firmware to a `break` (halted =
 // trivially quiesced) and is snapshotted WITH its power model; every
-// trace then restores that snapshot into a fresh rig, pokes its
-// plaintext into RAM, arms the ROI profiler, resets the core at the
-// firmware's `main` label and runs one encryption. Per-trace inputs
-// (plaintext, noise seed, mask seed) are pure functions of the corpus
-// seeds and the trace index, workers encode their traces to bytes
-// independently, and the writer appends the blobs in index order — so
-// the corpus FILE is byte-identical for any SCT_THREADS value.
+// trace then restores that snapshot into its worker's recycled rig,
+// pokes its plaintext into RAM, resets the ROI profiler, resets the
+// core at the firmware's `main` label and runs one encryption.
+// Per-trace inputs (plaintext, noise seed, mask seed) are pure
+// functions of the corpus seeds and the trace index, the restore plus
+// the profiler reset leave nothing of the rig's previous trace behind,
+// workers encode their traces to bytes independently, and the writer
+// appends the blobs in index order — so the corpus FILE is
+// byte-identical for any SCT_THREADS value.
 #ifndef SCT_SCA_CORPUS_RUNNER_H
 #define SCT_SCA_CORPUS_RUNNER_H
 
@@ -52,6 +54,10 @@ struct CorpusConfig {
   std::uint64_t batchTraces = 64;
 };
 
+/// One instrumented platform (SoC + power model + ROI profiler); a
+/// generate() worker builds one and restores it per trace.
+struct TraceRig;
+
 struct GenerateStats {
   std::uint64_t traces = 0;
   std::uint64_t bytes = 0;  ///< Corpus file size.
@@ -73,8 +79,10 @@ class CorpusRunner {
   /// is byte-identical either way).
   GenerateStats generate(const std::string& path, unsigned threads) const;
 
-  /// Run a single fork and return its decoded record (test hook — what
-  /// generate() writes for index i, without touching disk).
+  /// Run a single fork on a freshly built rig and return its decoded
+  /// record — what generate() writes for index i, without touching disk
+  /// (the fresh-platform reference the recycled-rig corpus is tested
+  /// against).
   TraceRecord runOne(std::uint64_t index) const;
 
   const CorpusConfig& config() const { return cfg_; }
@@ -89,7 +97,8 @@ class CorpusRunner {
                                    std::uint64_t index);
 
  private:
-  TraceRecord captureTrace(const ckpt::Snapshot& snap,
+  /// Capture trace `index` on `rig`, fresh or recycled.
+  TraceRecord captureTrace(TraceRig& rig, const ckpt::Snapshot& snap,
                            std::uint64_t index) const;
 
   power::SignalEnergyTable table_;

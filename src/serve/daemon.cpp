@@ -99,6 +99,11 @@ void ServeEngine::submitJob(Job job, Sink sink) {
   });
 }
 
+void ServeEngine::rejectLine(const std::string& reason, const Sink& sink) {
+  errors_.fetch_add(1);
+  emit(sink, errorLine("", reason));
+}
+
 void ServeEngine::drain() { pool_.wait(); }
 
 std::size_t ServeEngine::cancelPending() { return pool_.cancelPending(); }
@@ -173,19 +178,54 @@ std::string ServeEngine::errorLine(const std::string& id,
 
 namespace {
 
-/// Move complete lines out of `buf`, feeding each to `fn`.
-template <typename Fn>
-void drainLines(std::string& buf, Fn&& fn) {
+/// Longest job line a client may send, newline excluded. Without a cap
+/// a client streaming bytes with no newline grows the daemon's memory
+/// without bound; no real job line comes near it.
+constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
+std::string overlongLineReason() {
+  return "job line longer than " + std::to_string(kMaxLineBytes) +
+         " bytes (discarded)";
+}
+
+/// One job source's partial-line state.
+struct LineBuffer {
+  std::string pending;      ///< Bytes after the last newline seen.
+  bool discarding = false;  ///< Inside an over-long line: drop to its '\n'.
+};
+
+/// Append received bytes to `lb` and feed each complete line to `fn`.
+/// A line longer than kMaxLineBytes is reported once through
+/// `overlong` and discarded up to its newline, so the buffer never
+/// holds more than the cap plus one read; serving continues with the
+/// next line.
+template <typename Fn, typename Overlong>
+void drainLines(LineBuffer& lb, const char* data, std::size_t n, Fn&& fn,
+                Overlong&& overlong) {
+  lb.pending.append(data, n);
   std::size_t start = 0;
   while (true) {
-    const std::size_t nl = buf.find('\n', start);
+    const std::size_t nl = lb.pending.find('\n', start);
     if (nl == std::string::npos) break;
-    std::string line = buf.substr(start, nl - start);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (lb.discarding) {
+      lb.discarding = false;  // The over-long line ends here.
+    } else if (nl - start > kMaxLineBytes) {
+      overlong();
+    } else {
+      std::string line = lb.pending.substr(start, nl - start);
+      if (!line.empty() && line.back() == '\r') line.pop_back();
+      if (!line.empty()) fn(line);
+    }
     start = nl + 1;
-    if (!line.empty()) fn(line);
   }
-  buf.erase(0, start);
+  lb.pending.erase(0, start);
+  if (lb.discarding) {
+    lb.pending.clear();
+  } else if (lb.pending.size() > kMaxLineBytes) {
+    overlong();
+    lb.discarding = true;
+    lb.pending.clear();
+  }
 }
 
 void writeLine(std::FILE* out, const std::string& line) {
@@ -213,7 +253,7 @@ int runStdinDaemon(ServeEngine& engine, std::FILE* in, std::FILE* out,
   };
 
   const int fd = fileno(in);
-  std::string buf;
+  LineBuffer buf;
   bool eof = false;
   while (!*stop && !eof) {
     struct pollfd p;
@@ -236,14 +276,14 @@ int runStdinDaemon(ServeEngine& engine, std::FILE* in, std::FILE* out,
       eof = true;
       break;
     }
-    buf.append(chunk, static_cast<std::size_t>(n));
-    drainLines(buf, [&](const std::string& line) {
-      engine.submitLine(line, sink);
-    });
+    drainLines(
+        buf, chunk, static_cast<std::size_t>(n),
+        [&](const std::string& line) { engine.submitLine(line, sink); },
+        [&] { engine.rejectLine(overlongLineReason(), sink); });
   }
   // A job file without a trailing newline still counts — but only on
   // EOF; on a signal the partial line was never a complete job.
-  if (eof && !buf.empty()) engine.submitLine(buf, sink);
+  if (eof && !buf.pending.empty()) engine.submitLine(buf.pending, sink);
 
   const std::size_t dropped = *stop ? engine.cancelPending() : 0;
   engine.drain();
@@ -253,7 +293,7 @@ int runStdinDaemon(ServeEngine& engine, std::FILE* in, std::FILE* out,
 
 struct SocketClient {
   int fd = -1;
-  std::string inBuf;
+  LineBuffer in;
   /// Cleared when the client disconnects; late results for its jobs
   /// are dropped instead of writing to a dead (possibly reused) fd.
   std::shared_ptr<std::atomic<bool>> open;
@@ -317,21 +357,23 @@ int runSocketDaemon(ServeEngine& engine, const std::string& path,
         char chunk[4096];
         const ssize_t n = ::recv(c.fd, chunk, sizeof(chunk), 0);
         if (n > 0) {
-          c.inBuf.append(chunk, static_cast<std::size_t>(n));
           const int cfd = c.fd;
           const std::shared_ptr<std::atomic<bool>> open = c.open;
-          drainLines(c.inBuf, [&](const std::string& line) {
-            engine.submitLine(line, [cfd, open](const std::string& result) {
-              if (!open->load()) return;
-              std::string full = result;
-              full.push_back('\n');
-              // Best-effort: a client that vanished mid-session just
-              // loses its line (MSG_NOSIGNAL keeps EPIPE an errno).
-              const ssize_t rc =
-                  ::send(cfd, full.data(), full.size(), MSG_NOSIGNAL);
-              (void)rc;
-            });
-          });
+          const ServeEngine::Sink sink = [cfd,
+                                          open](const std::string& result) {
+            if (!open->load()) return;
+            std::string full = result;
+            full.push_back('\n');
+            // Best-effort: a client that vanished mid-session just
+            // loses its line (MSG_NOSIGNAL keeps EPIPE an errno).
+            const ssize_t rc =
+                ::send(cfd, full.data(), full.size(), MSG_NOSIGNAL);
+            (void)rc;
+          };
+          drainLines(
+              c.in, chunk, static_cast<std::size_t>(n),
+              [&](const std::string& line) { engine.submitLine(line, sink); },
+              [&] { engine.rejectLine(overlongLineReason(), sink); });
         } else if (n == 0 || (n < 0 && errno != EINTR)) {
           dead = true;
         }

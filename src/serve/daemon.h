@@ -15,10 +15,13 @@
 // The daemon front-ends (runDaemon) wrap the engine in a job source:
 // newline-delimited JSON on stdin (job files, pipes) or a unix domain
 // socket serving multiple concurrent clients, each getting its own
-// results back. Both honor a caller-owned stop flag (set from
-// SIGINT/SIGTERM handlers): pending jobs are cancelled, in-flight
-// sessions drain, partial results flush, and a final summary line
-// {"event":"done","completed":N,"dropped":M} precedes a clean exit.
+// results back. Both cap a job line at 1 MiB: a longer line gets one
+// error line and is discarded up to its newline, so no client can grow
+// the daemon's buffers without bound. Both honor a caller-owned stop
+// flag (set from SIGINT/SIGTERM handlers): pending jobs are cancelled,
+// in-flight sessions drain, partial results flush, and a final summary
+// line {"event":"done","completed":N,"dropped":M} precedes a clean
+// exit.
 //
 // Job line:    {"id":"s1","scenario":"auth","seed":7,"fidelity":"tl1"}
 // Result line: {"event":"result","id":"s1",...,"energy_fJ":...,
@@ -75,6 +78,11 @@ class ServeEngine {
 
   /// Dispatch an already validated job.
   void submitJob(Job job, Sink sink);
+
+  /// Refuse a line the front end would not parse (e.g. one over the
+  /// line-length cap): counts an error and emits one error line with an
+  /// empty id on `sink`.
+  void rejectLine(const std::string& reason, const Sink& sink);
 
   /// Block until every dispatched session has finished.
   void drain();

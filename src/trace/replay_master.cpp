@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 #include "bus/tl1_bus.h"
 
@@ -254,6 +255,21 @@ std::uint64_t ReplayMaster::runToCompletion(std::uint64_t maxCycles) {
     clock_.runCycles(maxCycles - (clock_.cycle() - start));
   }
   return clock_.cycle() - start;
+}
+
+void ReplayMaster::restart(const BusTrace& trace) {
+  if (!inFlight_.empty()) {
+    throw std::logic_error("ReplayMaster::restart: transactions in flight");
+  }
+  trace_ = trace.entries();
+  requests_.clear();
+  requests_.reserve(trace_.size());  // In-flight pointers stay stable.
+  nextIssue_ = 0;
+  lastEpoch_ = 0;
+  doneNotified_ = false;
+  stallOpen_ = false;
+  stallSyncedThrough_ = 0;
+  stats_ = {};
 }
 
 void ReplayMaster::saveState(ckpt::StateWriter& w) const {

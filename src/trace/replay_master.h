@@ -73,6 +73,16 @@ class ReplayMaster final : public sim::Module {
   /// elapsed). Returns elapsed cycles from the call.
   std::uint64_t runToCompletion(std::uint64_t maxCycles = 10'000'000);
 
+  /// Start over on `trace` (referenced, as in the constructor): replay
+  /// progress, request payloads and stats reset to a just-constructed
+  /// master's, while the clock handler stays registered — the clock's
+  /// handler table is part of a snapshot's layout, so a rig that
+  /// restores a snapshot (which also rewinds the handler's park state)
+  /// and then restarts its master still matches it. Only legal with
+  /// nothing in flight.
+  void restart(const BusTrace& trace);
+  void restart(BusTrace&&) = delete;
+
   void publishObs(obs::StatsRegistry& reg) const {
     publishReplayObs(reg, name(), stats());
   }

@@ -7,12 +7,13 @@
 //      firmware happens to pass, not at a halt — restored into a fresh
 //      SoC continues bit-identically to the uninterrupted run,
 //   3. ForkRunner: a sweep that boots once and forks N configuration
-//      variants produces exactly the results of N boot-from-scratch
-//      jobs, sequentially and across worker threads.
+//      variants into recycled SoCs produces exactly the results of N
+//      boot-from-scratch jobs, sequentially and across worker threads.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -271,6 +272,13 @@ void runVariantPhase(Tl1Soc& soc, std::size_t i) {
   ASSERT_FALSE(soc.cpu().faulted());
 }
 
+/// A fork worker's rig: one prepared SoC, restored once per variant.
+std::unique_ptr<Tl1Soc> makeForkSoc() {
+  auto soc = std::make_unique<Tl1Soc>(soc::SocConfig{});
+  prepare(*soc);
+  return soc;
+}
+
 /// Reference job: pay for the whole boot, then the variant phase.
 SocResult bootAndRunVariant(std::size_t i) {
   Tl1Soc soc{soc::SocConfig{}};
@@ -288,14 +296,16 @@ TEST(ForkRunner, ForkedSweepMatchesBootPerJob) {
     return parent.checkpoint();
   });
 
+  // threads=1: ONE recycled SoC serves every variant back to back, so
+  // any state a restore fails to rewind leaks into the next variant and
+  // shows up against the boot-per-job reference.
   std::vector<SocResult> forked(kVariants);
-  runner.runForks(kVariants, /*threads=*/1,
-                  [&](const ckpt::Snapshot& snap, std::size_t i) {
-                    Tl1Soc soc{soc::SocConfig{}};
-                    prepare(soc);
-                    soc.restore(snap);
-                    runVariantPhase(soc, i);
-                    forked[i] = capture(soc);
+  runner.runForks(kVariants, /*threads=*/1, makeForkSoc,
+                  [&](std::unique_ptr<Tl1Soc>& soc, const ckpt::Snapshot& snap,
+                      std::size_t i) {
+                    soc->restore(snap);
+                    runVariantPhase(*soc, i);
+                    forked[i] = capture(*soc);
                   });
 
   for (std::size_t i = 0; i < kVariants; ++i) {
@@ -318,13 +328,12 @@ TEST(ForkRunner, ThreadedForksMatchSequential) {
 
   const auto sweep = [&](unsigned threads) {
     std::vector<SocResult> out(kVariants);
-    runner.runForks(kVariants, threads,
-                    [&](const ckpt::Snapshot& snap, std::size_t i) {
-                      Tl1Soc soc{soc::SocConfig{}};
-                      prepare(soc);
-                      soc.restore(snap);
-                      runVariantPhase(soc, i);
-                      out[i] = capture(soc);
+    runner.runForks(kVariants, threads, makeForkSoc,
+                    [&](std::unique_ptr<Tl1Soc>& soc,
+                        const ckpt::Snapshot& snap, std::size_t i) {
+                      soc->restore(snap);
+                      runVariantPhase(*soc, i);
+                      out[i] = capture(*soc);
                     });
     return out;
   };

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -127,12 +128,12 @@ TEST(EhSweep, ForkAdoptedEqualsBootPerVariant) {
   const power::SignalEnergyTable table = fixedTable();
   eh::SweepRunner sweep(table, kBlocks, testConfig());
 
-  // One cell per scheme, covering noisy (seeded) and plain profiles.
-  const std::vector<eh::SweepVariant> cells = {
-      {"threshold", "noisy", 77},
-      {"quiesce", "burst", 0},
-      {"parametric", "swipe", 0},
-  };
+  // The full grid, reversed, at threads=1: ONE recycled runner serves
+  // every scheme and field back to back, in an order no other test
+  // uses, so per-run state leaking from one variant into the next
+  // shows up against the boot-per-variant reference.
+  std::vector<eh::SweepVariant> cells = eh::defaultGrid();
+  std::reverse(cells.begin(), cells.end());
   const std::vector<eh::SweepOutcome> forked = sweep.run(cells, 1);
   ASSERT_EQ(forked.size(), cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {

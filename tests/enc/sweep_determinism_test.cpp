@@ -3,7 +3,7 @@
 //  * threads=1 (sequential reference order) and threads=0 (worker
 //    pool) produce BIT-IDENTICAL outcome tables — every energy double
 //    and every counter — because each variant restores the same boot
-//    snapshot into a freshly constructed platform.
+//    snapshot into its worker's recycled platform.
 //  * the fork-based sweep equals the boot-per-variant reference
 //    (runFromBoot): restoring the snapshot is indistinguishable from
 //    re-running the boot, per the ckpt restore-equivalence guarantee.
@@ -12,6 +12,7 @@
 //    than the identity codec.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -77,14 +78,14 @@ TEST(EncSweep, ThreadPoolIsBitIdenticalToSequential) {
 }
 
 TEST(EncSweep, ForkedVariantsEqualBootPerVariantReference) {
-  // Restoring the boot snapshot must be indistinguishable from booting
-  // again: spot-check one stateful codec, one address codec and the
-  // identity reference against the from-scratch path.
-  const std::vector<EncVariant> sample = {
-      {"identity", "jcvm"},
-      {"bus-invert", "crypto"},
-      {"gray-addr", "memcpy"},
-  };
+  // Restoring the boot snapshot into a recycled platform must be
+  // indistinguishable from booting again. The full grid, reversed, at
+  // threads=1: ONE platform serves every codec and workload back to
+  // back, in an order no other test uses, so master, codec or bus state
+  // leaking from one variant into the next shows up against the
+  // from-scratch path.
+  std::vector<EncVariant> sample = defaultGrid();
+  std::reverse(sample.begin(), sample.end());
   const auto forked = runner().run(sample, 1);
   ASSERT_EQ(forked.size(), sample.size());
   for (std::size_t i = 0; i < sample.size(); ++i) {

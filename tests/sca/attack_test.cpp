@@ -4,13 +4,15 @@
 //  * the SAME attack on the SAME corpus size against the MASKED device
 //    does not recover it — the countermeasure measurably works;
 //  * the corpus file is byte-identical whether generated with 1 thread
-//    or many (the SCT_THREADS contract);
+//    or many (the SCT_THREADS contract), and every record in it equals
+//    the one a freshly built rig captures;
 //  * the analyzer ranking is bit-identical for any chunk size and any
 //    thread count (exact integer accumulators);
 //  * trace metadata is faithful: plaintexts follow the documented
 //    derivation and ciphertexts match the software reference cipher.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iterator>
@@ -127,6 +129,21 @@ TEST(ScaAttack, CorpusBytesAreIdenticalAcrossThreadCounts) {
   const std::string p2 = tempPath("sca_reboot.sctcorp");
   runner2.generate(p2, 2);
   EXPECT_EQ(readFile(p2), b1);
+
+  // Both runs above recycle one rig per worker; every record must also
+  // equal what a freshly built rig captures for its index, so no state
+  // leaks from one trace into the next on a shared rig.
+  std::size_t offset = 32;  // Past the corpus header.
+  for (std::uint64_t i = 0; i < cfg.traces; ++i) {
+    SCOPED_TRACE("trace " + std::to_string(i));
+    const std::vector<std::uint8_t> rec =
+        sca::encodeTrace(runner.runOne(i), cfg.samplesPerTrace);
+    ASSERT_LE(offset + rec.size(), b1.size());
+    EXPECT_TRUE(std::equal(rec.begin(), rec.end(),
+                           b1.begin() + static_cast<std::ptrdiff_t>(offset)));
+    offset += rec.size();
+  }
+  EXPECT_EQ(offset, b1.size());
 }
 
 TEST(ScaAttack, RankingIsIndependentOfChunkSizeAndThreads) {

@@ -293,5 +293,63 @@ TEST(ScaCorpusNegative, PayloadEndingMidVarintIsRejected) {
   expectRefusal([&] { drain(path); }, "mid-varint");
 }
 
+/// A one-trace corpus file: `samples` zero-valued samples (one payload
+/// byte each), so the file is exactly 32 + 44 + samples bytes long.
+std::vector<std::uint8_t> oneTraceCorpus(const std::string& path,
+                                         std::uint32_t samples) {
+  sca::CorpusHeader hdr;
+  hdr.samplesPerTrace = samples;
+  {
+    sca::TraceCorpusWriter writer(path, hdr);
+    sca::TraceRecord rec;
+    rec.samples.assign(samples, 0);
+    writer.append(rec);
+    writer.close();
+  }
+  std::vector<std::uint8_t> bytes = readFile(path);
+  EXPECT_EQ(bytes.size(), 32u + 44u + samples);
+  return bytes;
+}
+
+void putU32At(std::vector<std::uint8_t>& b, std::size_t at, std::uint32_t v) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+TEST(ScaCorpusNegative, HeaderPromisingMoreThanTheFileIsRejectedAtOpen) {
+  const std::string path = tempPath("sca_bighdr.sctcorp");
+  std::vector<std::uint8_t> bytes = oneTraceCorpus(path, 4);
+  // samplesPerTrace (offset 12) and traceCount (offset 24) both size
+  // allocations downstream (sample vectors, the analyzer's per-sample
+  // moments); each trace costs at least 44 + samplesPerTrace bytes.
+  putU32At(bytes, 12, 0xFFFFFFFFu);
+  writeFile(path, bytes);
+  expectRefusal([&] { sca::TraceCorpusReader r(path); }, "bytes follow");
+
+  bytes = oneTraceCorpus(path, 4);
+  bytes[24] = 2;  // Two traces claimed, one present.
+  writeFile(path, bytes);
+  expectRefusal([&] { sca::TraceCorpusReader r(path); }, "bytes follow");
+}
+
+TEST(ScaCorpusNegative, PayloadLengthIsCheckedBeforeReading) {
+  // u32 payloadBytes sits at 32 + 40. Claiming more than the file still
+  // holds must be refused before a buffer of that size exists...
+  const std::string path = tempPath("sca_bigpayload.sctcorp");
+  std::vector<std::uint8_t> bytes = oneTraceCorpus(path, 4);
+  putU32At(bytes, 32 + 40, 1u << 20);
+  writeFile(path, bytes);
+  expectRefusal([&] { drain(path); }, "only 4 remain");
+
+  // ...and so must more than ten bytes (the longest varint) per sample,
+  // even when the file does hold them.
+  bytes = oneTraceCorpus(path, 4);
+  putU32At(bytes, 32 + 40, 41);
+  bytes.resize(bytes.size() + 37, 0x00);
+  writeFile(path, bytes);
+  expectRefusal([&] { drain(path); }, "more than 10 per sample");
+}
+
 } // namespace
 } // namespace sct

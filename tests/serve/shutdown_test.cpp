@@ -1,13 +1,16 @@
-// Graceful-shutdown regression on the REAL daemon binary.
+// Regressions on the REAL daemon binary (path injected by CMake as
+// SCT_SERVE_BIN), fed over its stdin pipe.
 //
-// Spawns sct_serve (path injected by CMake as SCT_SERVE_BIN), feeds it
-// a batch of jobs over a pipe held open so the daemon stays mid-batch,
-// SIGTERMs it once results start flowing, and then verifies the
-// contract: the process exits 0, every output line is complete valid
-// JSON (no truncation — results are emitted with one atomic write
-// each), the stream ends with exactly one {"event":"done"} summary,
-// and the summary's completed count matches the result lines actually
-// seen.
+// Graceful shutdown: a batch of jobs over a pipe held open so the
+// daemon stays mid-batch, SIGTERM once results start flowing, and then
+// the contract: the process exits 0, every output line is complete
+// valid JSON (no truncation — results are emitted with one atomic
+// write each), the stream ends with exactly one {"event":"done"}
+// summary, and the summary's completed count matches the result lines
+// actually seen.
+//
+// Line cap: a job line past the 1 MiB limit is refused with one error
+// line and discarded, and the job after it is still served.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -57,6 +60,30 @@ DaemonRun spawnDaemon() {
   run.toChild = inPipe[1];
   run.fromChild = outPipe[0];
   return run;
+}
+
+/// Write all of `data`, however the pipe splits it.
+void writeAll(int fd, const std::string& data) {
+  std::size_t off = 0;
+  while (off < data.size()) {
+    const ssize_t n = write(fd, data.data() + off, data.size() - off);
+    if (n < 0 && errno == EINTR) continue;
+    ASSERT_GT(n, 0) << "write(): " << std::strerror(errno);
+    off += static_cast<std::size_t>(n);
+  }
+}
+
+/// Split daemon output into its lines (the trailing newline required).
+std::vector<std::string> splitLines(const std::string& out) {
+  std::vector<std::string> lines;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t nl = out.find('\n', start);
+    if (nl == std::string::npos) break;
+    lines.push_back(out.substr(start, nl - start));
+    start = nl + 1;
+  }
+  return lines;
 }
 
 /// Read until EOF (the child closing stdout on exit).
@@ -122,14 +149,7 @@ TEST(ServeShutdown, SigtermMidBatchDrainsCleanly) {
   // Every line complete and parseable; exactly one trailing summary.
   ASSERT_FALSE(out.empty());
   EXPECT_EQ(out.back(), '\n') << "output ends mid-line";
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t nl = out.find('\n', start);
-    if (nl == std::string::npos) break;
-    lines.push_back(out.substr(start, nl - start));
-    start = nl + 1;
-  }
+  const std::vector<std::string> lines = splitLines(out);
   ASSERT_FALSE(lines.empty());
 
   std::size_t results = 0;
@@ -155,6 +175,55 @@ TEST(ServeShutdown, SigtermMidBatchDrainsCleanly) {
   }
   EXPECT_GT(results, 0u);
   EXPECT_EQ(dones, 1u);
+}
+
+TEST(ServeDaemon, OverlongLineIsRefusedAndServingContinues) {
+  DaemonRun run = spawnDaemon();
+  ASSERT_GT(run.pid, 0);
+
+  // A well-formed job padded to twice the 1 MiB line cap — it would
+  // run if the daemon buffered it — then an ordinary job, then EOF.
+  const std::string big = "{\"id\":\"big\",\"scenario\":\"auth\",\"pad\":\"" +
+                          std::string(std::size_t{2} << 20, 'x') + "\"}\n";
+  const std::string after =
+      "{\"id\":\"after\",\"scenario\":\"auth\",\"seed\":1}\n";
+  writeAll(run.toChild, big + after);
+  close(run.toChild);
+  const std::string out = readAll(run.fromChild);
+  close(run.fromChild);
+
+  int status = 0;
+  ASSERT_EQ(waitpid(run.pid, &status, 0), run.pid);
+  EXPECT_TRUE(WIFEXITED(status)) << "daemon did not exit (killed?)";
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+
+  std::size_t overlongErrors = 0;
+  std::size_t afterResults = 0;
+  std::size_t bigResults = 0;
+  const std::vector<std::string> lines = splitLines(out);
+  ASSERT_FALSE(lines.empty());
+  for (const std::string& line : lines) {
+    SCOPED_TRACE(line.substr(0, 200));
+    serve::JsonValue v;
+    ASSERT_NO_THROW(v = serve::parseJson(line));
+    const std::string event = v.find("event")->asString();
+    if (event == "error") {
+      EXPECT_NE(v.find("error")->asString().find("longer than"),
+                std::string::npos);
+      ++overlongErrors;
+    } else if (event == "result") {
+      const std::string id = v.find("id")->asString();
+      afterResults += id == "after" ? 1 : 0;
+      bigResults += id == "big" ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(overlongErrors, 1u) << "one error line per over-long line";
+  EXPECT_EQ(bigResults, 0u) << "the over-long job must not run";
+  EXPECT_EQ(afterResults, 1u) << "the job after it must still be served";
+  const serve::JsonValue done = serve::parseJson(lines.back());
+  EXPECT_EQ(done.find("event")->asString(), "done");
+  EXPECT_EQ(done.find("completed")->asNumber(), 1.0);
+  EXPECT_EQ(done.find("errors")->asNumber(), 1.0);
 }
 
 } // namespace
