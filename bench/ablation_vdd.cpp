@@ -38,7 +38,7 @@ int main() {
     double est = 0.0;
   };
   Point points[3];
-  sim::ParallelRunner::runIndexed(3, 0, [&](std::size_t i) {
+  sim::runIndexed(3, 0, [&](std::size_t i) {
     const double vdd = vdds[i];
     ref::ProcessParams params;
     params.vdd = vdd;

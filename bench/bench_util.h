@@ -68,7 +68,7 @@ const std::uint8_t* realisticImage(std::size_t n, std::uint64_t seed);
 /// Touch every lazily-built static used by the bench/exploration
 /// harness (characterized table, workload traces, cached images) so
 /// they are constructed before worker threads spawn. Call once from the
-/// main thread before fanning simulations out over a ParallelRunner.
+/// main thread before fanning simulations out over sim::runIndexed.
 void prewarmSharedWorkloads();
 
 /// Smart-card memory map without the core: a replay target. The SFR

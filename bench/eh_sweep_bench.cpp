@@ -12,7 +12,7 @@
 //   Eh_ForkSweep/threads:N — the eh::SweepRunner path: boot ONE parent
 //                            to the marker, snapshot, and run every
 //                            variant from a restored fork
-//                            (ckpt::ForkRunner). threads:1 isolates
+//                            (sim::runWorkers). threads:1 isolates
 //                            the amortization win (scripts/bench.sh eh
 //                            records it as fork_sweep_over_boot_sweep);
 //                            higher counts add worker scaling, which

@@ -3,7 +3,7 @@
 //
 // Every cell of the codec x workload grid replays the SAME boot
 // prelude before its measured workload phase, so the sweep is exactly
-// the amortizable shape ckpt::ForkRunner exists for. Two benchmark
+// the amortizable boot-once / fork-many shape. Two benchmark
 // families measure what that is worth:
 //
 //   Enc_BootSweep           — the naive baseline: every variant boots

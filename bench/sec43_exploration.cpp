@@ -26,7 +26,7 @@ int main() {
   // the table by const reference.
   bench::prewarmSharedWorkloads();
   const auto& table = bench::characterizedTable();
-  const unsigned threads = sim::ParallelRunner::defaultThreadCount();
+  const unsigned threads = sim::defaultThreadCount();
   std::printf("Exploration sweep on %u thread(s) (override with "
               "SCT_THREADS); results are collected in configuration\n"
               "order, so the tables are identical at any thread count.\n\n",

@@ -16,11 +16,12 @@
 #include "trace/report.h"
 
 #include "bench_util.h"
-#include "ckpt/fork_runner.h"
+#include "ckpt/checkpoint.h"
 #include "hier/fidelity_controller.h"
 #include "hier/roi_trigger.h"
 #include "power/tl1_power_model.h"
 #include "power/tl2_power_model.h"
+#include "sim/parallel_runner.h"
 #include "soc/smartcard.h"
 
 namespace {
@@ -302,19 +303,18 @@ void Boot_Sweep(benchmark::State& state) {
 void Fork_Sweep(benchmark::State& state) {
   const std::size_t variants = sweepVariants();
   for (auto _ : state) {
-    ckpt::ForkRunner runner([] {
+    const ckpt::Snapshot boot = [] {
       SweepSoc parent{soc::SocConfig{}};
       bootSweepSoc(parent);
       return parent.checkpoint();
-    });
+    }();
     // Sequential forks: the ratio to Boot_Sweep isolates the amortized
-    // boot, not thread-level parallelism (that is ParallelRunner's
+    // boot, not thread-level parallelism (that is sim::runWorkers'
     // business and already benchmarked by sec43_exploration).
-    runner.runForks(variants, /*threads=*/1,
+    sim::runWorkers(variants, /*threads=*/1,
                     [] { return SweepSoc(soc::SocConfig{}); },
-                    [](SweepSoc& s, const ckpt::Snapshot& snap,
-                       std::size_t i) {
-                      s.restore(snap);
+                    [&boot](SweepSoc& s, std::size_t i) {
+                      s.restore(boot);
                       runSweepVariant(s, i);
                     });
   }

@@ -14,7 +14,7 @@
 
 #include "bus/tl1_bus.h"
 #include "ckpt/checkpoint.h"
-#include "ckpt/fork_runner.h"
+#include "sim/parallel_runner.h"
 #include "soc/assembler.h"
 #include "soc/smartcard.h"
 
@@ -100,18 +100,18 @@ int main() {
 
   // --- Boot once, snapshot at the quiesce point -----------------------
   const auto t0 = Clock::now();
-  ckpt::ForkRunner runner([] {
+  const ckpt::Snapshot bootSnap = [] {
     Soc parent{soc::SocConfig{}};
     boot(parent);
     std::printf("parent booted: %llu cycles, RAM checksum 0x%08x\n",
                 static_cast<unsigned long long>(parent.clock().cycle()),
                 parent.ram().peekWord(soc::memmap::kRamBase + 4));
     return parent.checkpoint();
-  });
+  }();
   const auto t1 = Clock::now();
 
   // The snapshot is plain framed bytes — a file round-trip is free.
-  runner.snapshot().saveFile("fork_sweep_boot.sctck");
+  bootSnap.saveFile("fork_sweep_boot.sctck");
   const auto fromDisk = ckpt::Snapshot::loadFile("fork_sweep_boot.sctck");
   std::printf("snapshot: %zu sections, %zu bytes on disk\n",
               fromDisk.sections().size(), fromDisk.serialize().size());
@@ -119,10 +119,10 @@ int main() {
   // --- Fork the sweep from the shared snapshot ------------------------
   // One SoC is built for the whole sweep and restored per variant.
   std::vector<VariantResult> forked(kVariants);
-  runner.runForks(kVariants, /*threads=*/1,
+  sim::runWorkers(kVariants, /*threads=*/1,
                   [] { return Soc(soc::SocConfig{}); },
-                  [&](Soc& s, const ckpt::Snapshot& snap, std::size_t i) {
-                    s.restore(snap);
+                  [&](Soc& s, std::size_t i) {
+                    s.restore(bootSnap);
                     forked[i] = runVariant(s, i);
                   });
   const auto t2 = Clock::now();

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
 
   std::cout << "Intermittent-power sweep: " << blocks
             << "-block crypto transaction, scheme x field grid\n"
-            << "(boot prelude amortized via ckpt::ForkRunner; threads="
+            << "(boot prelude paid once, forked per variant; threads="
             << threads << ")\n\n";
 
   const sct::eh::SweepRunner sweep(table, blocks);

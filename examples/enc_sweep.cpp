@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
   const power::SignalEnergyTable table = characterize();
 
   std::cout << "Low-power bus-encoding sweep: codec x workload grid\n"
-            << "(boot prelude amortized via ckpt::ForkRunner; threads="
+            << "(boot prelude paid once, forked per variant; threads="
             << threads << ")\n\n";
 
   const enc::SweepRunner sweep(table);

@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
   const std::uint64_t traces =
       argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 600;
   const double sigma = argc > 2 ? std::strtod(argv[2], nullptr) : 2.0;
-  const unsigned threads = sim::ParallelRunner::defaultThreadCount();
+  const unsigned threads = sim::defaultThreadCount();
 
   const power::SignalEnergyTable table = syntheticTable();
 

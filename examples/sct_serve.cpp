@@ -1,9 +1,9 @@
 // sct_serve — the card-farm daemon.
 //
 // Boots the smart-card platform ONCE to a golden quiesce-point
-// snapshot, then serves APDU session jobs from a pool of card
-// instances recycled from that snapshot, sharded across a
-// work-stealing scheduler. Jobs are newline-delimited JSON on stdin
+// snapshot, then serves APDU session jobs from one queue; each worker
+// thread owns a card instance recycled from that snapshot per session.
+// Jobs are newline-delimited JSON on stdin
 // (or a unix socket); each finished session streams one result line
 // with its energy totals and per-bundle/per-class attribution.
 //

@@ -17,7 +17,7 @@
 #           sweep, decoded-block ISS over decode-on-fetch.
 #   serve   bench/serve_throughput; items are sessions. Speedups: the
 #           golden-snapshot recycle over boot-per-session, and
-#           work-stealing dispatch at 2 and 4 workers over 1.
+#           the engine at 2 and 4 workers over 1.
 #   eh      bench/eh_sweep_bench; items are scheme x field variants.
 #           Speedups: one-snapshot fork sweep over boot-per-variant
 #           (the boot prelude dominates each variant), and fork sweep

@@ -10,9 +10,10 @@
 # output stay alive, measures nothing).
 # Pass 2 — the same suite under AddressSanitizer + UndefinedBehavior-
 # Sanitizer (the SCT_SANITIZE option; it disables LTO itself).
-# Pass 3 — ThreadSanitizer over the labels whose tests run the fork
-# pool with threads > 1 (ckpt, sca, eh, enc): its workers share one
-# variant counter and each own a recycled rig.
+# Pass 3 — ThreadSanitizer over the labels whose tests run workers with
+# threads > 1: the fork sweeps (ckpt, sca, eh, enc), whose workers share
+# one index counter and each own a recycled rig, and the serve engine
+# (serve), whose workers share one job queue and each own a card.
 #
 # All passes use the presets in CMakePresets.json, so what CI checks
 # is exactly what `cmake --preset release` gives a developer.
@@ -46,8 +47,8 @@ for preset in release asan-ubsan; do
   # And for the card-farm serving subsystem: the `serve` label covers
   # the NDJSON protocol, golden-snapshot recycle bit-identity, the
   # threads=1 vs threads=N determinism headline, and the SIGTERM
-  # mid-batch drain against the real daemon binary — the work-stealing
-  # pool teardown must be sanitizer-clean in pass 2.
+  # mid-batch drain against the real daemon binary — the job queue's
+  # cancel and teardown must be sanitizer-clean in pass 2.
   run ctest --preset "$preset" -L serve --parallel "$jobs"
   # And for the intermittent-power subsystem: the `eh` label covers the
   # supply integrator, brownout detector, backup schemes, and the
@@ -69,7 +70,7 @@ done
 
 run cmake --preset tsan -DSCT_WERROR=ON
 run cmake --build --preset tsan --parallel "$jobs"
-for label in ckpt sca eh enc; do
+for label in ckpt sca eh enc serve; do
   run ctest --preset tsan -L "$label" --parallel "$jobs"
 done
 

@@ -81,7 +81,7 @@ class MemorySlave : public EcSlave {
   /// restored from it stays copy-on-write when no page was dirty.
   /// Checkpointing a shared-image slave requires the prototype image to
   /// outlive the slave (all in-repo prototypes are static caches or a
-  /// parent system kept alive by the ForkRunner).
+  /// parent system kept alive while its fork sweep runs).
   ///
   /// Every mutation path additionally marks its pages in a runtime
   /// dirty bitmap (one bit-or per write beat). The bitmap is a strict

@@ -146,7 +146,7 @@ class IntermittentRunner {
 
   /// Drive the platform (fully powered, no supply accounting) until
   /// the RAM word at kPreludeOffset reads `marker` and the platform
-  /// quiesces, then snapshot. The ForkRunner parent for sweeps.
+  /// quiesces, then snapshot. The boot parent for sweeps.
   ckpt::Snapshot bootToMarker(std::uint32_t marker,
                               std::uint64_t maxCycles = 2'000'000);
 

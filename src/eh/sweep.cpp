@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "sim/parallel_runner.h"
+
 namespace sct::eh {
 
 std::unique_ptr<FieldProfile> makeProfile(const std::string& name,
@@ -69,13 +71,13 @@ std::vector<SweepVariant> defaultGrid() {
 
 SweepRunner::SweepRunner(const power::SignalEnergyTable& table,
                          unsigned blocks, const RunnerConfig& cfg)
-    : table_(&table),
+    : table_(table),
       program_(cryptoWorkload(blocks)),
       cfg_(cfg),
-      fork_([&] {
-        IntermittentRunner parent(table, program_);
+      boot_([&] {
+        IntermittentRunner parent(table_, program_);
         return parent.bootToMarker(kPreludeMagic);
-      }) {}
+      }()) {}
 
 SweepOutcome SweepRunner::runVariant(IntermittentRunner& runner,
                                      const SweepVariant& v) const {
@@ -92,19 +94,18 @@ std::vector<SweepOutcome> SweepRunner::run(
   std::vector<SweepOutcome> results(grid.size());
   // adopt() rewinds every checkpointed section; run() resets the
   // supply, detector and wall counters it does not carry.
-  fork_.runForks(
+  sim::runWorkers(
       grid.size(), threads,
-      [&] { return IntermittentRunner(*table_, program_); },
-      [&](IntermittentRunner& runner, const ckpt::Snapshot& snap,
-          std::size_t i) {
-        runner.adopt(snap);
+      [&] { return IntermittentRunner(table_, program_); },
+      [&](IntermittentRunner& runner, std::size_t i) {
+        runner.adopt(boot_);
         results[i] = runVariant(runner, grid[i]);
       });
   return results;
 }
 
 SweepOutcome SweepRunner::runFromBoot(const SweepVariant& v) const {
-  IntermittentRunner runner(*table_, program_);
+  IntermittentRunner runner(table_, program_);
   runner.bootToMarker(kPreludeMagic);
   return runVariant(runner, v);
 }

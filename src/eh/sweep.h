@@ -1,16 +1,17 @@
-// Scheme × field-profile exploration over ckpt::ForkRunner.
+// Scheme × field-profile exploration, booted once and forked per
+// variant.
 //
 // Every variant of an intermittent-power sweep executes the identical
 // boot prelude (RAM zeroize + EEPROM scan) before the measured crypto
-// phase — exactly the amortizable prefix ForkRunner exists for. One
-// parent runner boots the workload to the prelude marker at a quiesce
-// point and is snapshotted; each variant restores that snapshot into
-// its worker's recycled runner (built identically to the parent),
-// attaches its own scheme × field supply, and runs only the
-// intermittent main phase. Results are written into caller-owned slots
-// keyed by variant index (the ParallelRunner discipline), and the
-// supply/field evaluation is a pure function of wall cycle — so the
-// sweep output is bit-identical at any worker count.
+// phase — an amortizable prefix. One parent runner boots the workload
+// to the prelude marker at a quiesce point and is snapshotted; each
+// variant restores that snapshot into its worker's recycled runner
+// (sim::runWorkers: one runner per worker thread, built identically to
+// the parent), attaches its own scheme × field supply, and runs only
+// the intermittent main phase. Results are written into caller-owned
+// slots keyed by variant index, and the supply/field evaluation is a
+// pure function of wall cycle — so the sweep output is bit-identical at
+// any worker count.
 #ifndef SCT_EH_SWEEP_H
 #define SCT_EH_SWEEP_H
 
@@ -18,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/fork_runner.h"
+#include "ckpt/checkpoint.h"
 #include "eh/intermittent_runner.h"
 #include "eh/workload.h"
 
@@ -50,12 +51,13 @@ std::vector<SweepVariant> defaultGrid();
 class SweepRunner {
  public:
   /// Boots the parent workload (blocks crypto blocks) to the prelude
-  /// marker on the calling thread and keeps the snapshot.
+  /// marker on the calling thread and keeps the snapshot. The
+  /// coefficient table is copied — passing a temporary is fine.
   SweepRunner(const power::SignalEnergyTable& table, unsigned blocks,
               const RunnerConfig& cfg = {});
 
-  /// Run every grid cell. threads follows ForkRunner semantics
-  /// (0 = default pool, 1 = sequential reference order).
+  /// Run every grid cell over sim::runWorkers (threads 0 = default
+  /// count, 1 = sequential reference order in the caller).
   std::vector<SweepOutcome> run(const std::vector<SweepVariant>& grid,
                                 unsigned threads) const;
 
@@ -65,7 +67,7 @@ class SweepRunner {
   /// bench baseline and the equivalence test.
   SweepOutcome runFromBoot(const SweepVariant& v) const;
 
-  const ckpt::Snapshot& snapshot() const { return fork_.snapshot(); }
+  const ckpt::Snapshot& snapshot() const { return boot_; }
 
  private:
   /// The intermittent main phase of `v` on a runner already at the
@@ -73,10 +75,10 @@ class SweepRunner {
   SweepOutcome runVariant(IntermittentRunner& runner,
                           const SweepVariant& v) const;
 
-  const power::SignalEnergyTable* table_;
+  power::SignalEnergyTable table_;
   soc::AssembledProgram program_;
   RunnerConfig cfg_;
-  ckpt::ForkRunner fork_;
+  ckpt::Snapshot boot_;  ///< The parent at the prelude marker.
 };
 
 } // namespace sct::eh

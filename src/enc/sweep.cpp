@@ -10,6 +10,7 @@
 #include "power/tl1_power_model.h"
 #include "sim/clock.h"
 #include "sim/kernel.h"
+#include "sim/parallel_runner.h"
 #include "sim/random.h"
 #include "trace/replay_master.h"
 #include "trace/workloads.h"
@@ -284,11 +285,11 @@ SweepRunner::SweepRunner(const power::SignalEnergyTable& table)
       workloads_{{{"crypto", makeCryptoTrace()},
                   {"jcvm", makeJcvmTrace()},
                   {"memcpy", makeMemcpyTrace()}}},
-      fork_([&] {
+      boot_([&] {
         Platform parent(table_, bootTrace_);
         parent.master.runToCompletion();
         return parent.reg.saveAll();
-      }) {}
+      }()) {}
 
 const trace::BusTrace& SweepRunner::workload(const std::string& name) const {
   for (const auto& [n, t] : workloads_) {
@@ -300,12 +301,12 @@ const trace::BusTrace& SweepRunner::workload(const std::string& name) const {
 std::vector<EncOutcome> SweepRunner::run(const std::vector<EncVariant>& grid,
                                          unsigned threads) const {
   std::vector<EncOutcome> results(grid.size());
-  fork_.runForks(
+  sim::runWorkers(
       grid.size(), threads, [&] { return Platform(table_, bootTrace_); },
-      [&](Platform& p, const ckpt::Snapshot& snap, std::size_t i) {
+      [&](Platform& p, std::size_t i) {
         // loadAll rewinds every checkpointed section; the master and
         // the codec are the per-variant state it does not carry.
-        p.reg.loadAll(snap);
+        p.reg.loadAll(boot_);
         p.master.restart(workload(grid[i].workload));
         const std::unique_ptr<bus::BusCodec> codec = makeCodec(grid[i].codec);
         p.bus.setCodec(codec.get());

@@ -1,16 +1,17 @@
-// Codec × workload exploration over ckpt::ForkRunner.
+// Codec × workload exploration, booted once and forked per variant.
 //
 // Every variant of a codec sweep executes the identical boot prelude
 // (firmware-style fetch/read warm-up over ROM and RAM) before the
-// measured workload phase — the amortizable prefix ForkRunner exists
-// for. One parent platform replays the boot trace to completion at a
-// quiesce point and is snapshotted; each variant restores that snapshot
-// into its worker's recycled platform (built identically to the
-// parent), restarts the replay master over its workload trace, installs
-// its codec on the bus, and replays only that trace. Outcomes are energy
-// deltas between the post-boot and post-workload obs-ledger snapshots
-// (bit-stable: the restored start state is bit-identical on every
-// worker), so the sweep output is bit-identical at any worker count.
+// measured workload phase — an amortizable prefix. One parent platform
+// replays the boot trace to completion at a quiesce point and is
+// snapshotted; each variant restores that snapshot into its worker's
+// recycled platform (sim::runWorkers: one platform per worker thread,
+// built identically to the parent), restarts the replay master over its
+// workload trace, installs its codec on the bus, and replays only that
+// trace. Outcomes are energy deltas between the post-boot and
+// post-workload obs-ledger snapshots (bit-stable: the restored start
+// state is bit-identical on every worker), so the sweep output is
+// bit-identical at any worker count.
 //
 // The clock checkpoint demands an exactly matching handler set between
 // save and restore, so the replay master is constructed on both sides
@@ -28,7 +29,7 @@
 #include <utility>
 #include <vector>
 
-#include "ckpt/fork_runner.h"
+#include "ckpt/checkpoint.h"
 #include "enc/codecs.h"
 #include "power/coeff_table.h"
 #include "trace/bus_trace.h"
@@ -73,8 +74,8 @@ class SweepRunner {
   /// table is copied — passing a temporary is fine.
   explicit SweepRunner(const power::SignalEnergyTable& table);
 
-  /// Run every grid cell. threads follows ForkRunner semantics
-  /// (0 = default pool, 1 = sequential reference order).
+  /// Run every grid cell over sim::runWorkers (threads 0 = default
+  /// count, 1 = sequential reference order in the caller).
   std::vector<EncOutcome> run(const std::vector<EncVariant>& grid,
                               unsigned threads) const;
 
@@ -84,14 +85,14 @@ class SweepRunner {
   /// the equivalence test.
   EncOutcome runFromBoot(const EncVariant& v) const;
 
-  const ckpt::Snapshot& snapshot() const { return fork_.snapshot(); }
+  const ckpt::Snapshot& snapshot() const { return boot_; }
   const trace::BusTrace& workload(const std::string& name) const;
 
  private:
   power::SignalEnergyTable table_;
   trace::BusTrace bootTrace_;
   std::vector<std::pair<std::string, trace::BusTrace>> workloads_;
-  ckpt::ForkRunner fork_;
+  ckpt::Snapshot boot_;  ///< The parent after the boot trace.
 };
 
 } // namespace sct::enc

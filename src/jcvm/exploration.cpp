@@ -99,7 +99,7 @@ std::vector<ExplorationResult> evaluateInterfaces(
     const std::vector<InterfaceConfig>& space,
     const power::SignalEnergyTable& table, unsigned threads) {
   std::vector<ExplorationResult> results(space.size());
-  sim::ParallelRunner::runIndexed(
+  sim::runIndexed(
       space.size(), threads, [&](std::size_t i) {
         results[i] = evaluateInterface(program, args, space[i], table);
       });

@@ -73,7 +73,7 @@ ExplorationResult evaluateFunctional(const JcProgram& program,
 
 /// Sweep a whole configuration space, one independent simulation per
 /// configuration, fanned out over `threads` workers (0 = use
-/// sim::ParallelRunner::defaultThreadCount(), 1 = sequential on the
+/// sim::defaultThreadCount(), 1 = sequential on the
 /// caller's thread). Each worker builds its own kernel/clock/bus/model
 /// stack; `program` and `table` are shared read-only. Results come back
 /// indexed by `space` order, so the output is identical to calling

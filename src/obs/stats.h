@@ -8,7 +8,7 @@
 // allocation per event. The registry itself is single-threaded like the
 // simulation kernel; parallel sweeps give every worker its own registry
 // and merge the snapshots afterwards (obs::merge), mirroring how
-// sim::ParallelRunner keeps one kernel per task.
+// sim::runWorkers keeps one kernel per worker.
 //
 // Snapshots are plain data sorted by name, so two runs of the same
 // deterministic simulation produce byte-identical JSON.

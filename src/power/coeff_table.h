@@ -49,9 +49,15 @@ class SignalEnergyTable {
   /// Serialize as "name fJ_per_transition" lines.
   void save(std::ostream& os) const;
 
-  /// Parse the save() format. Throws std::runtime_error on unknown
-  /// signal names or malformed lines; missing signals keep their
-  /// current value.
+  /// Largest coefficient load() accepts. The largest characterized
+  /// coefficient (EB_A) is about 835 fJ; a table above this cap is a
+  /// corrupt or hostile file, not a characterization.
+  static constexpr double kMaxCoeff_fJ = 1e6;
+
+  /// Parse the save() format. Throws std::runtime_error on unknown or
+  /// repeated signal names, malformed lines, bytes after the value, and
+  /// values that are not finite or lie outside [0, kMaxCoeff_fJ];
+  /// missing signals keep their current value.
   static SignalEnergyTable load(std::istream& is);
 
   bool operator==(const SignalEnergyTable&) const = default;

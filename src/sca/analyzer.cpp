@@ -250,7 +250,7 @@ AttackResult DpaAnalyzer::analyze(const std::string& corpusPath) const {
             : 1;
     const std::size_t per = (count + slices - 1) / slices;
     std::vector<Moments> partial(slices, Moments(samples));
-    sim::ParallelRunner::runIndexed(
+    sim::runIndexed(
         slices, threads, [&](std::size_t s) {
           const std::size_t lo = s * per;
           const std::size_t hi = std::min(count, lo + per);

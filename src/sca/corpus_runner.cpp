@@ -7,6 +7,7 @@
 #include "ckpt/checkpoint.h"
 #include "power/tl1_power_model.h"
 #include "sca/capture.h"
+#include "sim/parallel_runner.h"
 #include "sim/rng.h"
 #include "soc/smartcard.h"
 
@@ -111,14 +112,14 @@ CorpusRunner::CorpusRunner(const power::SignalEnergyTable& table,
     : table_(table),
       cfg_(cfg),
       program_(buildFirmware(cfg.key)),
-      fork_([&]() -> ckpt::Snapshot {
+      boot_([&] {
         TraceRig parent(table_, program_, capFor(cfg));
         if (!parent.soc.run(500'000)) {
           throw CorpusError(
               "CorpusRunner: boot firmware did not reach its fork point");
         }
         return parent.registry.saveAll();
-      }) {}
+      }()) {}
 
 void CorpusRunner::plaintextFor(const CorpusConfig& cfg, std::uint64_t index,
                                 std::uint32_t pt[2]) {
@@ -139,12 +140,11 @@ std::uint64_t CorpusRunner::maskSeedFor(const CorpusConfig& cfg,
 }
 
 TraceRecord CorpusRunner::captureTrace(TraceRig& rig,
-                                       const ckpt::Snapshot& snap,
                                        std::uint64_t index) const {
   // The rig may have run other traces: the restore rewinds every
   // checkpointed section, and the per-trace state the snapshot does not
   // carry — plaintext, mask stream, profiler — is set below.
-  rig.registry.loadAll(snap);
+  rig.registry.loadAll(boot_);
 
   TraceRecord rec;
   for (int k = 0; k < 4; ++k) rec.meta.key[k] = cfg_.key[k];
@@ -183,7 +183,7 @@ TraceRecord CorpusRunner::captureTrace(TraceRig& rig,
 
 TraceRecord CorpusRunner::runOne(std::uint64_t index) const {
   TraceRig rig(table_, program_, capFor(cfg_));
-  return captureTrace(rig, fork_.snapshot(), index);
+  return captureTrace(rig, index);
 }
 
 GenerateStats CorpusRunner::generate(const std::string& path,
@@ -200,12 +200,12 @@ GenerateStats CorpusRunner::generate(const std::string& path,
     const std::uint64_t n =
         std::min<std::uint64_t>(cfg_.batchTraces, cfg_.traces - base);
     blobs.assign(static_cast<std::size_t>(n), {});
-    fork_.runForks(
+    sim::runWorkers(
         static_cast<std::size_t>(n), threads,
         [&] { return TraceRig(table_, program_, capFor(cfg_)); },
-        [&](TraceRig& rig, const ckpt::Snapshot& snap, std::size_t i) {
-          blobs[i] = encodeTrace(captureTrace(rig, snap, base + i),
-                                 cfg_.samplesPerTrace);
+        [&](TraceRig& rig, std::size_t i) {
+          blobs[i] =
+              encodeTrace(captureTrace(rig, base + i), cfg_.samplesPerTrace);
         });
     // Index-ordered append: the file's bytes are independent of which
     // worker finished first.

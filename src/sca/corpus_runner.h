@@ -2,12 +2,13 @@
 //
 // A side-channel corpus needs many traces of the SAME operation under
 // varying plaintexts — and the platform boot prefix is identical every
-// time. CorpusRunner reuses the ckpt::ForkRunner discipline: one
-// parent SoC boots a tiny key-loading firmware to a `break` (halted =
-// trivially quiesced) and is snapshotted WITH its power model; every
-// trace then restores that snapshot into its worker's recycled rig,
-// pokes its plaintext into RAM, resets the ROI profiler, resets the
-// core at the firmware's `main` label and runs one encryption.
+// time. CorpusRunner boots once and forks per trace: one parent SoC
+// boots a tiny key-loading firmware to a `break` (halted = trivially
+// quiesced) and is snapshotted WITH its power model; every trace then
+// restores that snapshot into its worker's recycled rig
+// (sim::runWorkers: one rig per worker thread), pokes its plaintext
+// into RAM, resets the ROI profiler, resets the core at the firmware's
+// `main` label and runs one encryption.
 // Per-trace inputs (plaintext, noise seed, mask seed) are pure
 // functions of the corpus seeds and the trace index, the restore plus
 // the profiler reset leave nothing of the rig's previous trace behind,
@@ -20,7 +21,7 @@
 #include <cstdint>
 #include <string>
 
-#include "ckpt/fork_runner.h"
+#include "ckpt/checkpoint.h"
 #include "obs/stats.h"
 #include "power/coeff_table.h"
 #include "sca/corpus.h"
@@ -98,13 +99,12 @@ class CorpusRunner {
 
  private:
   /// Capture trace `index` on `rig`, fresh or recycled.
-  TraceRecord captureTrace(TraceRig& rig, const ckpt::Snapshot& snap,
-                           std::uint64_t index) const;
+  TraceRecord captureTrace(TraceRig& rig, std::uint64_t index) const;
 
   power::SignalEnergyTable table_;
   CorpusConfig cfg_;
   soc::AssembledProgram program_;
-  ckpt::ForkRunner fork_;
+  ckpt::Snapshot boot_;  ///< The parent at its fork point.
 };
 
 } // namespace sct::sca

@@ -1,4 +1,4 @@
-// One pooled card: a TL1 SmartCardSoC with its power model and energy
+// One worker's card: a TL1 SmartCardSoC with its power model and energy
 // ledger, recyclable from a shared golden boot snapshot.
 //
 // The serve daemon's whole speed story lives here. Booting a card —
@@ -7,7 +7,7 @@
 // ~25k bus cycles) to its command-wait loop — costs an order of
 // magnitude more than the short session it serves. Instead, ONE card
 // boots to the wait loop, a
-// snapshot is taken at a quiesce point (bootGolden), and every pooled
+// snapshot is taken at a quiesce point (bootGolden), and every worker's
 // instance restores that snapshot before each session (recycle). The
 // snapshot deliberately carries TWO sections beyond the SoC's own
 // fourteen: the Tl1 power model ("pm") and the energy ledger
@@ -17,7 +17,7 @@
 // or how many sessions the instance served before — the foundation of
 // the threads=1 vs threads=N bit-identity contract.
 //
-// Thread model: a CardInstance is single-threaded (one per pool
+// Thread model: a CardInstance is single-threaded (one per serve
 // worker). The golden Snapshot is shared across workers by const
 // reference — it is plain immutable data after bootGolden returns.
 #ifndef SCT_SERVE_CARD_INSTANCE_H

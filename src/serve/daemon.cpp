@@ -9,11 +9,13 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "bus/ec_signals.h"
 #include "serve/json.h"
+#include "sim/parallel_runner.h"
 
 namespace sct::serve {
 
@@ -22,21 +24,60 @@ namespace sct::serve {
 
 ServeEngine::ServeEngine(const power::SignalEnergyTable& table,
                          unsigned workers)
-    : table_(table),
-      golden_(CardInstance::bootGolden(table_)),
-      pool_(workers),
-      instances_(pool_.threadCount()) {}
+    : table_(table), golden_(CardInstance::bootGolden(table_)) {
+  if (workers == 0) workers = sim::defaultThreadCount();
+  workers_.reserve(workers);
+  try {
+    for (unsigned i = 0; i < workers; ++i) {
+      workers_.emplace_back([this] { workerLoop(); });
+    }
+  } catch (...) {
+    stopWorkers();  // Join the threads that did start.
+    throw;
+  }
+}
 
-ServeEngine::~ServeEngine() { pool_.wait(); }
+ServeEngine::~ServeEngine() {
+  drain();
+  stopWorkers();
+}
 
-CardInstance& ServeEngine::instanceForThisWorker() {
-  const unsigned w = pool_.currentWorker();
-  std::unique_ptr<CardInstance>& slot = instances_.at(w);
-  // Each slot is touched only by its own worker thread; lazy
-  // construction needs no lock. Building the platform once per worker
-  // (not per session) is most of what makes recycling cheap.
-  if (!slot) slot = std::make_unique<CardInstance>(table_);
-  return *slot;
+void ServeEngine::stopWorkers() {
+  {
+    std::lock_guard<std::mutex> lock(queueMutex_);
+    stopping_ = true;
+  }
+  jobReady_.notify_all();
+  for (std::thread& w : workers_) w.join();
+}
+
+void ServeEngine::workerLoop() {
+  // This worker's card, built at its first job. Building the platform
+  // once per worker (not per session) is most of what makes recycling
+  // cheap.
+  std::optional<CardInstance> card;
+  std::unique_lock<std::mutex> lock(queueMutex_);
+  for (;;) {
+    jobReady_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // Stopping, and nothing left to serve.
+    const Queued q = std::move(queue_.front());
+    queue_.pop_front();
+    ++running_;
+    lock.unlock();
+    try {
+      if (!card) card.emplace(table_);
+      card->recycle(golden_);
+      const SessionOutcome outcome =
+          card->runSession(buildScenario(q.job.scenario, q.job.seed));
+      completed_.fetch_add(1);
+      emit(q.sink, resultLine(q.job, outcome));
+    } catch (const std::exception& e) {
+      errors_.fetch_add(1);
+      emit(q.sink, errorLine(q.job.id, e.what()));
+    }
+    lock.lock();
+    if (--running_ == 0 && queue_.empty()) idle_.notify_all();
+  }
 }
 
 void ServeEngine::emit(const Sink& sink, const std::string& line) {
@@ -84,19 +125,11 @@ void ServeEngine::submitLine(const std::string& line, Sink sink) {
 }
 
 void ServeEngine::submitJob(Job job, Sink sink) {
-  pool_.submit([this, job = std::move(job), sink = std::move(sink)] {
-    try {
-      CardInstance& card = instanceForThisWorker();
-      card.recycle(golden_);
-      const SessionOutcome outcome =
-          card.runSession(buildScenario(job.scenario, job.seed));
-      completed_.fetch_add(1);
-      emit(sink, resultLine(job, outcome));
-    } catch (const std::exception& e) {
-      errors_.fetch_add(1);
-      emit(sink, errorLine(job.id, e.what()));
-    }
-  });
+  {
+    std::lock_guard<std::mutex> lock(queueMutex_);
+    queue_.push_back({std::move(job), std::move(sink)});
+  }
+  jobReady_.notify_one();
 }
 
 void ServeEngine::rejectLine(const std::string& reason, const Sink& sink) {
@@ -104,9 +137,18 @@ void ServeEngine::rejectLine(const std::string& reason, const Sink& sink) {
   emit(sink, errorLine("", reason));
 }
 
-void ServeEngine::drain() { pool_.wait(); }
+void ServeEngine::drain() {
+  std::unique_lock<std::mutex> lock(queueMutex_);
+  idle_.wait(lock, [this] { return queue_.empty() && running_ == 0; });
+}
 
-std::size_t ServeEngine::cancelPending() { return pool_.cancelPending(); }
+std::size_t ServeEngine::cancelPending() {
+  std::lock_guard<std::mutex> lock(queueMutex_);
+  const std::size_t dropped = queue_.size();
+  queue_.clear();
+  if (running_ == 0) idle_.notify_all();
+  return dropped;
+}
 
 std::string ServeEngine::resultLine(const Job& job,
                                     const SessionOutcome& o) {

@@ -1,16 +1,17 @@
 // The card-farm serving engine and daemon front-ends.
 //
 // ServeEngine is the heart: it boots ONE card to a golden quiesce
-// snapshot (CardInstance::bootGolden), keeps a lazily built pool of
-// per-worker CardInstances, and dispatches session jobs over a
-// sim::WorkStealingPool. Each job recycles its worker's instance from
-// the golden snapshot (restore ≫ faster than booting, and it rewinds
-// the power accumulators for bit-identical deltas), runs the scenario
-// script, and streams one NDJSON result line through the job's sink
-// as soon as it finishes. Sinks are invoked under one engine-wide
-// mutex and emit a line atomically, so concurrent workers can never
-// interleave partial lines — the shutdown regression test reads
-// daemon output mid-kill and every line must still parse.
+// snapshot (CardInstance::bootGolden) and starts its worker threads,
+// which pull session jobs from one FIFO. Each worker owns one
+// CardInstance, built at its first job; every job recycles that
+// instance from the golden snapshot (restore ≫ faster than booting,
+// and it rewinds the power accumulators for bit-identical deltas), runs
+// the scenario script, and streams one NDJSON result line through the
+// job's sink as soon as it finishes. Any worker can serve any job: all
+// instances recycle from the same snapshot. Sinks are invoked under one
+// engine-wide mutex and emit a line atomically, so concurrent workers
+// can never interleave partial lines — the shutdown regression test
+// reads daemon output mid-kill and every line must still parse.
 //
 // The daemon front-ends (runDaemon) wrap the engine in a job source:
 // newline-delimited JSON on stdin (job files, pipes) or a unix domain
@@ -36,18 +37,19 @@
 #define SCT_SERVE_DAEMON_H
 
 #include <atomic>
+#include <condition_variable>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "power/coeff_table.h"
 #include "serve/card_instance.h"
-#include "sim/work_stealing.h"
 
 namespace sct::serve {
 
@@ -67,9 +69,14 @@ class ServeEngine {
   using Sink = std::function<void(const std::string& line)>;
 
   /// Boots the golden snapshot (the one full card boot the whole farm
-  /// pays) and starts `workers` pool threads (0 picks the default).
+  /// pays) and starts `workers` worker threads (0 picks
+  /// sim::defaultThreadCount()).
   ServeEngine(const power::SignalEnergyTable& table, unsigned workers);
+  /// Finishes every queued job (implicit drain()), then joins.
   ~ServeEngine();
+
+  ServeEngine(const ServeEngine&) = delete;
+  ServeEngine& operator=(const ServeEngine&) = delete;
 
   /// Parse one NDJSON job line and dispatch it. Malformed lines and
   /// unknown scenarios/fidelities produce an immediate error line on
@@ -92,7 +99,9 @@ class ServeEngine {
 
   std::uint64_t completed() const { return completed_.load(); }
   std::uint64_t errors() const { return errors_.load(); }
-  unsigned workerCount() const { return pool_.threadCount(); }
+  unsigned workerCount() const {
+    return static_cast<unsigned>(workers_.size());
+  }
   const ckpt::Snapshot& golden() const { return golden_; }
 
   /// The exact line a finished session emits (exposed for the
@@ -102,16 +111,29 @@ class ServeEngine {
                                const std::string& message);
 
  private:
-  CardInstance& instanceForThisWorker();
+  struct Queued {
+    Job job;
+    Sink sink;
+  };
+
+  void workerLoop();
+  /// Let every worker finish the queue and exit, then join them.
+  void stopWorkers();
   void emit(const Sink& sink, const std::string& line);
 
   power::SignalEnergyTable table_;
   ckpt::Snapshot golden_;
-  sim::WorkStealingPool pool_;
-  std::vector<std::unique_ptr<CardInstance>> instances_;
   std::mutex emitMutex_;
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> errors_{0};
+
+  std::mutex queueMutex_;  ///< Guards queue_, running_ and stopping_.
+  std::condition_variable jobReady_;
+  std::condition_variable idle_;
+  std::deque<Queued> queue_;
+  std::size_t running_ = 0;  ///< Jobs taken off the queue, not finished.
+  bool stopping_ = false;
+  std::vector<std::thread> workers_;  ///< Last: started once all else is.
 };
 
 struct DaemonOptions {

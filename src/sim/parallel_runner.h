@@ -1,89 +1,91 @@
-// Thread-pool harness for independent simulations.
+// Worker pool for independent simulations.
 //
 // The kernel is single-threaded by design (one Kernel per simulation,
-// no locks on the hot path). Design-space exploration, ablations and
-// characterization sweeps, however, run many *independent* simulations
-// — one per interface configuration, wait-state setting or supply
-// voltage — and those scale with cores trivially: each worker task
-// constructs its own Kernel/Clock/bus/models, runs to completion and
-// writes its result into a caller-owned slot keyed by task index, so
-// the collected output is deterministic and identical to a sequential
-// sweep regardless of scheduling.
+// no locks on the hot path). Design-space exploration, ablations,
+// characterization sweeps and checkpoint fork sweeps, however, run many
+// *independent* simulations — one per interface configuration, wait-
+// state setting, supply voltage or forked variant — and those scale
+// with cores trivially. runWorkers is the one shape every sweep uses:
+// up to `threads` workers, each builds one *rig* (whatever per-worker
+// state its simulations recycle — typically a platform that a snapshot
+// is restored into per variant) and then pulls indices from one shared
+// counter. Results go into caller-owned slots keyed by index, so the
+// collected output is deterministic and identical to a sequential sweep
+// regardless of scheduling.
 //
 // Sharing rules (enforced by convention, documented per type):
 //  * read-only inputs — trace::BusTrace, power::SignalEnergyTable,
-//    jcvm::JcProgram — may be shared across workers by const
-//    reference; they are plain data with no hidden mutable state.
-//  * anything attached to a Kernel must be created and destroyed
-//    inside one task.
-//
-// This runner keeps ONE shared FIFO — right for uniform sweeps, where
-// every worker drains the same queue. Workloads with per-worker
-// affinity (the serve daemon's card pool: each worker owns a live
-// platform instance and tasks should stick to it unless a peer runs
-// dry) use sim::WorkStealingPool (work_stealing.h), which extends this
-// design with per-worker deques and steal-half rebalancing.
+//    jcvm::JcProgram, ckpt::Snapshot — may be shared across workers by
+//    const reference; they are plain data with no hidden mutable state.
+//  * anything attached to a Kernel must be created and used by one
+//    worker: inside one index, or inside that worker's rig.
 #ifndef SCT_SIM_PARALLEL_RUNNER_H
 #define SCT_SIM_PARALLEL_RUNNER_H
 
-#include <condition_variable>
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
-#include <deque>
+#include <exception>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 namespace sct::sim {
 
-class ParallelRunner {
- public:
-  using Task = std::function<void()>;
+/// Hardware concurrency, overridable with the SCT_THREADS environment
+/// variable (useful to pin benches to one core or to oversubscribe
+/// deliberately; 0 or a non-numeric value keeps the hardware count).
+/// At least 1.
+unsigned defaultThreadCount();
 
-  /// `threads == 0` picks defaultThreadCount(). A runner with one
-  /// thread still uses a worker (same code path, easier to reason
-  /// about); use runIndexed() with threads == 1 to force a strictly
-  /// sequential in-caller sweep.
-  explicit ParallelRunner(unsigned threads = 0);
-  ~ParallelRunner();
-
-  ParallelRunner(const ParallelRunner&) = delete;
-  ParallelRunner& operator=(const ParallelRunner&) = delete;
-
-  unsigned threadCount() const {
-    return static_cast<unsigned>(workers_.size());
+/// Run body(rig, 0) .. body(rig, count-1) over min(threads, count)
+/// workers, the calling thread counted as one (threads 0 =
+/// defaultThreadCount()). Each worker builds ONE rig with `makeRig()`
+/// and then serves indices taken from a shared counter. When one worker
+/// suffices, every call happens in the caller in index order — the
+/// reference sequential behaviour.
+///
+/// `makeRig` returns the rig by value; guaranteed copy elision lets the
+/// rig be a non-movable type whose members register their own
+/// addresses. If a body or makeRig throws, no further index is handed
+/// out, every worker is joined, and the first exception is rethrown to
+/// the caller.
+template <typename MakeRig, typename Body>
+void runWorkers(std::size_t count, unsigned threads, const MakeRig& makeRig,
+                const Body& body) {
+  if (threads == 0) threads = defaultThreadCount();
+  const std::size_t workers = std::min<std::size_t>(threads, count);
+  if (workers == 0) return;
+  if (workers == 1) {
+    auto rig = makeRig();
+    for (std::size_t i = 0; i < count; ++i) body(rig, i);
+    return;
   }
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;  // Written by the one worker that set `failed`.
+  const auto work = [&] {
+    try {
+      auto rig = makeRig();
+      for (std::size_t i = next++; i < count && !failed; i = next++) {
+        body(rig, i);
+      }
+    } catch (...) {
+      if (!failed.exchange(true)) error = std::current_exception();
+    }
+  };
+  {
+    std::vector<std::jthread> helpers;  // Joined when the block ends.
+    helpers.reserve(workers - 1);
+    for (std::size_t w = 1; w < workers; ++w) helpers.emplace_back(work);
+    work();
+  }
+  if (error) std::rethrow_exception(error);
+}
 
-  /// Enqueue a task. Tasks must not touch shared mutable state (see
-  /// file comment). Exceptions escaping a task terminate (simulations
-  /// signal errors through their result slots instead).
-  void submit(Task task);
-
-  /// Block until every submitted task has finished.
-  void wait();
-
-  /// Hardware concurrency, overridable with the SCT_THREADS
-  /// environment variable (useful to pin benches to one core or to
-  /// oversubscribe deliberately). At least 1.
-  static unsigned defaultThreadCount();
-
-  /// Run fn(0) .. fn(count-1) on a pool of `threads` workers and wait.
-  /// With threads == 1 the calls happen inline on the caller's thread
-  /// in index order — the reference sequential behaviour.
-  static void runIndexed(std::size_t count, unsigned threads,
-                         const std::function<void(std::size_t)>& fn);
-
- private:
-  void workerLoop();
-
-  std::vector<std::thread> workers_;
-  std::deque<Task> queue_;
-  std::mutex mutex_;
-  std::condition_variable taskReady_;
-  std::condition_variable allDone_;
-  std::size_t inFlight_ = 0;  ///< Queued + currently executing.
-  bool shutdown_ = false;
-};
+/// Run fn(0) .. fn(count-1): runWorkers without a rig.
+void runIndexed(std::size_t count, unsigned threads,
+                const std::function<void(std::size_t)>& fn);
 
 } // namespace sct::sim
 

@@ -6,9 +6,9 @@
 //   2. a MID-RUN snapshot — taken at the first quiesce point the
 //      firmware happens to pass, not at a halt — restored into a fresh
 //      SoC continues bit-identically to the uninterrupted run,
-//   3. ForkRunner: a sweep that boots once and forks N configuration
-//      variants into recycled SoCs produces exactly the results of N
-//      boot-from-scratch jobs, sequentially and across worker threads.
+//   3. a sweep that boots once and forks N configuration variants into
+//      recycled SoCs (sim::runWorkers) produces exactly the results of
+//      N boot-from-scratch jobs, sequentially and across worker threads.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -20,7 +20,7 @@
 #include "bus/memory_slave.h"
 #include "bus/tl1_bus.h"
 #include "ckpt/checkpoint.h"
-#include "ckpt/fork_runner.h"
+#include "sim/parallel_runner.h"
 #include "sim/rng.h"
 #include "soc/assembler.h"
 #include "soc/smartcard.h"
@@ -255,7 +255,7 @@ TEST(SocCheckpoint, SnapshotSurvivesDiskBytes) {
 }
 
 // ---------------------------------------------------------------------
-// ForkRunner
+// Fork sweeps
 
 constexpr std::size_t kVariants = 6;
 
@@ -288,22 +288,21 @@ SocResult bootAndRunVariant(std::size_t i) {
   return capture(soc);
 }
 
-TEST(ForkRunner, ForkedSweepMatchesBootPerJob) {
-  ckpt::ForkRunner runner([] {
+TEST(SocFork, ForkedSweepMatchesBootPerJob) {
+  const ckpt::Snapshot boot = [] {
     Tl1Soc parent{soc::SocConfig{}};
     prepare(parent);
     EXPECT_TRUE(parent.run());
     return parent.checkpoint();
-  });
+  }();
 
   // threads=1: ONE recycled SoC serves every variant back to back, so
   // any state a restore fails to rewind leaks into the next variant and
   // shows up against the boot-per-job reference.
   std::vector<SocResult> forked(kVariants);
-  runner.runForks(kVariants, /*threads=*/1, makeForkSoc,
-                  [&](std::unique_ptr<Tl1Soc>& soc, const ckpt::Snapshot& snap,
-                      std::size_t i) {
-                    soc->restore(snap);
+  sim::runWorkers(kVariants, /*threads=*/1, makeForkSoc,
+                  [&](std::unique_ptr<Tl1Soc>& soc, std::size_t i) {
+                    soc->restore(boot);
                     runVariantPhase(*soc, i);
                     forked[i] = capture(*soc);
                   });
@@ -318,20 +317,19 @@ TEST(ForkRunner, ForkedSweepMatchesBootPerJob) {
   }
 }
 
-TEST(ForkRunner, ThreadedForksMatchSequential) {
-  ckpt::ForkRunner runner([] {
+TEST(SocFork, ThreadedForksMatchSequential) {
+  const ckpt::Snapshot boot = [] {
     Tl1Soc parent{soc::SocConfig{}};
     prepare(parent);
     EXPECT_TRUE(parent.run());
     return parent.checkpoint();
-  });
+  }();
 
   const auto sweep = [&](unsigned threads) {
     std::vector<SocResult> out(kVariants);
-    runner.runForks(kVariants, threads, makeForkSoc,
-                    [&](std::unique_ptr<Tl1Soc>& soc,
-                        const ckpt::Snapshot& snap, std::size_t i) {
-                      soc->restore(snap);
+    sim::runWorkers(kVariants, threads, makeForkSoc,
+                    [&](std::unique_ptr<Tl1Soc>& soc, std::size_t i) {
+                      soc->restore(boot);
                       runVariantPhase(*soc, i);
                       out[i] = capture(*soc);
                     });

@@ -143,6 +143,24 @@ TEST(EhSweep, ForkAdoptedEqualsBootPerVariant) {
   }
 }
 
+TEST(EhSweep, RunnerBuiltFromATemporaryTableKeepsItsOwnCopy) {
+  // The runner copies its coefficient table, so one built from a
+  // temporary still prices run() with live coefficients.
+  eh::SweepRunner fromTemporary(fixedTable(), kBlocks, testConfig());
+  const power::SignalEnergyTable table = fixedTable();
+  eh::SweepRunner fromLvalue(table, kBlocks, testConfig());
+  const std::vector<eh::SweepVariant> cells = {{"threshold", "swipe", 3},
+                                               {"parametric", "noisy", 4}};
+  const std::vector<eh::SweepOutcome> a = fromTemporary.run(cells, 1);
+  const std::vector<eh::SweepOutcome> b = fromLvalue.run(cells, 1);
+  ASSERT_EQ(a.size(), cells.size());
+  ASSERT_EQ(b.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    SCOPED_TRACE(cells[i].scheme + "/" + cells[i].profile);
+    expectIdentical(a[i], b[i]);
+  }
+}
+
 TEST(EhSweep, RepeatedSweepsAreReproducible) {
   const power::SignalEnergyTable table = fixedTable();
   const std::vector<eh::SweepVariant> cell = {{"threshold", "noisy", 9}};

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -92,6 +93,15 @@ TEST(EncSweep, ForkedVariantsEqualBootPerVariantReference) {
     SCOPED_TRACE(sample[i].codec + "/" + sample[i].workload);
     expectOutcomeIdentical(forked[i], runner().runFromBoot(sample[i]));
   }
+}
+
+TEST(EncSweep, BadVariantThrowsToTheCallerAtAnyThreadCount) {
+  // A worker thread's exception reaches the caller as the sequential
+  // sweep's does, instead of terminating the process.
+  const std::vector<EncVariant> grid = {{"identity", "crypto"},
+                                        {"bogus", "crypto"}};
+  EXPECT_THROW(runner().run(grid, 1), std::invalid_argument);
+  EXPECT_THROW(runner().run(grid, 2), std::invalid_argument);
 }
 
 TEST(EncSweep, OutcomesAreWellFormed) {

@@ -67,5 +67,34 @@ TEST(CoeffTableTest, LoadRejectsMalformedLine) {
   EXPECT_THROW(SignalEnergyTable::load(ss), std::runtime_error);
 }
 
+TEST(CoeffTableTest, LoadRejectsNegativeCoefficient) {
+  std::stringstream ss("EB_A -5\n");
+  EXPECT_THROW(SignalEnergyTable::load(ss), std::runtime_error);
+}
+
+TEST(CoeffTableTest, LoadRejectsRepeatedSignal) {
+  std::stringstream ss("EB_A 1.0\nEB_RData 2.0\nEB_A 3.0\n");
+  EXPECT_THROW(SignalEnergyTable::load(ss), std::runtime_error);
+}
+
+TEST(CoeffTableTest, LoadRejectsBytesAfterTheNumber) {
+  std::stringstream ss("EB_A 1.0xyz\n");
+  EXPECT_THROW(SignalEnergyTable::load(ss), std::runtime_error);
+}
+
+TEST(CoeffTableTest, LoadRejectsASecondNumber) {
+  std::stringstream ss("EB_A 1.0 2.0\n");
+  EXPECT_THROW(SignalEnergyTable::load(ss), std::runtime_error);
+}
+
+TEST(CoeffTableTest, LoadRejectsCoefficientAboveTheCap) {
+  std::stringstream huge("EB_A 1e308\n");
+  EXPECT_THROW(SignalEnergyTable::load(huge), std::runtime_error);
+  // The cap itself, and trailing whitespace, still load.
+  std::stringstream atCap("EB_A 1e6 \r\n");
+  EXPECT_DOUBLE_EQ(SignalEnergyTable::load(atCap).coeff_fJ(SignalId::EB_A),
+                   1e6);
+}
+
 } // namespace
 } // namespace sct::power

@@ -7,13 +7,19 @@
 //    sessions BIT-IDENTICAL (energy doubles compared exactly),
 //  * the engine serves a job set at threads=1 and threads=8 with
 //    identical per-session result lines (the serve determinism
-//    headline), and
+//    headline),
+//  * its job queue runs every job exactly once, drain() returns after
+//    each batch, and cancelPending() drops exactly the jobs no worker
+//    has taken, and
 //  * protocol errors come back as error lines, not crashes.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bus/ec_signals.h"
@@ -131,12 +137,13 @@ struct Collector {
   }
 };
 
-std::vector<serve::Job> jobMix() {
+std::vector<serve::Job> jobMix(int count = 12,
+                               const std::string& prefix = "j") {
   std::vector<serve::Job> jobs;
   const char* names[] = {"auth", "wrong_pin", "challenge", "mixed"};
-  for (int i = 0; i < 12; ++i) {
+  for (int i = 0; i < count; ++i) {
     serve::Job j;
-    j.id = "j" + std::to_string(i);
+    j.id = prefix + std::to_string(i);
     j.scenario = names[i % 4];
     j.seed = static_cast<std::uint64_t>(100 + i);
     jobs.push_back(j);
@@ -163,6 +170,67 @@ TEST(ServeEngine, ThreadCountDoesNotChangeAnyResultLine) {
   const std::map<std::string, std::string> threaded = serveAll(8);
   ASSERT_EQ(sequential.size(), 12u);
   EXPECT_EQ(threaded, sequential);
+}
+
+TEST(ServeEngine, EveryJobOfABatchRunsExactlyOnce) {
+  serve::ServeEngine engine(fixedTable(), 4);
+  ASSERT_EQ(engine.workerCount(), 4u);
+  std::map<std::string, int> lines;  // Sinks run under the emit lock.
+  const std::vector<serve::Job> jobs = jobMix(48);
+  for (const serve::Job& j : jobs) {
+    engine.submitJob(j, [&lines, id = j.id](const std::string& line) {
+      ++lines[id];
+      EXPECT_EQ(serve::parseJson(line).find("id")->asString(), id);
+    });
+  }
+  engine.drain();
+  EXPECT_EQ(engine.completed(), 48u);
+  EXPECT_EQ(engine.errors(), 0u);
+  ASSERT_EQ(lines.size(), jobs.size());
+  for (const auto& [id, n] : lines) EXPECT_EQ(n, 1) << id;
+}
+
+TEST(ServeEngine, DrainReturnsAfterEachBatch) {
+  serve::ServeEngine engine(fixedTable(), 3);
+  Collector out;
+  for (int batch = 0; batch < 2; ++batch) {
+    for (const serve::Job& j : jobMix(12, "b" + std::to_string(batch) + "-")) {
+      engine.submitJob(j, out.sinkFor(j.id));
+    }
+    engine.drain();
+    EXPECT_EQ(engine.completed(), 12u * (batch + 1));
+    EXPECT_EQ(out.byId.size(), 12u * (batch + 1));
+  }
+}
+
+TEST(ServeEngine, CancelPendingDropsExactlyTheUntakenJobs) {
+  serve::ServeEngine engine(fixedTable(), 1);
+  // The first job's sink holds the only worker until released, so every
+  // job submitted behind it is still queued when cancelPending() runs.
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  std::atomic<int> lines{0};
+  const std::vector<serve::Job> jobs = jobMix(40);
+  engine.submitJob(jobs[0], [&](const std::string&) {
+    ++lines;
+    started = true;
+    while (!release) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  while (!started) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (std::size_t i = 1; i < jobs.size(); ++i) {
+    engine.submitJob(jobs[i], [&](const std::string&) { ++lines; });
+  }
+  const std::size_t dropped = engine.cancelPending();
+  release = true;
+  engine.drain();
+  EXPECT_EQ(dropped, jobs.size() - 1);
+  EXPECT_EQ(dropped + engine.completed(), jobs.size());
+  EXPECT_EQ(lines.load(), 1);
+  // The engine keeps serving after a cancel.
+  Collector out;
+  engine.submitJob(jobs[1], out.sinkFor(jobs[1].id));
+  engine.drain();
+  EXPECT_EQ(out.byId.size(), 1u);
 }
 
 TEST(ServeEngine, ResultLinesAreValidJsonWithAttribution) {
