@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   const std::vector<sct::eh::SweepOutcome> outcomes =
       sweep.run(grid, threads);
 
-  std::cout << "Boot snapshot: " << sweep.snapshot().saveToBuffer().size()
+  std::cout << "Boot snapshot: " << sweep.snapshot().serialize().size()
             << " bytes shared by " << grid.size() << " variants\n\n";
 
   Table out({"scheme", "field", "done", "wall kcyc", "duty", "brownout",

@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   const std::vector<enc::EncVariant> grid = enc::defaultGrid();
   const std::vector<enc::EncOutcome> outcomes = sweep.run(grid, threads);
 
-  std::cout << "Boot snapshot: " << sweep.snapshot().saveToBuffer().size()
+  std::cout << "Boot snapshot: " << sweep.snapshot().serialize().size()
             << " bytes shared by " << grid.size() << " variants\n";
 
   // Contract 1: the sweep is bit-identical at any worker count.

@@ -14,6 +14,11 @@
 # threads > 1: the fork sweeps (ckpt, sca, eh, enc), whose workers share
 # one index counter and each own a recycled rig, and the serve engine
 # (serve), whose workers share one job queue and each own a card.
+# Pass 4 — the dev preset (Debug, warnings-as-errors) and the whole
+# suite: the only pass built without -DNDEBUG, so the assert()s in
+# src/bus and src/hier run — among them Tl1Bus::outstandingTotal()'s
+# check that its counters agree with its queues, which
+# power::CardRig::quiesced() relies on.
 #
 # All passes use the presets in CMakePresets.json, so what CI checks
 # is exactly what `cmake --preset release` gives a developer.
@@ -74,6 +79,10 @@ for label in ckpt sca eh enc serve; do
   run ctest --preset tsan -L "$label" --parallel "$jobs"
 done
 
+run cmake --preset dev
+run cmake --build --preset dev --parallel "$jobs"
+run ctest --preset dev --parallel "$jobs"
+
 echo "==> bench smoke (tiny workload)"
 run env SCT_BENCH_TINY=1 ./build/bench/table3_simperf \
   --benchmark_min_time=0.01
@@ -86,4 +95,4 @@ run env SCT_BENCH_TINY=1 ./build/bench/sca_bench \
 run env SCT_BENCH_TINY=1 ./build/bench/enc_sweep_bench \
   --benchmark_min_time=0.01
 
-echo "CI: all three passes green"
+echo "CI: all four passes green"

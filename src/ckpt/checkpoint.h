@@ -63,20 +63,6 @@ class Snapshot {
   void saveFile(const std::string& path) const;
   static Snapshot loadFile(const std::string& path);
 
-  /// In-memory round trip: the exact bytes saveFile would write /
-  /// loadFile would read, with no filesystem in the loop. The serve
-  /// instance pool recycles through these (a restore must not pay a
-  /// file round-trip per session), and tests use them to cross-check
-  /// byte-identity against on-disk golden checkpoints.
-  std::vector<std::uint8_t> saveToBuffer() const { return serialize(); }
-  static Snapshot loadFromBuffer(const std::vector<std::uint8_t>& buf) {
-    return deserialize(buf.data(), buf.size());
-  }
-  static Snapshot loadFromBuffer(const std::uint8_t* data,
-                                 std::size_t size) {
-    return deserialize(data, size);
-  }
-
  private:
   std::vector<Section> sections_;
 };

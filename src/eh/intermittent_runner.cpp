@@ -21,61 +21,32 @@ std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
 
 IntermittentRunner::IntermittentRunner(const power::SignalEnergyTable& table,
                                        const soc::AssembledProgram& program)
-    : soc_(soc::SocConfig{}), pm_(table) {
-  pm_.attachLedger(ledger_);
-  soc_.bus().addObserver(pm_);
-  // Restoring re-establishes each memory's baseline image first, so
-  // the program must be loaded before any restore — identically to how
-  // the snapshot's parent was prepared (serve::CardInstance contract).
-  soc_.loadProgram(program);
-  soc_.registerCheckpoint(registry_);
-  registry_.add("pm", pm_);
-  registry_.add("ledger", ledger_);
+    : rig_(table, program) {
+  rig_.pm.attachLedger(ledger_);
+  rig_.registry.add("ledger", ledger_);
   // The supply hook runs AFTER the bus process (registered at default
   // priority 0 by Tl1Bus) so it reads the cycle's committed energy.
   // Registered unconditionally at construction: the clock's handler
   // table is part of the snapshot layout, and it must look the same in
   // the parent that produced a snapshot and in the variant restoring
   // it. engaged_ gates the actual work.
-  soc_.clock().onFalling([this] { hookCycle(); }, /*priority=*/100);
-}
-
-IntermittentRunner::~IntermittentRunner() = default;
-
-bool IntermittentRunner::quiesced() {
-  // The serve-style platform quiesce predicate (the cheap pre-filter;
-  // saveAll still validates the full platform state).
-  return soc_.cpu().busQuiesced() && soc_.bus().outstandingTotal() == 0 &&
-         !soc_.uart().txBusy();
+  rig_.soc.clock().onFalling([this] { hookCycle(); }, /*priority=*/100);
 }
 
 ckpt::Snapshot IntermittentRunner::bootToMarker(std::uint32_t marker,
                                                 std::uint64_t maxCycles) {
-  const bus::Address markerAddr =
-      soc::memmap::kRamBase + kPreludeOffset;
-  std::string lastRefusal;
-  for (std::uint64_t i = 0; i < maxCycles; ++i) {
-    soc_.clock().runCycles(1);
-    if (soc_.ram().peekWord(markerAddr) != marker || !quiesced()) continue;
-    try {
-      return registry_.saveAll();
-    } catch (const ckpt::CheckpointError& e) {
-      lastRefusal = e.what();
-    }
-  }
-  throw ckpt::CheckpointError(
-      "IntermittentRunner::bootToMarker: marker not reached at a quiesce "
-      "point" +
-      (lastRefusal.empty() ? std::string()
-                           : "; last refusal: " + lastRefusal));
+  const bus::Address markerAddr = soc::memmap::kRamBase + kPreludeOffset;
+  return rig_.snapshotWhen(
+      [&] { return rig_.soc.ram().peekWord(markerAddr) == marker; },
+      maxCycles, "IntermittentRunner::bootToMarker");
 }
 
 void IntermittentRunner::hookCycle() {
   if (!engaged_) return;
-  sim::Clock& clock = soc_.clock();
+  sim::Clock& clock = rig_.soc.clock();
   // Total-energy delta, not energySinceLastCall_fJ(): the latter is a
   // shared interval marker other consumers may own.
-  const double total = pm_.totalEnergy_fJ();
+  const double total = rig_.pm.totalEnergy_fJ();
   const double chip_fJ = supply_->chipDrain_fJ(total - pmMark_);
   pmMark_ = total;
   supply_->stepOnChip(wall_, chip_fJ);
@@ -86,7 +57,7 @@ void IntermittentRunner::hookCycle() {
     clock.requestBreak();
     return;
   }
-  if (soc_.cpu().halted()) {
+  if (rig_.soc.cpu().halted()) {
     // Workload finished — hand control back every cycle so the outer
     // loop can settle the platform and close the books.
     clock.requestBreak();
@@ -100,7 +71,8 @@ void IntermittentRunner::hookCycle() {
     return;
   }
   if (periodicInterval_ != 0 &&
-      clock.cycle() - backupSimCycle_ >= periodicInterval_ && quiesced()) {
+      clock.cycle() - backupSimCycle_ >= periodicInterval_ &&
+      rig_.quiesced()) {
     periodicDue_ = true;
     clock.requestBreak();
   }
@@ -110,7 +82,7 @@ RunResult IntermittentRunner::run(const FieldProfile& field,
                                   const BackupScheme& scheme,
                                   const RunnerConfig& cfg) {
   RunResult res;
-  sim::Clock& clock = soc_.clock();
+  sim::Clock& clock = rig_.soc.clock();
   SupplyModel supply(cfg.supply, field, clock.period());
   // Fed chip-level energies (chipScale 1.0): the exact per-cycle drain
   // the supply integrates, so detector and integrator agree.
@@ -125,12 +97,11 @@ RunResult IntermittentRunner::run(const FieldProfile& field,
   died_ = false;
   saveRequested_ = false;
   periodicDue_ = false;
-  pmMark_ = pm_.totalEnergy_fJ();
+  pmMark_ = rig_.pm.totalEnergy_fJ();
 
   // Backup #0 is free: the state the card entered the field with is
   // already in NVM (it is the personalized card image).
-  std::vector<std::uint8_t> backupBytes =
-      registry_.saveAll().saveToBuffer();
+  std::vector<std::uint8_t> backupBytes = rig_.registry.saveAll().serialize();
   backupSimCycle_ = clock.cycle();
   res.checkpointBytes = backupBytes.size();
   res.checkpointDigest = fnv1a(backupBytes);
@@ -158,7 +129,7 @@ RunResult IntermittentRunner::run(const FieldProfile& field,
   };
 
   const auto takeBackup = [&] {
-    backupBytes = registry_.saveAll().saveToBuffer();
+    backupBytes = rig_.registry.saveAll().serialize();
     const BackupCosts sc = scheme.saveCosts(backupBytes.size());
     // The core stalls while the NVM engine streams the image out; the
     // field keeps charging, the lump sum models the write energy.
@@ -206,7 +177,12 @@ RunResult IntermittentRunner::run(const FieldProfile& field,
       res.restoreEnergy_fJ += rc.energy_fJ;
       ++res.restores;
       const std::uint64_t simAtOff = clock.cycle();
-      registry_.loadAll(ckpt::Snapshot::loadFromBuffer(backupBytes));
+      // A hard death leaves the core wherever it was, transfers in
+      // flight included. The drain recycle() runs first is not powered
+      // time, so the hook sits it out.
+      engaged_ = false;
+      rig_.recycle(ckpt::Snapshot::deserialize(backupBytes));
+      engaged_ = true;
       const std::uint64_t lost = simAtOff - clock.cycle();
       res.replayedCycles += lost;
       if (periodicInterval_ != 0 && lost > 0) {
@@ -221,7 +197,7 @@ RunResult IntermittentRunner::run(const FieldProfile& field,
                               ? clock.cycle() - periodicInterval_
                               : 0;
       }
-      pmMark_ = pm_.totalEnergy_fJ();  // Rewound with the platform.
+      pmMark_ = rig_.pm.totalEnergy_fJ();  // Rewound with the platform.
       // The card was dark: the drain samples from before the outage
       // are not "recent" draw, and leaving them in the window lets the
       // predictive guard trip on the first post-restore cycle (stored
@@ -244,7 +220,7 @@ RunResult IntermittentRunner::run(const FieldProfile& field,
     runPowered(std::min<std::uint64_t>(cfg.chunkCycles,
                                        cfg.maxWallCycles - wall_));
 
-    if (soc_.cpu().halted() && quiesced()) {
+    if (rig_.soc.cpu().halted() && rig_.quiesced()) {
       res.completed = true;
       pushSegment();
       break;
@@ -262,12 +238,12 @@ RunResult IntermittentRunner::run(const FieldProfile& field,
       // Step to the next quiesce point — snapshots are only legal
       // there. The supply keeps draining; the field may collapse first.
       std::uint64_t hunt = 0;
-      while (!quiesced() && !died_ && hunt < cfg.quiesceHuntLimit &&
+      while (!rig_.quiesced() && !died_ && hunt < cfg.quiesceHuntLimit &&
              wall_ < cfg.maxWallCycles) {
         runPowered(1);
         ++hunt;
       }
-      if (died_ || !quiesced()) {
+      if (died_ || !rig_.quiesced()) {
         ++res.hardDeaths;
         pushSegment();
         powered = false;
@@ -283,7 +259,7 @@ RunResult IntermittentRunner::run(const FieldProfile& field,
     if (periodicDue_) {
       // The hook only raises this at a quiesce point, but the cycle
       // that completed the break may have started new work.
-      if (quiesced()) takeBackup();
+      if (rig_.quiesced()) takeBackup();
       periodicDue_ = false;
       continue;
     }
@@ -295,15 +271,15 @@ RunResult IntermittentRunner::run(const FieldProfile& field,
 
   res.wallCycles = wall_;
   res.simCycles = clock.cycle();
-  res.instructions = soc_.cpu().stats().instructions;
+  res.instructions = rig_.soc.cpu().stats().instructions;
   res.brownouts = detector_.trips();
   res.harvested_fJ = supply.harvested_fJ();
   res.consumed_fJ = supply.consumed_fJ();
   res.finalStored_fJ = supply.stored_fJ();
   res.progressWord =
-      soc_.ram().peekWord(soc::memmap::kRamBase + kProgressOffset);
+      rig_.soc.ram().peekWord(soc::memmap::kRamBase + kProgressOffset);
   res.digestWord =
-      soc_.ram().peekWord(soc::memmap::kRamBase + kDigestOffset);
+      rig_.soc.ram().peekWord(soc::memmap::kRamBase + kDigestOffset);
   return res;
 }
 

@@ -2,13 +2,13 @@
 // supply: run while the capacitor holds, checkpoint at a quiesce point
 // when the brownout detector trips, go dark, restore on recharge.
 //
-// Architecture mirrors serve::CardInstance — the runner owns a full
-// TL1 SmartCardSoC, its Tl1PowerModel and EnergyLedger, and a
-// CheckpointRegistry covering the 14 platform sections plus "pm" and
-// "ledger" (the identical section set, so restores rewind the energy
-// accumulators to exact bit patterns and per-segment ledger deltas
-// subtract identical operands on any worker). On top of that sit the
-// eh pieces:
+// Architecture mirrors serve::CardInstance — the runner owns a
+// power::CardRig (TL1 SmartCardSoC, Tl1PowerModel, registry over the
+// 14 platform sections plus "pm") and an EnergyLedger registered after
+// it as "ledger" (the identical section set, so restores rewind the
+// energy accumulators to exact bit patterns and per-segment ledger
+// deltas subtract identical operands on any worker). On top of that
+// sit the eh pieces:
 //
 //  * A supply hook registered on the falling clock edge at a priority
 //    AFTER the bus process (the Tl1 bus commits its cycle and the
@@ -40,7 +40,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "bus/tl1_bus.h"
 #include "ckpt/checkpoint.h"
 #include "eh/backup_scheme.h"
 #include "eh/brownout.h"
@@ -49,14 +48,11 @@
 #include "obs/ledger.h"
 #include "obs/stats.h"
 #include "power/budget.h"
+#include "power/card_rig.h"
 #include "power/coeff_table.h"
-#include "power/tl1_power_model.h"
 #include "soc/assembler.h"
-#include "soc/smartcard.h"
 
 namespace sct::eh {
-
-using Tl1Soc = soc::SmartCardSoC<bus::Tl1Bus>;
 
 /// Runner knobs independent of supply/scheme choice.
 struct RunnerConfig {
@@ -135,14 +131,13 @@ struct RunResult {
 class IntermittentRunner {
  public:
   /// Builds the platform and loads `program`. The instance is at
-  /// reset; call run() directly (cold start) or adopt() a snapshot
+  /// reset; call run() directly (cold start) or recycle() a snapshot
   /// from an identically constructed parent first.
   IntermittentRunner(const power::SignalEnergyTable& table,
                      const soc::AssembledProgram& program);
 
   IntermittentRunner(const IntermittentRunner&) = delete;
   IntermittentRunner& operator=(const IntermittentRunner&) = delete;
-  ~IntermittentRunner();
 
   /// Drive the platform (fully powered, no supply accounting) until
   /// the RAM word at kPreludeOffset reads `marker` and the platform
@@ -150,11 +145,12 @@ class IntermittentRunner {
   ckpt::Snapshot bootToMarker(std::uint32_t marker,
                               std::uint64_t maxCycles = 2'000'000);
 
-  /// Restore a snapshot taken by an identically constructed runner.
-  /// Legal on a runner that already ran: together with run()'s own
-  /// reset of the per-run state, a recycled runner behaves exactly like
-  /// a fresh one.
-  void adopt(const ckpt::Snapshot& snap) { registry_.loadAll(snap); }
+  /// Restore a snapshot taken by an identically constructed runner
+  /// (power::CardRig::recycle: drain, then restore). Legal on a runner
+  /// that already ran, finished or stopped by cfg.maxWallCycles
+  /// mid-transfer: together with run()'s own reset of the per-run
+  /// state, a recycled runner behaves exactly like a fresh one.
+  void recycle(const ckpt::Snapshot& snap) { rig_.recycle(snap); }
 
   /// Execute the workload from the current platform state under
   /// `field` and `scheme`. Returns when the done marker is written and
@@ -164,16 +160,13 @@ class IntermittentRunner {
   RunResult run(const FieldProfile& field, const BackupScheme& scheme,
                 const RunnerConfig& cfg);
 
-  Tl1Soc& soc() { return soc_; }
+  power::CardRig::Soc& soc() { return rig_.soc; }
 
  private:
   void hookCycle();
-  bool quiesced();
 
-  Tl1Soc soc_;
-  power::Tl1PowerModel pm_;
   obs::EnergyLedger ledger_;
-  ckpt::CheckpointRegistry registry_;
+  power::CardRig rig_;
 
   // Per-run state the falling-edge hook reads/writes (plain members:
   // the hook is registered once at construction and gated by

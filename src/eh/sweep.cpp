@@ -92,13 +92,13 @@ SweepOutcome SweepRunner::runVariant(IntermittentRunner& runner,
 std::vector<SweepOutcome> SweepRunner::run(
     const std::vector<SweepVariant>& grid, unsigned threads) const {
   std::vector<SweepOutcome> results(grid.size());
-  // adopt() rewinds every checkpointed section; run() resets the
+  // recycle() rewinds every checkpointed section; run() resets the
   // supply, detector and wall counters it does not carry.
   sim::runWorkers(
       grid.size(), threads,
       [&] { return IntermittentRunner(table_, program_); },
       [&](IntermittentRunner& runner, std::size_t i) {
-        runner.adopt(boot_);
+        runner.recycle(boot_);
         results[i] = runVariant(runner, grid[i]);
       });
   return results;

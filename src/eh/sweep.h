@@ -71,7 +71,7 @@ class SweepRunner {
 
  private:
   /// The intermittent main phase of `v` on a runner already at the
-  /// prelude marker (adopted or booted).
+  /// prelude marker (recycled or booted).
   SweepOutcome runVariant(IntermittentRunner& runner,
                           const SweepVariant& v) const;
 

@@ -3,19 +3,15 @@
 #include <algorithm>
 #include <vector>
 
-#include "bus/tl1_bus.h"
 #include "ckpt/checkpoint.h"
-#include "power/tl1_power_model.h"
+#include "power/card_rig.h"
 #include "sca/capture.h"
 #include "sim/parallel_runner.h"
 #include "sim/rng.h"
-#include "soc/smartcard.h"
 
 namespace sct::sca {
 
 namespace {
-
-using Tl1Soc = soc::SmartCardSoC<bus::Tl1Bus>;
 
 /// The measured-encryption firmware. The prelude loads the session key
 /// (immediates baked into the image — on a real card it would arrive
@@ -72,33 +68,24 @@ CaptureConfig capFor(const CorpusConfig& cfg) {
 
 } // namespace
 
-/// One instrumented platform: SoC + power model + ROI profiler, with
-/// the checkpoint registry covering the SoC's fourteen sections plus
-/// "pm" (the CardInstance discipline — restoring the power model's
-/// accumulators makes every fork's energy stream start from the
-/// identical bit pattern). The profiler itself is NOT checkpointed:
-/// it is per-trace scratch state, reset by beginTrace().
+/// One instrumented platform: a power::CardRig (SoC + power model +
+/// registry over the SoC's sections and "pm") plus the ROI profiler.
+/// The profiler is NOT checkpointed: it is per-trace scratch state,
+/// reset by beginTrace().
 struct TraceRig {
-  Tl1Soc soc;
-  power::Tl1PowerModel pm;
+  power::CardRig card;
   RoiProfiler profiler;
-  ckpt::CheckpointRegistry registry;
 
   TraceRig(const power::SignalEnergyTable& table,
            const soc::AssembledProgram& program, const CaptureConfig& cap)
-      : soc(soc::SocConfig{}),
-        pm(table),
-        profiler(pm, soc.crypto(),
+      : card(table, program),
+        profiler(card.pm, card.soc.crypto(),
                  {{soc::memmap::kCryptoBase, soc::memmap::kSfrWindow}},
                  cap) {
-    // Power model before profiler: the profiler reads the model's
+    // Added after the power model: the profiler reads the model's
     // per-cycle energy at busCycleEnd, which is only final if the
     // model's own busCycleEnd ran first.
-    soc.bus().addObserver(pm);
-    soc.bus().addObserver(profiler);
-    soc.loadProgram(program);
-    soc.registerCheckpoint(registry);
-    registry.add("pm", pm);
+    card.soc.bus().addObserver(profiler);
   }
 };
 
@@ -114,11 +101,11 @@ CorpusRunner::CorpusRunner(const power::SignalEnergyTable& table,
       program_(buildFirmware(cfg.key)),
       boot_([&] {
         TraceRig parent(table_, program_, capFor(cfg));
-        if (!parent.soc.run(500'000)) {
+        if (!parent.card.soc.run(500'000)) {
           throw CorpusError(
               "CorpusRunner: boot firmware did not reach its fork point");
         }
-        return parent.registry.saveAll();
+        return parent.card.registry.saveAll();
       }()) {}
 
 void CorpusRunner::plaintextFor(const CorpusConfig& cfg, std::uint64_t index,
@@ -141,29 +128,30 @@ std::uint64_t CorpusRunner::maskSeedFor(const CorpusConfig& cfg,
 
 TraceRecord CorpusRunner::captureTrace(TraceRig& rig,
                                        std::uint64_t index) const {
-  // The rig may have run other traces: the restore rewinds every
+  // The rig may have run other traces: the recycle rewinds every
   // checkpointed section, and the per-trace state the snapshot does not
   // carry — plaintext, mask stream, profiler — is set below.
-  rig.registry.loadAll(boot_);
+  rig.card.recycle(boot_);
+  power::CardRig::Soc& soc = rig.card.soc;
 
   TraceRecord rec;
   for (int k = 0; k < 4; ++k) rec.meta.key[k] = cfg_.key[k];
   plaintextFor(cfg_, index, rec.meta.plaintext);
   rec.meta.noiseSeed = noiseSeedFor(cfg_, index);
 
-  rig.soc.ram().pokeWord(soc::memmap::kRamBase + 0x20, rec.meta.plaintext[0]);
-  rig.soc.ram().pokeWord(soc::memmap::kRamBase + 0x24, rec.meta.plaintext[1]);
+  soc.ram().pokeWord(soc::memmap::kRamBase + 0x20, rec.meta.plaintext[0]);
+  soc.ram().pokeWord(soc::memmap::kRamBase + 0x24, rec.meta.plaintext[1]);
 
   soc::CryptoCoprocessor::LeakConfig leak = cfg_.leak;
   leak.maskSeed = maskSeedFor(cfg_, index);
-  rig.soc.crypto().setLeakModel(leak);
+  soc.crypto().setLeakModel(leak);
 
   rig.profiler.beginTrace(rec.meta.noiseSeed);
   // reset() clears registers, pipeline and caches to their power-on
   // state — every fork enters `main` from the identical micro-state,
   // which is what makes traces align cycle-for-cycle.
-  rig.soc.cpu().reset(program_.label("main"));
-  if (!rig.soc.run(200'000)) {
+  soc.cpu().reset(program_.label("main"));
+  if (!soc.run(200'000)) {
     throw CorpusError("sca trace " + std::to_string(index) +
                       ": firmware did not halt");
   }
@@ -173,10 +161,8 @@ TraceRecord CorpusRunner::captureTrace(TraceRig& rig,
         std::to_string(rig.profiler.samples().size()) + " of " +
         std::to_string(cfg_.samplesPerTrace) + " samples)");
   }
-  rec.meta.ciphertext[0] =
-      rig.soc.ram().peekWord(soc::memmap::kRamBase + 0x28);
-  rec.meta.ciphertext[1] =
-      rig.soc.ram().peekWord(soc::memmap::kRamBase + 0x2C);
+  rec.meta.ciphertext[0] = soc.ram().peekWord(soc::memmap::kRamBase + 0x28);
+  rec.meta.ciphertext[1] = soc.ram().peekWord(soc::memmap::kRamBase + 0x2C);
   rec.samples = rig.profiler.samples();
   return rec;
 }

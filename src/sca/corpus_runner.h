@@ -55,8 +55,8 @@ struct CorpusConfig {
   std::uint64_t batchTraces = 64;
 };
 
-/// One instrumented platform (SoC + power model + ROI profiler); a
-/// generate() worker builds one and restores it per trace.
+/// One power::CardRig plus its ROI profiler; a generate() worker
+/// builds one and recycles it per trace.
 struct TraceRig;
 
 struct GenerateStats {

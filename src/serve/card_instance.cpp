@@ -73,32 +73,20 @@ const soc::AssembledProgram& applet() {
 } // namespace
 
 CardInstance::CardInstance(const power::SignalEnergyTable& table)
-    : soc_(soc::SocConfig{}), pm_(table) {
-  pm_.attachLedger(ledger_);
-  soc_.bus().addObserver(pm_);
-  // Restoring re-establishes each memory's baseline image first, so
-  // the applet must be loaded before any restore — identically to how
-  // the golden snapshot's source card was prepared.
-  soc_.loadProgram(applet());
-  registerAll();
-}
-
-void CardInstance::registerAll() {
-  soc_.registerCheckpoint(registry_);
-  registry_.add("pm", pm_);
-  registry_.add("ledger", ledger_);
+    : rig_(table, applet()) {
+  rig_.pm.attachLedger(ledger_);
+  rig_.registry.add("ledger", ledger_);
 }
 
 ckpt::Snapshot CardInstance::bootGolden(
     const power::SignalEnergyTable& table) {
   CardInstance card(table);
-  Tl1Soc& soc = card.soc_;
 
   // Warmup: a full GET CHALLENGE round trip. When the response is
   // back, the applet has initialized and re-entered its command-wait
   // loop. (The draw consumes TRNG state before the snapshot, which is
   // fine — every session inherits the identical post-warmup state.)
-  soc::apdu::Session<Tl1Soc> session(soc);
+  soc::apdu::Session<power::CardRig::Soc> session(card.rig_.soc);
   soc::apdu::Command chal;
   chal.ins = soc::apdu::kInsGetChallenge;
   soc::apdu::Response r;
@@ -108,41 +96,10 @@ ckpt::Snapshot CardInstance::bootGolden(
         "reach its command loop)");
   }
 
-  // Hunt the first quiesce point: the wait loop alternates UART status
-  // loads with cached ALU cycles, so cycles with nothing in flight
-  // come around every few instructions. busQuiesced() is the cheap
-  // pre-filter; saveAll() still validates the full platform predicate.
-  std::string lastRefusal;
-  for (int i = 0; i < 200000; ++i) {
-    soc.clock().runCycles(1);
-    if (!soc.cpu().busQuiesced() || soc.bus().outstandingTotal() != 0 ||
-        soc.uart().txBusy()) {
-      continue;
-    }
-    try {
-      return card.registry_.saveAll();
-    } catch (const ckpt::CheckpointError& e) {
-      lastRefusal = e.what();
-    }
-  }
-  throw ckpt::CheckpointError(
-      "CardInstance::bootGolden: no quiesce point within 200000 cycles"
-      + (lastRefusal.empty() ? std::string()
-                             : "; last refusal: " + lastRefusal));
-}
-
-void CardInstance::recycle(const ckpt::Snapshot& golden) {
-  // After a completed session the core is halted (CLA 0xFF) and only
-  // the UART shifter may still be counting down; a fresh instance is
-  // quiesced from the start. Drain whatever remains, then rewind.
-  for (int i = 0; i < 100000; ++i) {
-    if (soc_.cpu().busQuiesced() && soc_.bus().outstandingTotal() == 0 &&
-        !soc_.uart().txBusy()) {
-      break;
-    }
-    soc_.clock().runCycles(1);
-  }
-  registry_.loadAll(golden);
+  // The wait loop alternates UART status loads with cached ALU cycles,
+  // so quiesce points come around every few instructions.
+  return card.rig_.snapshotWhen([] { return true; }, 200'000,
+                                "CardInstance::bootGolden");
 }
 
 SessionOutcome CardInstance::runSession(const std::vector<Step>& steps,
@@ -153,11 +110,12 @@ SessionOutcome CardInstance::runSession(const std::vector<Step>& steps,
     return out;
   }
 
+  power::CardRig::Soc& soc = rig_.soc;
   const obs::LedgerView before = ledger_.view();
-  const std::uint64_t startCycle = soc_.clock().cycle();
-  const std::uint64_t startInstr = soc_.cpu().stats().instructions;
+  const std::uint64_t startCycle = soc.clock().cycle();
+  const std::uint64_t startInstr = soc.cpu().stats().instructions;
 
-  soc::apdu::Session<Tl1Soc> session(soc_);
+  soc::apdu::Session<power::CardRig::Soc> session(soc);
   out.ok = true;
   out.expected = true;
   for (std::size_t i = 0; i < steps.size(); ++i) {
@@ -177,16 +135,10 @@ SessionOutcome CardInstance::runSession(const std::vector<Step>& steps,
   // (the ledger total and the deferred cycle sum agree there). The
   // final end-of-session command halted the core; only the UART
   // shifter can still be live.
-  for (int i = 0; i < 100000; ++i) {
-    if (soc_.cpu().busQuiesced() && soc_.bus().outstandingTotal() == 0 &&
-        !soc_.uart().txBusy()) {
-      break;
-    }
-    soc_.clock().runCycles(1);
-  }
+  rig_.settle(power::CardRig::kSettleCycles);
 
-  out.cycles = soc_.clock().cycle() - startCycle;
-  out.instructions = soc_.cpu().stats().instructions - startInstr;
+  out.cycles = soc.clock().cycle() - startCycle;
+  out.instructions = soc.cpu().stats().instructions - startInstr;
   out.energy = obs::delta(ledger_.view(), before);
   return out;
 }

@@ -6,7 +6,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -333,12 +332,21 @@ int runStdinDaemon(ServeEngine& engine, std::FILE* in, std::FILE* out,
   return 0;
 }
 
+/// A client's socket, owned jointly by the poll loop and every sink
+/// that may still send it a result. The fd closes with its last owner,
+/// so its number cannot be handed to a new client while a late result
+/// could still be sent through it.
+struct SocketFd {
+  explicit SocketFd(int f) : fd(f) {}
+  SocketFd(const SocketFd&) = delete;
+  SocketFd& operator=(const SocketFd&) = delete;
+  ~SocketFd() { ::close(fd); }
+  const int fd;
+};
+
 struct SocketClient {
-  int fd = -1;
+  std::shared_ptr<const SocketFd> sock;
   LineBuffer in;
-  /// Cleared when the client disconnects; late results for its jobs
-  /// are dropped instead of writing to a dead (possibly reused) fd.
-  std::shared_ptr<std::atomic<bool>> open;
 };
 
 int runSocketDaemon(ServeEngine& engine, const std::string& path,
@@ -372,7 +380,9 @@ int runSocketDaemon(ServeEngine& engine, const std::string& path,
   while (!*stop) {
     std::vector<pollfd> fds;
     fds.push_back({listenFd, POLLIN, 0});
-    for (const SocketClient& c : clients) fds.push_back({c.fd, POLLIN, 0});
+    for (const SocketClient& c : clients) {
+      fds.push_back({c.sock->fd, POLLIN, 0});
+    }
     const int pr = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 100);
     if (pr < 0) {
       if (errno == EINTR) continue;
@@ -383,10 +393,7 @@ int runSocketDaemon(ServeEngine& engine, const std::string& path,
     if (fds[0].revents & POLLIN) {
       const int cfd = ::accept(listenFd, nullptr, nullptr);
       if (cfd >= 0) {
-        SocketClient c;
-        c.fd = cfd;
-        c.open = std::make_shared<std::atomic<bool>>(true);
-        clients.push_back(std::move(c));
+        clients.push_back({std::make_shared<const SocketFd>(cfd), {}});
         continue;  // Re-poll with the new fd included.
       }
     }
@@ -394,24 +401,23 @@ int runSocketDaemon(ServeEngine& engine, const std::string& path,
     for (std::size_t i = 0; i < clients.size();) {
       SocketClient& c = clients[i];
       const short revents = fds[i + 1].revents;
-      bool dead = (revents & (POLLHUP | POLLERR)) != 0;
-      if (!dead && (revents & POLLIN)) {
+      bool dead = (revents & POLLERR) != 0;
+      // A client that sent its jobs and hung up reports POLLHUP with
+      // the jobs still unread: read on until recv() returns 0.
+      if (!dead && (revents & (POLLIN | POLLHUP))) {
         char chunk[4096];
-        const ssize_t n = ::recv(c.fd, chunk, sizeof(chunk), 0);
+        const ssize_t n = ::recv(c.sock->fd, chunk, sizeof(chunk), 0);
         if (n > 0) {
-          const int cfd = c.fd;
-          const std::shared_ptr<std::atomic<bool>> open = c.open;
-          const ServeEngine::Sink sink = [cfd,
-                                          open](const std::string& result) {
-            if (!open->load()) return;
-            std::string full = result;
-            full.push_back('\n');
-            // Best-effort: a client that vanished mid-session just
-            // loses its line (MSG_NOSIGNAL keeps EPIPE an errno).
-            const ssize_t rc =
-                ::send(cfd, full.data(), full.size(), MSG_NOSIGNAL);
-            (void)rc;
-          };
+          const ServeEngine::Sink sink =
+              [sock = c.sock](const std::string& result) {
+                std::string full = result;
+                full.push_back('\n');
+                // Best-effort: a client that vanished mid-session just
+                // loses its line (MSG_NOSIGNAL keeps EPIPE an errno).
+                const ssize_t rc = ::send(sock->fd, full.data(), full.size(),
+                                          MSG_NOSIGNAL);
+                (void)rc;
+              };
           drainLines(
               c.in, chunk, static_cast<std::size_t>(n),
               [&](const std::string& line) { engine.submitLine(line, sink); },
@@ -421,8 +427,9 @@ int runSocketDaemon(ServeEngine& engine, const std::string& path,
         }
       }
       if (dead) {
-        c.open->store(false);
-        ::close(c.fd);
+        // Sinks of its queued jobs still hold the fd: end the
+        // connection now, let the last holder close the number.
+        ::shutdown(c.sock->fd, SHUT_RDWR);
         clients.erase(clients.begin() + static_cast<long>(i));
         // fds is stale now; break to re-poll.
         break;
@@ -433,10 +440,7 @@ int runSocketDaemon(ServeEngine& engine, const std::string& path,
 
   const std::size_t dropped = engine.cancelPending();
   engine.drain();
-  for (SocketClient& c : clients) {
-    c.open->store(false);
-    ::close(c.fd);
-  }
+  clients.clear();  // Drop the poll loop's hold on every client fd.
   ::close(listenFd);
   ::unlink(path.c_str());
   writeSummary(out, engine, dropped);

@@ -83,7 +83,7 @@ class MipsCore final : public sim::Module {
   /// True when the core has nothing in flight on the bus: no submitted
   /// instruction fetch or load, no store draining. This is the CPU half
   /// of the platform quiesce predicate checkpoints enforce; pollers
-  /// (the serve recycle loop) combine it with the bus's own
+  /// (power::CardRig::quiesced) combine it with the bus's own
   /// outstandingTotal() == 0 instead of try/catching CheckpointError
   /// every cycle.
   bool busQuiesced() const {

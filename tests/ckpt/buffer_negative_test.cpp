@@ -39,7 +39,7 @@ struct Blob {
 std::vector<std::uint8_t> blobBuffer(Blob& blob) {
   ckpt::CheckpointRegistry reg;
   reg.add("blob", blob);
-  return reg.saveAll().saveToBuffer();
+  return reg.saveAll().serialize();
 }
 
 /// EXPECT_THROW plus a substring check on the message.
@@ -58,7 +58,7 @@ TEST(SnapshotBufferNegative, BadMagicIsRejected) {
   Blob blob;
   std::vector<std::uint8_t> buf = blobBuffer(blob);
   buf[0] ^= 0xFF;
-  expectRefusal([&] { ckpt::Snapshot::loadFromBuffer(buf); }, "bad magic");
+  expectRefusal([&] { ckpt::Snapshot::deserialize(buf); }, "bad magic");
 }
 
 TEST(SnapshotBufferNegative, UnsupportedFormatVersionIsRejected) {
@@ -66,7 +66,7 @@ TEST(SnapshotBufferNegative, UnsupportedFormatVersionIsRejected) {
   std::vector<std::uint8_t> buf = blobBuffer(blob);
   // The u32 after the 8-byte magic is the format version (LE).
   buf[8] = 0x7F;
-  expectRefusal([&] { ckpt::Snapshot::loadFromBuffer(buf); },
+  expectRefusal([&] { ckpt::Snapshot::deserialize(buf); },
                 "unsupported checkpoint format version 127");
 }
 
@@ -78,11 +78,11 @@ TEST(SnapshotBufferNegative, EveryTruncationPointIsRejected) {
   for (std::size_t n = 0; n < buf.size(); ++n) {
     SCOPED_TRACE(n);
     const std::vector<std::uint8_t> cut(buf.begin(), buf.begin() + n);
-    EXPECT_THROW(ckpt::Snapshot::loadFromBuffer(cut),
+    EXPECT_THROW(ckpt::Snapshot::deserialize(cut),
                  ckpt::CheckpointError);
   }
   // The full buffer parses (the loop above really covered everything).
-  EXPECT_NO_THROW(ckpt::Snapshot::loadFromBuffer(buf));
+  EXPECT_NO_THROW(ckpt::Snapshot::deserialize(buf));
 }
 
 TEST(SnapshotBufferNegative, CorruptedSectionLengthIsRejected) {
@@ -97,7 +97,7 @@ TEST(SnapshotBufferNegative, CorruptedSectionLengthIsRejected) {
   std::vector<std::uint8_t> oversized = buf;
   oversized[lenPos] = 0xFF;
   oversized[lenPos + 1] = 0xFF;
-  expectRefusal([&] { ckpt::Snapshot::loadFromBuffer(oversized); },
+  expectRefusal([&] { ckpt::Snapshot::deserialize(oversized); },
                 "truncated");
 
   // Near 4 GiB: refused before the payload buffer is sized (the
@@ -105,13 +105,13 @@ TEST(SnapshotBufferNegative, CorruptedSectionLengthIsRejected) {
   std::vector<std::uint8_t> huge = buf;
   huge[lenPos] = 0xF0;
   huge[lenPos + 1] = huge[lenPos + 2] = huge[lenPos + 3] = 0xFF;
-  expectRefusal([&] { ckpt::Snapshot::loadFromBuffer(huge); },
+  expectRefusal([&] { ckpt::Snapshot::deserialize(huge); },
                 "section 'blob' truncated: claims 4294967280 payload bytes");
 
   // Undersized: the unclaimed payload tail becomes trailing garbage.
   std::vector<std::uint8_t> undersized = buf;
   undersized[lenPos] -= 1;
-  expectRefusal([&] { ckpt::Snapshot::loadFromBuffer(undersized); },
+  expectRefusal([&] { ckpt::Snapshot::deserialize(undersized); },
                 "trailing bytes");
 }
 
@@ -122,7 +122,7 @@ TEST(SnapshotBufferNegative, DuplicateSectionTagIsRejected) {
   std::vector<std::uint8_t> two = one;
   two[12] = 2;  // Section count (LE u32 after magic and format).
   two.insert(two.end(), one.begin() + 16, one.end());
-  expectRefusal([&] { ckpt::Snapshot::loadFromBuffer(two); },
+  expectRefusal([&] { ckpt::Snapshot::deserialize(two); },
                 "duplicate checkpoint section tag 'blob'");
 }
 
@@ -143,22 +143,22 @@ TEST(SnapshotBufferNegative, TrailingGarbageIsRejected) {
   Blob blob;
   std::vector<std::uint8_t> buf = blobBuffer(blob);
   buf.push_back(0x00);
-  expectRefusal([&] { ckpt::Snapshot::loadFromBuffer(buf); },
+  expectRefusal([&] { ckpt::Snapshot::deserialize(buf); },
                 "trailing bytes");
 }
 
 TEST(SnapshotBufferNegative, VersionSkewThroughTheBufferPath) {
   // A snapshot written by a "newer" component layout must be refused
-  // by name when adopted through loadFromBuffer + loadAll.
+  // by name when adopted through deserialize + loadAll.
   Blob writer;
   ckpt::CheckpointRegistry newer;
   newer.add("blob", writer, Blob::kCkptVersion + 1);
-  const std::vector<std::uint8_t> buf = newer.saveAll().saveToBuffer();
+  const std::vector<std::uint8_t> buf = newer.saveAll().serialize();
 
   Blob reader;
   ckpt::CheckpointRegistry current;
   current.add("blob", reader);
-  const ckpt::Snapshot snap = ckpt::Snapshot::loadFromBuffer(buf);
+  const ckpt::Snapshot snap = ckpt::Snapshot::deserialize(buf);
   expectRefusal([&] { current.loadAll(snap); }, "'blob' version skew");
 }
 

@@ -1,11 +1,9 @@
-// In-memory Snapshot round trip (saveToBuffer / loadFromBuffer).
+// In-memory Snapshot round trip (serialize / deserialize).
 //
-// The serve instance pool restores thousands of sessions per second
-// from one boot snapshot; a file round-trip per restore would dominate
-// the recycle cost. These tests pin down that the in-memory buffer is
-// BYTE-IDENTICAL to the on-disk format — the same bytes saveFile
-// writes and loadFile parses — using both a freshly built SoC
-// checkpoint and the checked-in golden boot file.
+// These tests pin down that the in-memory bytes are BYTE-IDENTICAL to
+// the on-disk format — the same bytes saveFile writes and loadFile
+// parses — using both a freshly built SoC checkpoint and the
+// checked-in golden boot file.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -54,8 +52,8 @@ ckpt::Snapshot bootSnapshot() {
 
 TEST(SnapshotBuffer, RoundTripPreservesEverySection) {
   const ckpt::Snapshot snap = bootSnapshot();
-  const std::vector<std::uint8_t> buf = snap.saveToBuffer();
-  const ckpt::Snapshot back = ckpt::Snapshot::loadFromBuffer(buf);
+  const std::vector<std::uint8_t> buf = snap.serialize();
+  const ckpt::Snapshot back = ckpt::Snapshot::deserialize(buf);
 
   ASSERT_EQ(back.sections().size(), snap.sections().size());
   for (std::size_t i = 0; i < snap.sections().size(); ++i) {
@@ -64,7 +62,7 @@ TEST(SnapshotBuffer, RoundTripPreservesEverySection) {
     EXPECT_EQ(back.sections()[i].payload, snap.sections()[i].payload);
   }
   // Re-serializing the parsed snapshot reproduces the identical bytes.
-  EXPECT_EQ(back.saveToBuffer(), buf);
+  EXPECT_EQ(back.serialize(), buf);
 }
 
 TEST(SnapshotBuffer, BufferBytesMatchOnDiskFormat) {
@@ -75,20 +73,19 @@ TEST(SnapshotBuffer, BufferBytesMatchOnDiskFormat) {
   std::remove(path.c_str());
 
   ASSERT_FALSE(onDisk.empty());
-  EXPECT_EQ(snap.saveToBuffer(), onDisk)
-      << "saveToBuffer and saveFile diverged: the in-memory path is no "
+  EXPECT_EQ(snap.serialize(), onDisk)
+      << "serialize and saveFile diverged: the in-memory path is no "
          "longer the on-disk format";
 }
 
 TEST(SnapshotBuffer, GoldenFileLoadsFromRawBytes) {
   // The checked-in golden boot checkpoint must parse identically via
-  // loadFile and via loadFromBuffer of the raw file bytes — the serve
-  // pool adopts snapshots through the buffer path only.
+  // loadFile and via deserialize of the raw file bytes.
   const std::vector<std::uint8_t> raw = readFileBytes(kGoldenPath);
   ASSERT_FALSE(raw.empty()) << "golden file missing: " << kGoldenPath;
 
   const ckpt::Snapshot viaFile = ckpt::Snapshot::loadFile(kGoldenPath);
-  const ckpt::Snapshot viaBuffer = ckpt::Snapshot::loadFromBuffer(raw);
+  const ckpt::Snapshot viaBuffer = ckpt::Snapshot::deserialize(raw);
 
   ASSERT_EQ(viaBuffer.sections().size(), viaFile.sections().size());
   for (std::size_t i = 0; i < viaFile.sections().size(); ++i) {
@@ -96,14 +93,14 @@ TEST(SnapshotBuffer, GoldenFileLoadsFromRawBytes) {
     EXPECT_EQ(viaBuffer.sections()[i].payload,
               viaFile.sections()[i].payload);
   }
-  EXPECT_EQ(viaBuffer.saveToBuffer(), raw)
+  EXPECT_EQ(viaBuffer.serialize(), raw)
       << "golden bytes did not survive a buffer round trip";
 }
 
 TEST(SnapshotBuffer, TruncatedBufferIsRejected) {
-  const std::vector<std::uint8_t> buf = bootSnapshot().saveToBuffer();
+  const std::vector<std::uint8_t> buf = bootSnapshot().serialize();
   std::vector<std::uint8_t> cut(buf.begin(), buf.begin() + buf.size() / 2);
-  EXPECT_THROW(ckpt::Snapshot::loadFromBuffer(cut), ckpt::CheckpointError);
+  EXPECT_THROW(ckpt::Snapshot::deserialize(cut), ckpt::CheckpointError);
 }
 
 } // namespace

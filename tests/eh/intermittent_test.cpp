@@ -7,7 +7,8 @@
 //    overhead,
 //  * the whole attempt is bit-identical run-to-run (energy doubles
 //    compared exactly), and
-//  * a supply collapse with the detector disabled is a hard death.
+//  * a supply collapse with the detector disabled is a hard death, and
+//    the restore after it drains whatever the dead core left in flight.
 #include "eh/intermittent_runner.h"
 
 #include <gtest/gtest.h>
@@ -258,6 +259,35 @@ TEST(Intermittent, DeadFieldWithBlindDetectorIsAHardDeath) {
   EXPECT_EQ(r.backups, 0u);
   EXPECT_EQ(r.wallCycles, cfg.maxWallCycles);
   EXPECT_GT(r.deadCycles, 0u);
+}
+
+TEST(Intermittent, HardDeathMidTransferRestoresTheLastBackup) {
+  const power::SignalEnergyTable table = fixedTable();
+  const soc::AssembledProgram program = eh::cryptoWorkload(kBlocks);
+  // The run starts in the dark phase with a blind detector, so the
+  // supply collapses wherever the core happens to be, bus transfers in
+  // flight included. When the field returns, the runner must drain the
+  // dead platform and restore backup #0.
+  eh::SquareBurstField field(3.0, 6000, 6000, /*phase=*/6000);
+  eh::ThresholdScheme scheme;
+  eh::RunnerConfig cfg = starvedConfig();
+  cfg.brownout.debounceCycles = 1'000'000'000;  // detector never trips
+  cfg.brownout.guardCycles = 0;
+  cfg.maxWallCycles = 40'000;
+
+  eh::IntermittentRunner runner(table, program);
+  eh::RunResult r;
+  ASSERT_NO_THROW(r = runner.run(field, scheme, cfg));
+  EXPECT_GE(r.hardDeaths, 1u);
+  EXPECT_GE(r.restores, 1u);
+  EXPECT_GT(r.replayedCycles, 0u);
+  EXPECT_EQ(r.backups, 0u);
+  // Draining the dead core costs no wall time.
+  EXPECT_EQ(r.activeCycles + r.deadCycles + r.overheadCycles,
+            r.wallCycles);
+
+  eh::IntermittentRunner again(table, program);
+  expectBitIdentical(r, again.run(field, scheme, cfg));
 }
 
 TEST(Intermittent, PublishRunObsExportsTheHeadlineCounters) {

@@ -143,6 +143,30 @@ TEST(EhSweep, ForkAdoptedEqualsBootPerVariant) {
   }
 }
 
+TEST(EhSweep, VariantStoppedByTheWallCapLeavesItsRunnerRecyclable) {
+  // A cap this short stops every variant mid-run, bus transfers in
+  // flight; the next variant on the same runner must still restore and
+  // match a runner booted for it alone.
+  eh::RunnerConfig cfg = testConfig();
+  cfg.maxWallCycles = 101;
+  const power::SignalEnergyTable table = fixedTable();
+  eh::SweepRunner sweep(table, kBlocks, cfg);
+  const std::vector<eh::SweepVariant> cells = {{"threshold", "constant", 1},
+                                               {"quiesce", "burst", 2},
+                                               {"parametric", "swipe", 3},
+                                               {"threshold", "noisy", 4}};
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    std::vector<eh::SweepOutcome> recycled;
+    ASSERT_NO_THROW(recycled = sweep.run(cells, threads));
+    ASSERT_EQ(recycled.size(), cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      SCOPED_TRACE(cells[i].scheme + "/" + cells[i].profile);
+      expectIdentical(recycled[i], sweep.runFromBoot(cells[i]));
+    }
+  }
+}
+
 TEST(EhSweep, RunnerBuiltFromATemporaryTableKeepsItsOwnCopy) {
   // The runner copies its coefficient table, so one built from a
   // temporary still prices run() with live coefficients.
@@ -168,7 +192,7 @@ TEST(EhSweep, RepeatedSweepsAreReproducible) {
   eh::SweepRunner s1(table, kBlocks, testConfig());
   eh::SweepRunner s2(table, kBlocks, testConfig());
   // Independent parents produce the same boot snapshot bytes...
-  EXPECT_EQ(s1.snapshot().saveToBuffer(), s2.snapshot().saveToBuffer());
+  EXPECT_EQ(s1.snapshot().serialize(), s2.snapshot().serialize());
   // ...and the same sweep outcomes.
   const auto a = s1.run(cell, 1);
   const auto b = s2.run(cell, 2);

@@ -11,16 +11,23 @@
 //
 // Line cap: a job line past the 1 MiB limit is refused with one error
 // line and discarded, and the job after it is still served.
+//
+// Socket mode: each client gets only its own result lines, also when
+// an earlier client hung up with its jobs still queued.
 #include <gtest/gtest.h>
 
 #include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "serve/json.h"
@@ -34,7 +41,11 @@ struct DaemonRun {
   int fromChild = -1;  ///< Read end of the daemon's stdout.
 };
 
-DaemonRun spawnDaemon() {
+DaemonRun spawnDaemon(std::vector<std::string> args = {"--workers", "2",
+                                                      "--table", "fixed"}) {
+  std::vector<char*> argv = {const_cast<char*>(SCT_SERVE_BIN)};
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
   int inPipe[2];
   int outPipe[2];
   if (pipe(inPipe) != 0 || pipe(outPipe) != 0) {
@@ -49,8 +60,7 @@ DaemonRun spawnDaemon() {
     close(inPipe[1]);
     close(outPipe[0]);
     close(outPipe[1]);
-    execl(SCT_SERVE_BIN, SCT_SERVE_BIN, "--workers", "2", "--table",
-          "fixed", static_cast<char*>(nullptr));
+    execv(SCT_SERVE_BIN, argv.data());
     _exit(127);
   }
   close(inPipe[0]);
@@ -224,6 +234,98 @@ TEST(ServeDaemon, OverlongLineIsRefusedAndServingContinues) {
   EXPECT_EQ(done.find("event")->asString(), "done");
   EXPECT_EQ(done.find("completed")->asNumber(), 1.0);
   EXPECT_EQ(done.find("errors")->asNumber(), 1.0);
+}
+
+/// Connect to the daemon's unix socket, retrying while it boots its
+/// golden snapshot. Returns -1 on timeout.
+int connectWhenListening(const std::string& path) {
+  sockaddr_un addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  for (int waitedMs = 0; waitedMs < 120000; waitedMs += 10) {
+    const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) return -1;
+    if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
+      return fd;
+    }
+    close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return -1;
+}
+
+std::string jobLines(const std::string& prefix, int count) {
+  std::string jobs;
+  for (int i = 0; i < count; ++i) {
+    jobs += "{\"id\":\"" + prefix + std::to_string(i) +
+            "\",\"scenario\":\"auth\",\"seed\":" + std::to_string(i) +
+            "}\n";
+  }
+  return jobs;
+}
+
+TEST(ServeDaemon, SocketClientsGetOnlyTheirOwnLines) {
+  const std::string path = ::testing::TempDir() + "sct_serve_" +
+                           std::to_string(getpid()) + ".sock";
+  DaemonRun run = spawnDaemon(
+      {"--workers", "1", "--table", "fixed", "--socket", path});
+  ASSERT_GT(run.pid, 0);
+
+  // Client A queues 300 jobs and hangs up without reading: its results
+  // go nowhere, and its fd must not be reused while they are sent.
+  const int a = connectWhenListening(path);
+  ASSERT_GE(a, 0) << "daemon never listened on " << path;
+  writeAll(a, jobLines("a", 300));
+  close(a);
+
+  // Client B, likely given A's fd number, must read exactly its own two
+  // results, queued behind A's.
+  const int b = connectWhenListening(path);
+  ASSERT_GE(b, 0);
+  writeAll(b, jobLines("b", 2));
+  std::string got;
+  char chunk[4096];
+  while (splitLines(got).size() < 2) {
+    struct pollfd p;
+    p.fd = b;
+    p.events = POLLIN;
+    p.revents = 0;
+    ASSERT_GT(poll(&p, 1, 120000), 0) << "client B got no results";
+    const ssize_t n = read(b, chunk, sizeof(chunk));
+    ASSERT_GT(n, 0) << "daemon closed client B early";
+    got.append(chunk, static_cast<std::size_t>(n));
+  }
+
+  ASSERT_EQ(kill(run.pid, SIGTERM), 0);
+  got += readAll(b);  // The daemon closes B on shutdown.
+  close(b);
+  const std::string out = readAll(run.fromChild);
+  close(run.fromChild);
+  close(run.toChild);
+  int status = 0;
+  ASSERT_EQ(waitpid(run.pid, &status, 0), run.pid);
+  EXPECT_TRUE(WIFEXITED(status)) << "daemon did not exit (killed?)";
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+
+  std::vector<std::string> ids;
+  for (const std::string& line : splitLines(got)) {
+    SCOPED_TRACE(line);
+    serve::JsonValue v;
+    ASSERT_NO_THROW(v = serve::parseJson(line));
+    EXPECT_EQ(v.find("event")->asString(), "result");
+    ids.push_back(v.find("id")->asString());
+  }
+  EXPECT_EQ(ids, (std::vector<std::string>{"b0", "b1"}));
+
+  // Stdout carries only the summary; every job was served or dropped.
+  const std::vector<std::string> lines = splitLines(out);
+  ASSERT_EQ(lines.size(), 1u) << out;
+  const serve::JsonValue done = serve::parseJson(lines[0]);
+  EXPECT_EQ(done.find("event")->asString(), "done");
+  EXPECT_EQ(done.find("completed")->asNumber() +
+                done.find("dropped")->asNumber(),
+            302.0);
 }
 
 } // namespace
