@@ -98,7 +98,8 @@ int main(int argc, char** argv) {
       seg.addRow({std::to_string(shown),
                   kcyc(s.wallEnd - s.wallStart),
                   kcyc(s.simEnd - s.simStart),
-                  Table::num(s.energy.total, 1)});
+                  Table::num(
+                      sct::bus::toFemtojoules(s.energy.total_aJ()), 1)});
     }
     seg.print(std::cout);
     break;

@@ -190,21 +190,24 @@ int main(int argc, char** argv) {
   }
 
   // --- Paper-style attribution tables --------------------------------
-  const double total = ledger.total_fJ();
+  const auto fJ = [](std::uint64_t aJ) { return bus::toFemtojoules(aJ); };
+  const double total = fJ(ledger.total_aJ());
   std::printf("total energy: %.1f fJ over %llu bus cycles "
               "(ledger reconciles model total bit-identically: %s)\n\n",
               total,
               static_cast<unsigned long long>(ecbus.stats().cycles),
-              ledger.total_fJ() == pm.totalEnergy_fJ() ? "yes" : "NO");
+              ledger.total_aJ() == pm.totalEnergy_aJ() ? "yes" : "NO");
 
+  const auto addRow = [&](trace::Table& t, std::string name,
+                          std::uint64_t aJ) {
+    t.addRow({std::move(name), trace::Table::num(fJ(aJ)),
+              trace::Table::pct(total > 0 ? fJ(aJ) / total : 0.0)});
+  };
   {
     trace::Table t({"class", "energy [fJ]", "share"});
     for (std::size_t c = 0; c < obs::kTxClassCount; ++c) {
       const auto cls = static_cast<obs::TxClass>(c);
-      t.addRow({obs::txClassName(cls),
-                trace::Table::num(ledger.byClass_fJ(cls)),
-                trace::Table::pct(total > 0 ? ledger.byClass_fJ(cls) / total
-                                            : 0.0)});
+      addRow(t, obs::txClassName(cls), ledger.byClass_aJ(cls));
     }
     t.print(std::cout);
     std::cout << "\n";
@@ -212,21 +215,14 @@ int main(int argc, char** argv) {
   {
     trace::Table t({"slave", "energy [fJ]", "share"});
     const char* names[] = {"ram", "eeprom"};
-    for (int s = 0; s < 2; ++s) {
-      t.addRow({names[s], trace::Table::num(ledger.bySlave_fJ(s)),
-                trace::Table::pct(total > 0 ? ledger.bySlave_fJ(s) / total
-                                            : 0.0)});
-    }
+    for (int s = 0; s < 2; ++s) addRow(t, names[s], ledger.bySlave_aJ(s));
     t.print(std::cout);
     std::cout << "\n";
   }
   {
     trace::Table t({"signal bundle", "energy [fJ]", "share"});
     for (const bus::SignalInfo& s : bus::kSignalTable) {
-      t.addRow({std::string(s.name),
-                trace::Table::num(ledger.byBundle_fJ(s.id)),
-                trace::Table::pct(total > 0 ? ledger.byBundle_fJ(s.id) / total
-                                            : 0.0)});
+      addRow(t, std::string(s.name), ledger.byBundle_aJ(s.id));
     }
     t.print(std::cout);
     std::cout << "\n";

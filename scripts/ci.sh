@@ -9,7 +9,9 @@
 # workload, minimal timing — proves the bench binary and its JSON
 # output stay alive, measures nothing).
 # Pass 2 — the same suite under AddressSanitizer + UndefinedBehavior-
-# Sanitizer (the SCT_SANITIZE option; it disables LTO itself).
+# Sanitizer (the SCT_SANITIZE option; it disables LTO itself). UBSan
+# is fatal there (-fno-sanitize-recover=all) and includes
+# float-cast-overflow, so any report fails the test that caused it.
 # Pass 3 — ThreadSanitizer over the labels whose tests run workers with
 # threads > 1: the fork sweeps (ckpt, sca, eh, enc), whose workers share
 # one index counter and each own a recycled rig, and the serve engine

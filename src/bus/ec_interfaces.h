@@ -25,17 +25,17 @@ class EcInstrIf {
   virtual ~EcInstrIf() = default;
   /// Submit or poll an instruction fetch. Call every cycle with the same
   /// payload until Ok or Error is returned.
+  ///
+  /// Stage contract (EcDataIf and Tl2MasterIf share it): every
+  /// implementation advances req.stage to Finished on its own, from its
+  /// bus process or from nextFinishCycle(), and treats polls of any
+  /// other non-Idle stage as side-effect-free Waits. Masters may
+  /// therefore skip the poll until the public stage field reads
+  /// Finished. The pickup poll of a Finished payload is exactly
+  /// `result = req.result; req.stage = Idle; return result`, so a
+  /// master may collect a published result directly from the payload
+  /// without the poll call.
   virtual BusStatus fetch(Tl1Request& req) = 0;
-  /// True if the implementation advances req.stage to Finished on its
-  /// own (from its bus process) and treats polls of any other non-Idle
-  /// stage as side-effect-free Waits. Masters may then skip the poll
-  /// until the public stage field reads Finished — and, because every
-  /// stage-publishing implementation serves the pickup poll of a
-  /// Finished payload as exactly `result = req.result; req.stage =
-  /// Idle; return result`, a master may collect a published result
-  /// directly from the payload without the poll call. Adapters that
-  /// need the poll itself to make progress keep the default false.
-  virtual bool publishesStage() const { return false; }
   /// Static property: true if nextFinishCycle() can ever answer with a
   /// prediction (anything but kFinishUnknown) during this object's
   /// lifetime. When false, masters may skip the completion-prediction
@@ -67,8 +67,6 @@ class EcDataIf {
   virtual ~EcDataIf() = default;
   virtual BusStatus read(Tl1Request& req) = 0;
   virtual BusStatus write(Tl1Request& req) = 0;
-  /// See EcInstrIf::publishesStage().
-  virtual bool publishesStage() const { return false; }
   /// See EcInstrIf::nextFinishCycle().
   virtual std::uint64_t nextFinishCycle() { return kFinishUnknown; }
   /// See EcInstrIf::predictsFinish().
@@ -84,10 +82,9 @@ class Tl2MasterIf {
  public:
   virtual ~Tl2MasterIf() = default;
   /// Submit or poll a transaction. A burst is a single transaction.
+  /// The stage contract of EcInstrIf::fetch holds for Tl2Request::stage.
   virtual BusStatus read(Tl2Request& req) = 0;
   virtual BusStatus write(Tl2Request& req) = 0;
-  /// See EcInstrIf::publishesStage() (here for Tl2Request::stage).
-  virtual bool publishesStage() const { return false; }
   /// Wake-on-completion hint: the earliest bus cycle at which any
   /// accepted transaction will reach stage Finished, kFinishNone when
   /// nothing is in flight, or kFinishUnknown when the implementation

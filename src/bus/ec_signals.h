@@ -96,6 +96,16 @@ constexpr unsigned totalWireCount() {
   return n;
 }
 
+/// Simulated bus energy is counted in whole attojoules (aJ) as
+/// std::uint64_t, from the per-signal coefficient through every model
+/// total and ledger split, so sums are exact whatever their order. This
+/// is the one conversion to the femtojoule doubles that reports print.
+/// The division is correctly rounded, so a total that is a whole
+/// number of aJ reads the same as an exact femtojoule sum would.
+constexpr double toFemtojoules(std::uint64_t aJ) {
+  return static_cast<double>(aJ) / 1000.0;
+}
+
 /// Value mask for a bundle (all defined bits set).
 constexpr std::uint64_t signalMask(SignalId id) {
   const unsigned w = signalWidth(id);

@@ -92,9 +92,6 @@ class Tl1Bus final : public sim::Module, public EcInstrIf, public EcDataIf {
   BusStatus fetch(Tl1Request& req) override;
   BusStatus read(Tl1Request& req) override;
   BusStatus write(Tl1Request& req) override;
-  // The bus process moves req.stage to Finished itself; intermediate
-  // polls are side-effect-free, so masters may gate on the stage field.
-  bool publishesStage() const override { return true; }
   /// Completion epoch (see EcInstrIf::finishEpoch): bumped by finish(),
   /// i.e. exactly when a Finished payload becomes collectable and when
   /// an outstanding class slot frees — the only two events a

@@ -33,7 +33,7 @@ void Tl1FrameEnergy::noteBeatOwners(const DataBeatInfo& info, bool isWrite) {
   }
 }
 
-double Tl1FrameEnergy::packedCycleEnergy() {
+std::uint64_t Tl1FrameEnergy::packedCycleEnergy() {
   ++packedLaneCycles_;
   // Pass 1 — packed lanes: shadow and current frame are contiguous
   // 64-bit lane arrays; XOR them in bulk and record which lanes
@@ -49,8 +49,7 @@ double Tl1FrameEnergy::packedCycleEnergy() {
   // counts every lane at once; the changed-lane bitmap falls out of the
   // test-against-zero mask, and the shadow update is a wholesale frame
   // copy (unchanged lanes are overwritten with the value they already
-  // hold). Counting order does not matter here — only the pricing walk
-  // below touches the accumulators, in ascending lane order as always.
+  // hold).
   {
     static_assert(kSignalCount == 16, "strips assume a 16-lane frame");
     const __m512i s0 = _mm512_loadu_si512(shadow_.data());
@@ -94,22 +93,13 @@ double Tl1FrameEnergy::packedCycleEnergy() {
     shadow_[k] = cur[k];
   }
 #endif
-  // Pass 2 — price the changed lanes in ascending bundle-index order:
-  // exactly the term sequence the scalar dirty-walk produces (it skips
-  // diff == 0 bundles too), so `e` and the ledger stay bit-identical.
-  double e = 0.0;
+  // Pass 2 — price the changed lanes, the same terms the scalar
+  // dirty-walk adds (it skips diff == 0 bundles too).
+  std::uint64_t e = 0;
   while (nz != 0) {
     const unsigned k = static_cast<unsigned>(std::countr_zero(nz));
     nz &= nz - 1;
-    const unsigned n = static_cast<unsigned>(cnt[k]);
-    transitions_[k] += n;
-    e += coeff_[k] * static_cast<double>(n);
-    if (ledger_ != nullptr) {
-      ledger_->addDeferred(static_cast<SignalId>(k),
-                           static_cast<obs::TxClass>(ownerClass_[k]),
-                           ownerSlave_[k], master_,
-                           coeff_[k] * static_cast<double>(n));
-    }
+    e += price(k, static_cast<unsigned>(cnt[k]));
   }
   return e;
 }

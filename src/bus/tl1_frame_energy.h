@@ -8,15 +8,17 @@
 // the engine directly from its phases and the per-event info structs
 // and touch chains inline away. The engine is deliberately
 // power-agnostic at the interface level — it takes the characterized
-// per-signal coefficients as a plain array, so bus/ stays independent
-// of power/.
+// per-signal coefficients as a plain array of whole attojoules, so bus/
+// stays independent of power/.
 //
-// Semantics are exactly the observer-path implementation that
-// previously lived inside Tl1PowerModel (same touch/strobe lazy
-// deassertion, same scalar dirty-walk and packed-lane pass, same
-// accumulation order), so the produced energy, transition counts and
-// ledger entries are bit-identical whichever path drives it — the
-// equivalence suite pins that down.
+// Energy is an integer: each changed bundle costs its coefficient times
+// its popcount, in aJ, summed in std::uint64_t. Integer addition is
+// associative, so the scalar dirty-walk, the packed-lane pass and the
+// ledger's splits all agree exactly with the total whatever order they
+// add in. At the characterized table a cycle with every wire toggling
+// costs about 8.1e7 aJ, so the total cannot overflow before 2.2e11
+// cycles (1.4e8 cycles for a table with every coefficient at
+// power::SignalEnergyTable::kMaxCoeff_fJ).
 #ifndef SCT_BUS_TL1_FRAME_ENERGY_H
 #define SCT_BUS_TL1_FRAME_ENERGY_H
 
@@ -34,7 +36,7 @@ namespace sct::bus {
 
 class Tl1FrameEnergy {
  public:
-  explicit Tl1FrameEnergy(const std::array<double, kSignalCount>& coeff)
+  explicit Tl1FrameEnergy(const std::array<std::uint64_t, kSignalCount>& coeff)
       : coeff_(coeff) {}
 
   // -- Cycle event hooks (mirror bus::Tl1Observer, non-virtual) --------
@@ -107,16 +109,13 @@ class Tl1FrameEnergy {
     // construction — so near-idle cycles walk the dirty mask with a
     // bare XOR + popcount per bundle, while busy cycles take the
     // packed-lane pass (one wide XOR over the whole frame). Frame
-    // values are stored masked. Both paths add the same coefficient
-    // terms in the same bundle-index order, so the accumulated energy
-    // is bit-identical to the naive all-signals energyFor loop — the
-    // equivalence test pins that down.
+    // values are stored masked. Both paths produce the same integer
+    // energy as the naive all-signals loop — the equivalence test pins
+    // that down.
     //
     // Deferred strobe deassertion: strobes driven high last cycle and
-    // not re-driven this cycle drop back to the inactive level now.
-    // Folding them into the dirty mask before the walk keeps the
-    // energy accumulation in bundle-index order, i.e. bit-identical to
-    // eagerly clearing every strobe at busCycleBegin.
+    // not re-driven this cycle drop back to the inactive level now,
+    // exactly as if every strobe were cleared eagerly at busCycleBegin.
     std::uint32_t drop = pendingLow_;
     pendingLow_ = strobeSetMask_;
     strobeSetMask_ = 0;
@@ -127,7 +126,7 @@ class Tl1FrameEnergy {
       // shadow_[i] still holds the high level from the last boundary.
       frame_.set(static_cast<SignalId>(i), 0);
     }
-    double e = 0.0;
+    std::uint64_t e = 0;
     std::uint32_t m = dirty_;
     dirty_ = 0;
     if (m != 0 && packed_ && std::popcount(m) >= kPackedLaneThreshold) {
@@ -140,34 +139,22 @@ class Tl1FrameEnergy {
         const std::uint64_t diff = shadow_[i] ^ cur;
         if (diff != 0) {
           shadow_[i] = cur;
-          const unsigned n = static_cast<unsigned>(std::popcount(diff));
-          transitions_[i] += n;
-          e += coeff_[i] * static_cast<double>(n);
-          // Same product, same accumulation order as `e`: the
-          // ledger's deferred cycle sum stays bit-identical to it,
-          // and the commit below mirrors `total_fJ_ += e` exactly.
-          if (ledger_ != nullptr) {
-            ledger_->addDeferred(static_cast<SignalId>(i),
-                                 static_cast<obs::TxClass>(ownerClass_[i]),
-                                 ownerSlave_[i], master_,
-                                 coeff_[i] * static_cast<double>(n));
-          }
+          e += price(i, static_cast<unsigned>(std::popcount(diff)));
         }
       }
     }
-    lastCycle_fJ_ = e;
-    total_fJ_ += e;
-    if (ledger_ != nullptr) ledger_->commitCycle();
+    lastCycle_aJ_ = e;
+    total_aJ_ += e;
   }
 
   // -- Results ---------------------------------------------------------
 
-  double energyLastCycle_fJ() const { return lastCycle_fJ_; }
-  double totalEnergy_fJ() const { return total_fJ_; }
+  std::uint64_t energyLastCycle_aJ() const { return lastCycle_aJ_; }
+  std::uint64_t totalEnergy_aJ() const { return total_aJ_; }
 
-  double energySinceLastCall_fJ() {
-    const double delta = total_fJ_ - intervalMarker_fJ_;
-    intervalMarker_fJ_ = total_fJ_;
+  std::uint64_t energySinceLastCall_aJ() {
+    const std::uint64_t delta = total_aJ_ - intervalMarker_aJ_;
+    intervalMarker_aJ_ = total_aJ_;
     return delta;
   }
 
@@ -179,16 +166,13 @@ class Tl1FrameEnergy {
   /// after busCycleEnd).
   const SignalFrame& frame() const { return frame_; }
 
-  void attachLedger(obs::EnergyLedger& ledger, int master) {
-    ledger_ = &ledger;
-    master_ = master;
-  }
+  void attachLedger(obs::EnergyLedger& ledger) { ledger_ = &ledger; }
 
   void setPackedCounting(bool on) { packed_ = on; }
   std::uint64_t packedLaneCycles() const { return packedLaneCycles_; }
 
-  /// -- Checkpoint section body (layout owned by Tl1PowerModel, which
-  /// has carried this exact byte order since its kCkptVersion 1).
+  /// -- Checkpoint section body (layout and version owned by
+  /// Tl1PowerModel).
   void saveState(ckpt::StateWriter& w) const {
     for (std::size_t i = 0; i < kSignalCount; ++i) {
       w.u64(frame_.get(static_cast<SignalId>(i)));
@@ -201,28 +185,37 @@ class Tl1FrameEnergy {
     w.u32(strobeSetMask_);
     w.u32(pendingLow_);
     for (const std::uint64_t v : transitions_) w.u64(v);
-    w.f64(lastCycle_fJ_);
-    w.f64(total_fJ_);
-    w.f64(intervalMarker_fJ_);
+    w.u64(lastCycle_aJ_);
+    w.u64(total_aJ_);
+    w.u64(intervalMarker_aJ_);
     for (const std::uint8_t v : ownerClass_) w.u8(v);
     for (const std::int8_t v : ownerSlave_) {
       w.u8(static_cast<std::uint8_t>(v));
     }
   }
 
+  /// Throws ckpt::CheckpointError for a signal mask naming a bundle at
+  /// or above kSignalCount or an owner class at or above kTxClassCount:
+  /// either would index past the frame or the ledger's class axis.
   void loadState(ckpt::StateReader& r) {
     for (std::size_t i = 0; i < kSignalCount; ++i) {
       frame_.set(static_cast<SignalId>(i), r.u64());
     }
     for (std::uint64_t& v : shadow_) v = r.u64();
-    dirty_ = r.u32();
-    strobeSetMask_ = r.u32();
-    pendingLow_ = r.u32();
+    dirty_ = signalMaskFrom(r);
+    strobeSetMask_ = signalMaskFrom(r);
+    pendingLow_ = signalMaskFrom(r);
     for (std::uint64_t& v : transitions_) v = r.u64();
-    lastCycle_fJ_ = r.f64();
-    total_fJ_ = r.f64();
-    intervalMarker_fJ_ = r.f64();
-    for (std::uint8_t& v : ownerClass_) v = r.u8();
+    lastCycle_aJ_ = r.u64();
+    total_aJ_ = r.u64();
+    intervalMarker_aJ_ = r.u64();
+    for (std::uint8_t& v : ownerClass_) {
+      v = r.u8();
+      if (v >= obs::kTxClassCount) {
+        throw ckpt::CheckpointError(
+            "Tl1FrameEnergy::loadState: owner class out of range");
+      }
+    }
     for (std::int8_t& v : ownerSlave_) v = static_cast<std::int8_t>(r.u8());
   }
 
@@ -274,9 +267,31 @@ class Tl1FrameEnergy {
   void noteAddressOwners(const AddressPhaseInfo& info);
   void noteBeatOwners(const DataBeatInfo& info, bool isWrite);
 
+  /// Count `n` transitions on bundle `i` and return their energy (aJ),
+  /// billing it to the bundle's owner when a ledger is attached.
+  [[gnu::always_inline]] inline std::uint64_t price(unsigned i, unsigned n) {
+    transitions_[i] += n;
+    const std::uint64_t e = coeff_[i] * n;
+    if (ledger_ != nullptr) {
+      ledger_->add(static_cast<SignalId>(i),
+                   static_cast<obs::TxClass>(ownerClass_[i]), ownerSlave_[i],
+                   e);
+    }
+    return e;
+  }
+
   /// Price the changed lanes of a busy cycle with one wide XOR pass
   /// over the whole packed frame (see tl1_frame_energy.cpp).
-  double packedCycleEnergy();
+  std::uint64_t packedCycleEnergy();
+
+  static std::uint32_t signalMaskFrom(ckpt::StateReader& r) {
+    const std::uint32_t m = r.u32();
+    if ((m >> kSignalCount) != 0) {
+      throw ckpt::CheckpointError(
+          "Tl1FrameEnergy::loadState: signal mask names no bundle");
+    }
+    return m;
+  }
 
   /// Minimum dirty-bundle count before the packed-lane pass beats the
   /// scalar dirty-walk on this 16-bundle frame. Idle cycles and near-idle
@@ -287,7 +302,7 @@ class Tl1FrameEnergy {
   /// is the same with and without the vector path.
   static constexpr int kPackedLaneThreshold = 10;
 
-  std::array<double, kSignalCount> coeff_;
+  std::array<std::uint64_t, kSignalCount> coeff_;  ///< aJ per transition.
   SignalFrame frame_;  ///< Wire values of the cycle in progress.
   /// Complete frame of the previous cycle, stored as raw lanes so the
   /// packed path can XOR it against frame_.raw() in bulk. Invariant:
@@ -297,19 +312,18 @@ class Tl1FrameEnergy {
   std::uint32_t strobeSetMask_ = 0;  ///< Strobes driven high this cycle.
   std::uint32_t pendingLow_ = 0;  ///< Strobes awaiting lazy deassertion.
   std::array<std::uint64_t, kSignalCount> transitions_{};
-  double lastCycle_fJ_ = 0.0;
-  double total_fJ_ = 0.0;
-  double intervalMarker_fJ_ = 0.0;
+  std::uint64_t lastCycle_aJ_ = 0;
+  std::uint64_t total_aJ_ = 0;
+  std::uint64_t intervalMarker_aJ_ = 0;
   bool packed_ = true;  ///< Packed-lane counting enabled (test hook).
   std::uint64_t packedLaneCycles_ = 0;  ///< Diagnostics, not serialized.
 
   // Energy attribution (null = detached).
   obs::EnergyLedger* ledger_ = nullptr;
-  int master_ = 0;
   std::array<std::uint8_t, kSignalCount> ownerClass_{};
   std::array<std::int8_t, kSignalCount> ownerSlave_{};
 };
-static_assert(kSignalCount <= 32, "dirty_ mask is 32 bits wide");
+static_assert(kSignalCount < 32, "dirty_ mask is 32 bits wide");
 
 } // namespace sct::bus
 

@@ -26,7 +26,7 @@ void Tl2MasterBridge::sync() {
   // An observer-free event-driven lower bus defers its completion
   // bookkeeping; asking for the next finish brings it current (O(1)
   // when it already is) before trusting the published stages.
-  if (stagePublishing_) lower_.nextFinishCycle();
+  lower_.nextFinishCycle();
   for (auto it = pending_.begin(); it != pending_.end();) {
     Slot& s = it->second;
     if (s.lower.stage != Tl2Stage::Finished) {
@@ -122,9 +122,7 @@ BusStatus Tl2MasterBridge::transport(Tl1Request& req) {
     // before accepting the payload anew — answering from the stale slot
     // would hand the master a result it never asked for.
     Slot& s = it->second;
-    if (stagePublishing_ && s.lower.stage != Tl2Stage::Finished) {
-      lower_.nextFinishCycle();
-    }
+    if (s.lower.stage != Tl2Stage::Finished) lower_.nextFinishCycle();
     const BusStatus stale = s.lower.kind == Kind::Write
                                 ? lower_.write(s.lower)
                                 : lower_.read(s.lower);
@@ -135,13 +133,13 @@ BusStatus Tl2MasterBridge::transport(Tl1Request& req) {
     return transport(req);  // Re-enter as a fresh submit.
   }
 
-  // Poll the lower transaction. When the lower bus publishes its stage
+  // Poll the lower transaction. The lower bus publishes its stage
   // transitions (an event-driven Tl2Bus moves the payload to Finished
-  // from its own process), a poll before that point is a guaranteed
+  // from its own process), so a poll before that point is a guaranteed
   // side-effect-free Wait — skip the virtual round trip entirely; the
   // cycle-true master above polls every cycle regardless.
   Slot& s = it->second;
-  if (stagePublishing_ && s.lower.stage != Tl2Stage::Finished) {
+  if (s.lower.stage != Tl2Stage::Finished) {
     // An observer-free event-driven lower bus defers its completion
     // bookkeeping; asking for the next finish brings it current (O(1)
     // when it already is) before trusting the published stage.

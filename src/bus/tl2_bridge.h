@@ -14,11 +14,11 @@
 //    lower transaction; the call that finds it finished returns the
 //    final status directly, exactly the layer-1 "poll until Ok/Error"
 //    contract.
-//  * Stage-published (stage-gating masters): when the lower bus
-//    publishes its stages, the bridge does too — sync() (called from
-//    nextFinishCycle(), mirroring the lazy retirement of the
-//    event-driven Tl2Bus) completes every transport whose lower
-//    transaction finished and posts the upper payload as
+//  * Stage-published (stage-gating masters): the lower bus publishes
+//    its stages (the Tl2MasterIf contract), and so does the bridge —
+//    sync() (called from nextFinishCycle(), mirroring the lazy
+//    retirement of the event-driven Tl2Bus) completes every transport
+//    whose lower transaction finished and posts the upper payload as
 //    Tl1Stage::Finished for a later pickup poll. Masters may then gate
 //    on the public stage field and park until nextFinishCycle() + 1.
 #ifndef SCT_BUS_TL2_BRIDGE_H
@@ -36,21 +36,14 @@ namespace sct::bus {
 
 class Tl2MasterBridge final : public EcInstrIf, public EcDataIf {
  public:
-  explicit Tl2MasterBridge(Tl2MasterIf& lower)
-      : lower_(lower), stagePublishing_(lower.publishesStage()) {}
+  explicit Tl2MasterBridge(Tl2MasterIf& lower) : lower_(lower) {}
 
   BusStatus fetch(Tl1Request& req) override { return transport(req); }
   BusStatus read(Tl1Request& req) override { return transport(req); }
   BusStatus write(Tl1Request& req) override { return transport(req); }
 
-  /// The bridge publishes upper stages iff the lower bus publishes its
-  /// own (sync() needs the lower stage field to be authoritative).
-  bool publishesStage() const override { return stagePublishing_; }
-
   /// Bring published upper stages current, then forward the lower
-  /// bus's completion hint (kFinishUnknown when the lower bus cannot
-  /// predict — masters then poll every cycle and sync() degrades to a
-  /// cheap no-op path).
+  /// bus's completion hint.
   std::uint64_t nextFinishCycle() override {
     sync();
     return lower_.nextFinishCycle();
@@ -82,29 +75,24 @@ class Tl2MasterBridge final : public EcInstrIf, public EcDataIf {
 
   /// -- Checkpoint (see ckpt/checkpoint.h) ------------------------------
   /// A drained bridge holds no state beyond its construction arguments,
-  /// so the section is an emptiness marker: saving requires drained(),
-  /// and loading verifies the target is drained too.
-  static constexpr std::uint32_t kCkptVersion = 1;
+  /// so the section is empty: saving requires drained(), and loading
+  /// verifies the target is drained too. Version 2: the stage-publishing
+  /// byte is gone (every lower bus publishes its stages).
+  static constexpr std::uint32_t kCkptVersion = 2;
 
-  void saveState(ckpt::StateWriter& w) const {
+  void saveState(ckpt::StateWriter& /*w*/) const {
     if (!drained()) {
       throw ckpt::CheckpointError(
           "Tl2MasterBridge::saveState: bridge is not drained (not a "
           "quiesce point)");
     }
-    w.b(stagePublishing_);
   }
 
-  void loadState(ckpt::StateReader& r) {
+  void loadState(ckpt::StateReader& /*r*/) {
     if (!drained()) {
       throw ckpt::CheckpointError(
           "Tl2MasterBridge::loadState: restore target bridge is not "
           "drained");
-    }
-    if (r.b() != stagePublishing_) {
-      throw ckpt::CheckpointError(
-          "Tl2MasterBridge::loadState: stage-publishing mode differs "
-          "from the saved bridge");
     }
   }
 
@@ -120,7 +108,6 @@ class Tl2MasterBridge final : public EcInstrIf, public EcDataIf {
   void copyOut(Tl1Request& req, Slot& s, BusStatus status);
 
   Tl2MasterIf& lower_;
-  bool stagePublishing_;  ///< Lower bus advances stages on its own.
   std::unordered_map<Tl1Request*, Slot> pending_;
 };
 
@@ -139,7 +126,6 @@ class BridgedTl2Bus final : public EcInstrIf, public EcDataIf {
   BusStatus fetch(Tl1Request& req) override { return bridge_.fetch(req); }
   BusStatus read(Tl1Request& req) override { return bridge_.read(req); }
   BusStatus write(Tl1Request& req) override { return bridge_.write(req); }
-  bool publishesStage() const override { return bridge_.publishesStage(); }
   std::uint64_t nextFinishCycle() override {
     return bridge_.nextFinishCycle();
   }
@@ -151,8 +137,9 @@ class BridgedTl2Bus final : public EcInstrIf, public EcDataIf {
   bool idle() const { return bus_.idle(); }
   std::size_t pendingCount() const { return bridge_.pendingCount(); }
 
-  /// -- Checkpoint: one section covering the bus + bridge pair. --------
-  static constexpr std::uint32_t kCkptVersion = 1;
+  /// -- Checkpoint: one section covering the bus + bridge pair. Version
+  /// 2: the bridge's stage-publishing byte is gone.
+  static constexpr std::uint32_t kCkptVersion = 2;
   void saveState(ckpt::StateWriter& w) const {
     bus_.saveState(w);
     bridge_.saveState(w);

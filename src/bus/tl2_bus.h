@@ -100,9 +100,6 @@ class Tl2Bus final : public sim::Module, public Tl2MasterIf {
   // Kind::InstrFetch (the "instruction bit" parameter of the paper).
   BusStatus read(Tl2Request& req) override;
   BusStatus write(Tl2Request& req) override;
-  // The bus process moves req.stage to Finished itself; intermediate
-  // polls are side-effect-free, so masters may gate on the stage field.
-  bool publishesStage() const override { return true; }
   std::uint64_t nextFinishCycle() const override;
 
   bool idle() const;

@@ -83,6 +83,7 @@ class StateReader {
 
   void bytes(void* dst, std::size_t n) {
     need(n);
+    if (n == 0) return;  // memcpy needs valid pointers even for 0 bytes.
     std::memcpy(dst, data_ + pos_, n);
     pos_ += n;
   }

@@ -46,9 +46,10 @@ void IntermittentRunner::hookCycle() {
   sim::Clock& clock = rig_.soc.clock();
   // Total-energy delta, not energySinceLastCall_fJ(): the latter is a
   // shared interval marker other consumers may own.
-  const double total = rig_.pm.totalEnergy_fJ();
-  const double chip_fJ = supply_->chipDrain_fJ(total - pmMark_);
-  pmMark_ = total;
+  const std::uint64_t total = rig_.pm.totalEnergy_aJ();
+  const double chip_fJ =
+      supply_->chipDrain_fJ(bus::toFemtojoules(total - pmMark_aJ_));
+  pmMark_aJ_ = total;
   supply_->stepOnChip(wall_, chip_fJ);
   rolling_->addCycle(chip_fJ);
   ++wall_;
@@ -97,7 +98,7 @@ RunResult IntermittentRunner::run(const FieldProfile& field,
   died_ = false;
   saveRequested_ = false;
   periodicDue_ = false;
-  pmMark_ = rig_.pm.totalEnergy_fJ();
+  pmMark_aJ_ = rig_.pm.totalEnergy_aJ();
 
   // Backup #0 is free: the state the card entered the field with is
   // already in NVM (it is the personalized card image).
@@ -197,7 +198,7 @@ RunResult IntermittentRunner::run(const FieldProfile& field,
                               ? clock.cycle() - periodicInterval_
                               : 0;
       }
-      pmMark_ = rig_.pm.totalEnergy_fJ();  // Rewound with the platform.
+      pmMark_aJ_ = rig_.pm.totalEnergy_aJ();  // Rewound with the platform.
       // The card was dark: the drain samples from before the outage
       // are not "recent" draw, and leaving them in the window lets the
       // predictive guard trip on the first post-restore cycle (stored

@@ -6,9 +6,8 @@
 // power::CardRig (TL1 SmartCardSoC, Tl1PowerModel, registry over the
 // 14 platform sections plus "pm") and an EnergyLedger registered after
 // it as "ledger" (the identical section set, so restores rewind the
-// energy accumulators to exact bit patterns and per-segment ledger
-// deltas subtract identical operands on any worker). On top of that
-// sit the eh pieces:
+// energy accumulators with the platform). On top of that sit the eh
+// pieces:
 //
 //  * A supply hook registered on the falling clock edge at a priority
 //    AFTER the bus process (the Tl1 bus commits its cycle and the
@@ -173,7 +172,7 @@ class IntermittentRunner {
   // engaged_, keeping the clock's handler table — part of the
   // snapshot layout — identical across parent and variants).
   bool engaged_ = false;
-  double pmMark_ = 0.0;
+  std::uint64_t pmMark_aJ_ = 0;
   std::uint64_t wall_ = 0;
   SupplyModel* supply_ = nullptr;
   power::RollingCurrent* rolling_ = nullptr;

@@ -228,7 +228,7 @@ trace::BusTrace makeMemcpyTrace() {
 EncOutcome measure(Platform& p, trace::ReplayMaster& master,
                    const EncVariant& v) {
   const obs::LedgerView start = p.ledger.view();
-  const double startTotal_fJ = p.pm.totalEnergy_fJ();
+  const std::uint64_t startTotal_aJ = p.pm.totalEnergy_aJ();
   const std::uint64_t startTx = p.bus.stats().transactions();
   const std::uint64_t startCycle = p.clk.cycle();
   const std::uint64_t startData =
@@ -244,17 +244,17 @@ EncOutcome measure(Platform& p, trace::ReplayMaster& master,
   out.variant = v;
   out.transactions = p.bus.stats().transactions() - startTx;
   out.cycles = p.clk.cycle() - startCycle;
-  out.total_fJ = p.pm.totalEnergy_fJ() - startTotal_fJ;
+  out.total_fJ = bus::toFemtojoules(p.pm.totalEnergy_aJ() - startTotal_aJ);
   out.perTxn_fJ = out.transactions != 0
                       ? out.total_fJ / static_cast<double>(out.transactions)
                       : 0.0;
   const auto bundle = [&d](bus::SignalId id) {
     return d.byBundle[static_cast<std::size_t>(id)];
   };
-  out.dataBus_fJ = bundle(bus::SignalId::EB_RData) +
-                   bundle(bus::SignalId::EB_WData) +
-                   bundle(bus::SignalId::EB_Inv);
-  out.addrBus_fJ = bundle(bus::SignalId::EB_A);
+  out.dataBus_fJ = bus::toFemtojoules(bundle(bus::SignalId::EB_RData) +
+                                      bundle(bus::SignalId::EB_WData) +
+                                      bundle(bus::SignalId::EB_Inv));
+  out.addrBus_fJ = bus::toFemtojoules(bundle(bus::SignalId::EB_A));
   out.dataTransitions = p.pm.transitions(bus::SignalId::EB_RData) +
                         p.pm.transitions(bus::SignalId::EB_WData) +
                         p.pm.transitions(bus::SignalId::EB_Inv) - startData;

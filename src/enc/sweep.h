@@ -8,9 +8,8 @@
 // recycled platform (sim::runWorkers: one platform per worker thread,
 // built identically to the parent), restarts the replay master over its
 // workload trace, installs its codec on the bus, and replays only that
-// trace. Outcomes are energy deltas between the post-boot and
-// post-workload obs-ledger snapshots (bit-stable: the restored start
-// state is bit-identical on every worker), so the sweep output is
+// trace. Outcomes are integer energy deltas between the post-boot and
+// post-workload obs-ledger snapshots, so the sweep output is
 // bit-identical at any worker count.
 //
 // The clock checkpoint demands an exactly matching handler set between

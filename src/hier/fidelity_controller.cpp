@@ -38,8 +38,8 @@ void FidelityController::attachPower(power::Tl1PowerModel& tl1Model,
                                      power::Tl2PowerModel& tl2Model) {
   pm1_ = &tl1Model;
   pm2_ = &tl2Model;
-  regionStartEnergy_fJ_ = modelTotal(openFidelity_);
-  energyFed_fJ_ = pm1_->totalEnergy_fJ() + pm2_->totalEnergy_fJ();
+  regionStartEnergy_aJ_ = modelTotal_aJ(openFidelity_);
+  energyFed_aJ_ = pm1_->totalEnergy_aJ() + pm2_->totalEnergy_aJ();
 }
 
 void FidelityController::attachProfile(power::PowerProfile& profile) {
@@ -139,8 +139,10 @@ void FidelityController::closeRegion(std::uint64_t boundary) {
   r.fidelity = openFidelity_;
   r.fromCycle = regionStart_;
   r.toCycle = boundary;
-  r.energy_fJ = modelTotal(openFidelity_) - regionStartEnergy_fJ_;
-  if (r.toCycle > r.fromCycle || r.energy_fJ != 0.0) {
+  const std::uint64_t energy_aJ =
+      modelTotal_aJ(openFidelity_) - regionStartEnergy_aJ_;
+  r.energy_fJ = bus::toFemtojoules(energy_aJ);
+  if (r.toCycle > r.fromCycle || energy_aJ != 0) {
     regions_.push_back(r);
     if (r.fidelity == Fidelity::Tl1) {
       const std::uint64_t len = r.toCycle - r.fromCycle;
@@ -157,17 +159,17 @@ void FidelityController::closeRegion(std::uint64_t boundary) {
   }
   openFidelity_ = bus_.active();
   regionStart_ = boundary;
-  regionStartEnergy_fJ_ = modelTotal(openFidelity_);
+  regionStartEnergy_aJ_ = modelTotal_aJ(openFidelity_);
 }
 
 void FidelityController::feedEnergy(std::uint64_t cycle) {
   if (triggers_.empty() || (pm1_ == nullptr && pm2_ == nullptr)) return;
-  const double total = (pm1_ != nullptr ? pm1_->totalEnergy_fJ() : 0.0) +
-                       (pm2_ != nullptr ? pm2_->totalEnergy_fJ() : 0.0);
-  const double delta = total - energyFed_fJ_;
-  if (delta != 0.0) {
+  const std::uint64_t total = modelTotal_aJ(Fidelity::Tl1) +
+                              modelTotal_aJ(Fidelity::Tl2);
+  const std::uint64_t delta = total - energyFed_aJ_;
+  if (delta != 0) {
     for (RoiTrigger* t : triggers_) t->onEnergy(delta, cycle);
-    energyFed_fJ_ = total;
+    energyFed_aJ_ = total;
   }
 }
 
@@ -192,9 +194,9 @@ void FidelityController::noteSubmit(const bus::Tl1Request& req) {
   clock_.parkHandler(handlerId_, 0);
 }
 
-double FidelityController::modelTotal(Fidelity f) const {
-  if (f == Fidelity::Tl1) return pm1_ != nullptr ? pm1_->totalEnergy_fJ() : 0.0;
-  return pm2_ != nullptr ? pm2_->totalEnergy_fJ() : 0.0;
+std::uint64_t FidelityController::modelTotal_aJ(Fidelity f) const {
+  if (f == Fidelity::Tl1) return pm1_ != nullptr ? pm1_->totalEnergy_aJ() : 0;
+  return pm2_ != nullptr ? pm2_->totalEnergy_aJ() : 0;
 }
 
 } // namespace sct::hier

@@ -11,9 +11,9 @@
 // keep the clock's dead-cycle warp.
 //
 // Power stitching: attachPower() marks both models' cumulative energy
-// at every region boundary, so each Region carries the energy its
-// active layer accrued — TL1 regions bit-identical to a pure-TL1 run
-// over the same transactions (the suspended TL1 model sees no
+// (integer aJ) at every region boundary, so each Region carries the
+// energy its active layer accrued — TL1 regions identical to a pure-TL1
+// run over the same transactions (the suspended TL1 model sees no
 // callbacks in between; see hybrid_bus.h). attachProfile() extends a
 // PowerProfile across the run: cycle-resolved samples inside ROIs
 // (via an internal Tl1ProfileRecorder, registered after any power
@@ -111,7 +111,7 @@ class FidelityController {
   void feedEnergy(std::uint64_t cycle);
   void parkToHorizon(std::uint64_t cycle);
   void noteSubmit(const bus::Tl1Request& req);
-  double modelTotal(Fidelity f) const;
+  std::uint64_t modelTotal_aJ(Fidelity f) const;
 
   sim::Clock& clock_;
   HybridBus& bus_;
@@ -129,13 +129,13 @@ class FidelityController {
   std::vector<Region> regions_;
   Fidelity openFidelity_;
   std::uint64_t regionStart_ = 0;
-  double regionStartEnergy_fJ_ = 0.0;
+  std::uint64_t regionStartEnergy_aJ_ = 0;
 
   power::Tl1PowerModel* pm1_ = nullptr;
   power::Tl2PowerModel* pm2_ = nullptr;
   power::PowerProfile* profile_ = nullptr;
   std::unique_ptr<power::Tl1ProfileRecorder> recorder_;
-  double energyFed_fJ_ = 0.0;
+  std::uint64_t energyFed_aJ_ = 0;
 
   // Observability handles (null = detached; obsSwitches_ doubles as the
   // attached flag).

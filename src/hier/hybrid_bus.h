@@ -74,9 +74,6 @@ class HybridBus final : public bus::EcInstrIf, public bus::EcDataIf {
   bus::BusStatus fetch(bus::Tl1Request& req) override;
   bus::BusStatus read(bus::Tl1Request& req) override;
   bus::BusStatus write(bus::Tl1Request& req) override;
-  /// Both layers publish stages (TL1 natively, TL2 through the
-  /// bridge's sync), so stage-gating masters work in either region.
-  bool publishesStage() const override { return true; }
   /// TL2 regions predict completions (so masters park and the clock
   /// warps); TL1 regions answer kFinishUnknown — cycle-true masters
   /// must poll every cycle there, exactly as on a plain Tl1Bus.
@@ -136,7 +133,8 @@ class HybridBus final : public bus::EcInstrIf, public bus::EcDataIf {
   /// Non-const: quiesced() brings the bridge's lazy completions
   /// current. The FidelityController is NOT part of the snapshot;
   /// checkpoint between its regions and re-drive ROIs from the harness.
-  static constexpr std::uint32_t kCkptVersion = 1;
+  /// Version 2: the bridge's stage-publishing byte is gone.
+  static constexpr std::uint32_t kCkptVersion = 2;
   void saveState(ckpt::StateWriter& w);
   void loadState(ckpt::StateReader& r);
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "bus/ec_signals.h"
+
 namespace sct::hier {
 
 void AddressWatchTrigger::onSubmit(const bus::Tl1Request& req,
@@ -58,7 +60,7 @@ bool EnergyBudgetTrigger::wantsRoi(std::uint64_t cycle) {
     const std::uint64_t elapsed = cycle - windowStart_;
     // 1 fJ / 1 ps = 1 µW; scale bus-interface energy up to the chip.
     const double power_uW =
-        window_fJ_ * chipScale_ /
+        bus::toFemtojoules(window_aJ_) * chipScale_ /
         (static_cast<double>(elapsed) * static_cast<double>(clockPeriodPs_));
     const double current_mA = power_uW / (spec_.vdd * 1000.0);
     if (current_mA >= triggerFraction_ * spec_.maxCurrent_mA) {
@@ -67,7 +69,7 @@ bool EnergyBudgetTrigger::wantsRoi(std::uint64_t cycle) {
       if (until > armedUntil_) armedUntil_ = until;
     }
     windowStart_ = cycle;
-    window_fJ_ = 0.0;
+    window_aJ_ = 0;
   }
   return cycle < armedUntil_;
 }
@@ -79,8 +81,8 @@ std::uint64_t EnergyBudgetTrigger::nextDecisionCycle(
   return next <= cycle ? cycle + 1 : next;
 }
 
-void EnergyBudgetTrigger::onEnergy(double fJ, std::uint64_t /*cycle*/) {
-  window_fJ_ += fJ;
+void EnergyBudgetTrigger::onEnergy(std::uint64_t aJ, std::uint64_t /*cycle*/) {
+  window_aJ_ += aJ;
 }
 
 } // namespace sct::hier

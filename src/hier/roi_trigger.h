@@ -52,8 +52,8 @@ class RoiTrigger {
   virtual void onSubmit(const bus::Tl1Request& /*req*/,
                         std::uint64_t /*cycle*/) {}
 
-  /// Energy accrued by the bus power models since the last feed (fJ).
-  virtual void onEnergy(double /*fJ*/, std::uint64_t /*cycle*/) {}
+  /// Energy accrued by the bus power models since the last feed (aJ).
+  virtual void onEnergy(std::uint64_t /*aJ*/, std::uint64_t /*cycle*/) {}
 };
 
 /// ROI on accesses into address windows; re-arms on every hit.
@@ -127,7 +127,7 @@ class EnergyBudgetTrigger final : public RoiTrigger {
 
   bool wantsRoi(std::uint64_t cycle) override;
   std::uint64_t nextDecisionCycle(std::uint64_t cycle) const override;
-  void onEnergy(double fJ, std::uint64_t cycle) override;
+  void onEnergy(std::uint64_t aJ, std::uint64_t cycle) override;
 
   std::uint64_t windowsTripped() const { return windowsTripped_; }
 
@@ -140,7 +140,7 @@ class EnergyBudgetTrigger final : public RoiTrigger {
   std::uint64_t holdCycles_;
 
   std::uint64_t windowStart_ = 0;
-  double window_fJ_ = 0.0;
+  std::uint64_t window_aJ_ = 0;
   std::uint64_t armedUntil_ = 0;
   std::uint64_t windowsTripped_ = 0;
 };

@@ -67,11 +67,11 @@ ExplorationResult evaluateInterface(
 
   kernel.publishObs(reg);
   if (bytecodeRanking != nullptr) profiler.publishTo(reg);
-  reg.gauge("energy.total_fJ").set(ledger.total_fJ());
+  reg.gauge("energy.total_fJ").set(bus::toFemtojoules(ledger.total_aJ()));
   for (std::size_t c = 0; c < obs::kTxClassCount; ++c) {
     const auto cls = static_cast<obs::TxClass>(c);
     reg.gauge(std::string("energy.by_class_fJ.") + obs::txClassName(cls))
-        .set(ledger.byClass_fJ(cls));
+        .set(bus::toFemtojoules(ledger.byClass_aJ(cls)));
   }
   r.obsSnapshot = reg.snapshot();
   return r;

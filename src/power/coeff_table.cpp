@@ -1,5 +1,6 @@
 #include "power/coeff_table.h"
 
+#include <cmath>
 #include <iomanip>
 #include <istream>
 #include <limits>
@@ -9,9 +10,20 @@
 
 namespace sct::power {
 
+void SignalEnergyTable::setCoeff_fJ(bus::SignalId id, double fJPerTransition) {
+  // Written to reject NaN too: every comparison with NaN is false.
+  if (!(fJPerTransition >= 0.0 && fJPerTransition <= kMaxCoeff_fJ)) {
+    throw std::runtime_error("SignalEnergyTable: coefficient out of range: " +
+                             std::to_string(fJPerTransition));
+  }
+  coeffs_[static_cast<std::size_t>(id)] =
+      static_cast<std::uint64_t>(std::llround(fJPerTransition * 1000.0));
+}
+
 void SignalEnergyTable::save(std::ostream& os) const {
   os << "# EC interface energy coefficients (fJ per bit transition)\n";
-  // max_digits10 keeps the round trip through text lossless.
+  // max_digits10 keeps the round trip through text lossless: reading a
+  // printed value back and rounding it to aJ gives the stored integer.
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
   for (const auto& info : bus::kSignalTable) {
     os << info.name << ' ' << coeff_fJ(info.id) << '\n';
@@ -29,11 +41,6 @@ SignalEnergyTable SignalEnergyTable::load(std::istream& is) {
     double value = 0.0;
     if (!(ls >> name >> value) || !(ls >> std::ws).eof()) {
       throw std::runtime_error("SignalEnergyTable: malformed line: " + line);
-    }
-    // Written to reject NaN too: every comparison with NaN is false.
-    if (!(value >= 0.0 && value <= kMaxCoeff_fJ)) {
-      throw std::runtime_error("SignalEnergyTable: coefficient out of range: " +
-                               line);
     }
     bool found = false;
     for (const auto& info : bus::kSignalTable) {

@@ -134,7 +134,7 @@ class Tl1ProfileRecorder final : public bus::Tl1Observer {
       : model_(model), profile_(profile) {}
 
   void busCycleEnd(std::uint64_t cycle) override {
-    profile_.addSample(cycle, model_.energyLastCycle_fJ());
+    profile_.addSample(cycle, bus::toFemtojoules(model_.energyLastCycle_aJ()));
   }
 
  private:

@@ -24,9 +24,10 @@
 // table, adapts it to the Tl1Observer and CycleAccuratePowerIf
 // interfaces, and advertises the engine through fusedFrameEnergy() so
 // Tl1Bus can drive it non-virtually on the hot path. Both drive paths
-// run the same engine code in the same order, so results are
-// bit-identical either way (the observer path stays live for any
-// publisher that does not know about fusing).
+// run the same engine code, so results are identical either way (the
+// observer path stays live for any publisher that does not know about
+// fusing). Energy accumulates in whole attojoules (the *_aJ accessors);
+// the *_fJ interface methods convert once, at the read.
 #ifndef SCT_POWER_TL1_POWER_MODEL_H
 #define SCT_POWER_TL1_POWER_MODEL_H
 
@@ -70,14 +71,21 @@ class Tl1PowerModel final : public bus::Tl1Observer,
   /// path above.
   bus::Tl1FrameEnergy* fusedFrameEnergy() override { return &engine_; }
 
+  std::uint64_t energyLastCycle_aJ() const {
+    return engine_.energyLastCycle_aJ();
+  }
+  std::uint64_t totalEnergy_aJ() const { return engine_.totalEnergy_aJ(); }
+
   // CycleAccuratePowerIf
   double energyLastCycle_fJ() const override {
-    return engine_.energyLastCycle_fJ();
+    return bus::toFemtojoules(energyLastCycle_aJ());
   }
   double energySinceLastCall_fJ() override {
-    return engine_.energySinceLastCall_fJ();
+    return bus::toFemtojoules(engine_.energySinceLastCall_aJ());
   }
-  double totalEnergy_fJ() const override { return engine_.totalEnergy_fJ(); }
+  double totalEnergy_fJ() const override {
+    return bus::toFemtojoules(totalEnergy_aJ());
+  }
 
   /// Transition counts per bundle over the whole run (diagnostics).
   std::uint64_t transitions(bus::SignalId id) const {
@@ -89,18 +97,15 @@ class Tl1PowerModel final : public bus::Tl1Observer,
   /// from an observer registered after the power model).
   const bus::SignalFrame& frame() const { return engine_.frame(); }
 
-  /// Attach an energy-attribution ledger. Every coefficient term of the
-  /// busCycleEnd walk is forwarded in accumulation order and committed
-  /// once per cycle, so ledger.total_fJ() stays bit-identical to
-  /// totalEnergy_fJ(). `master` tags all contributions (the EC bus is
-  /// single-master). Detached: one null-check per phase callback.
-  void attachLedger(obs::EnergyLedger& ledger, int master = 0) {
-    engine_.attachLedger(ledger, master);
-  }
+  /// Attach an energy-attribution ledger. Every priced bundle of the
+  /// busCycleEnd walk is forwarded, so each ledger axis sums exactly to
+  /// the energy accrued since attaching. Detached: one null-check per
+  /// phase callback.
+  void attachLedger(obs::EnergyLedger& ledger) { engine_.attachLedger(ledger); }
 
   /// Force the scalar dirty-walk even on busy cycles (test hook: the
   /// equivalence suite runs packed and scalar models side by side and
-  /// requires bit-identical energy from both).
+  /// requires identical energy from both).
   void setPackedCounting(bool on) { engine_.setPackedCounting(on); }
 
   /// Cycles whose transition count went through the packed-lane wide
@@ -114,12 +119,12 @@ class Tl1PowerModel final : public bus::Tl1Observer,
 
   /// -- Checkpoint (see ckpt/checkpoint.h): the full signal state —
   /// frame, pre-cycle values, strobe masks, transition counts and the
-  /// femtojoule accumulators (bit-exact doubles), so a restored model
-  /// continues the exact FP accumulation sequence of the saved run.
-  /// The byte layout is owned here and implemented by the engine.
-  /// Version 2: the EB_Inv codec sideband joined the signal inventory,
-  /// growing every per-signal array in the section by one slot.
-  static constexpr std::uint32_t kCkptVersion = 2;
+  /// attojoule accumulators, so a restored model continues exactly where
+  /// the saved run stood. The byte layout is owned here and implemented
+  /// by the engine. Version 2: the EB_Inv codec sideband joined the
+  /// signal inventory. Version 3: the energy accumulators are u64 aJ,
+  /// no longer f64 fJ.
+  static constexpr std::uint32_t kCkptVersion = 3;
 
   void saveState(ckpt::StateWriter& w) const { engine_.saveState(w); }
   void loadState(ckpt::StateReader& r) { engine_.loadState(r); }

@@ -27,23 +27,19 @@ std::uint32_t beatWord(const bus::Tl2PhaseInfo& info, unsigned beat) {
   return w;
 }
 
-double popcount64(std::uint64_t v) {
-  return static_cast<double>(std::popcount(v));
+std::uint64_t popcount64(std::uint64_t v) {
+  return static_cast<std::uint64_t>(std::popcount(v));
 }
 
 } // namespace
 
 template <bool kAttributed>
-void Tl2PowerModel::addTransitions(SignalId id, double n) {
-  if (n <= 0.0) return;
+void Tl2PowerModel::addTransitions(SignalId id, std::uint64_t n) {
+  if (n == 0) return;
   estTransitions_[static_cast<std::size_t>(id)] += n;
-  const double e = table_.energyFor(id, n);
-  total_fJ_ += e;
-  // Identical term, identical order: the ledger total accumulates in
-  // lock-step with total_fJ_ and stays bit-identical to it.
-  if constexpr (kAttributed) {
-    ledger_->add(id, ctxClass_, ctxSlave_, master_, e);
-  }
+  const std::uint64_t e = table_.coeff_aJ(id) * n;
+  total_aJ_ += e;
+  if constexpr (kAttributed) ledger_->add(id, ctxClass_, ctxSlave_, e);
 }
 
 // The observer callbacks test the ledger pointer once per phase and run
@@ -66,7 +62,7 @@ void Tl2PowerModel::dataPhaseDone(const bus::Tl2PhaseInfo& info) {
 
 template <bool kAttributed>
 void Tl2PowerModel::chargeAddressPhase(const bus::Tl2PhaseInfo& info) {
-  const auto add = [this](SignalId id, double n) {
+  const auto add = [this](SignalId id, std::uint64_t n) {
     addTransitions<kAttributed>(id, n);
   };
   // "Each transaction phase on its own": the model has no knowledge of
@@ -78,35 +74,35 @@ void Tl2PowerModel::chargeAddressPhase(const bus::Tl2PhaseInfo& info) {
   add(SignalId::EB_A,
       popcount64(info.address & bus::signalMask(SignalId::EB_A)));
   if (info.kind == bus::Kind::InstrFetch) {
-    add(SignalId::EB_Instr, 1.0);
+    add(SignalId::EB_Instr, 1);
   }
   if (info.kind == bus::Kind::Write) {
-    add(SignalId::EB_Write, 1.0);
+    add(SignalId::EB_Write, 1);
   }
-  if (info.beats > 1) add(SignalId::EB_Burst, 1.0);
+  if (info.beats > 1) add(SignalId::EB_Burst, 1);
   add(SignalId::EB_BE, popcount64(byteEnablesOf(info)));
 
   // Handshake strobes: one full pulse per phase — the model cannot see
   // that back-to-back phases hold these lines ("does not allow an
   // accurate count of transitions for control signals").
-  add(SignalId::EB_AValid, 2.0);
-  add(SignalId::EB_ARdy, info.error ? 0.0 : 2.0);
+  add(SignalId::EB_AValid, 2);
+  add(SignalId::EB_ARdy, info.error ? 0 : 2);
 
   // Select lines: one pulse per transaction; whether consecutive
   // transactions hit the same line is invisible at this layer.
-  add(SignalId::EB_Sel, info.error ? 0.0 : 2.0);
+  add(SignalId::EB_Sel, info.error ? 0 : 2);
 
   if (info.error) {
     add(info.kind == bus::Kind::Write ? SignalId::EB_WBErr
                                       : SignalId::EB_RBErr,
-        2.0);
-    add(SignalId::EB_Last, 2.0);
+        2);
+    add(SignalId::EB_Last, 2);
   }
 }
 
 template <bool kAttributed>
 void Tl2PowerModel::chargeDataPhase(const bus::Tl2PhaseInfo& info) {
-  const auto add = [this](SignalId id, double n) {
+  const auto add = [this](SignalId id, std::uint64_t n) {
     addTransitions<kAttributed>(id, n);
   };
   const SignalId dataBus =
@@ -117,8 +113,8 @@ void Tl2PowerModel::chargeDataPhase(const bus::Tl2PhaseInfo& info) {
   if (info.error) {
     add(info.kind == bus::Kind::Write ? SignalId::EB_WBErr
                                       : SignalId::EB_RBErr,
-        2.0);
-    add(SignalId::EB_Last, 2.0);
+        2);
+    add(SignalId::EB_Last, 2);
     return;
   }
 
@@ -128,23 +124,23 @@ void Tl2PowerModel::chargeDataPhase(const bus::Tl2PhaseInfo& info) {
   // strongly word-to-word correlated (small Hamming steps at layer
   // 0/1), so this is the data-bus share of the systematic layer-2
   // over-estimation.
-  double dataTransitions = 0.0;
+  std::uint64_t dataTransitions = 0;
   for (unsigned b = 0; b < info.beats; ++b) {
-    dataTransitions += std::popcount(beatWord(info, b));
+    dataTransitions += popcount64(beatWord(info, b));
   }
   add(dataBus, dataTransitions);
 
   // One strobe pulse per beat (layer 0/1 hold the line through a
   // streaming burst — systematic over-count), one EB_Last pulse per
   // transaction.
-  add(strobe, 2.0 * info.beats);
-  add(SignalId::EB_Last, 2.0);
+  add(strobe, std::uint64_t{2} * info.beats);
+  add(SignalId::EB_Last, 2);
 }
 
 double Tl2PowerModel::energySinceLastCall_fJ() {
-  const double delta = total_fJ_ - intervalMarker_fJ_;
-  intervalMarker_fJ_ = total_fJ_;
-  return delta;
+  const std::uint64_t delta = total_aJ_ - intervalMarker_aJ_;
+  intervalMarker_aJ_ = total_aJ_;
+  return bus::toFemtojoules(delta);
 }
 
 } // namespace sct::power

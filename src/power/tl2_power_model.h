@@ -51,43 +51,53 @@ class Tl2PowerModel final : public bus::Tl2Observer, public IntervalPowerIf {
   void addressPhaseDone(const bus::Tl2PhaseInfo& info) override;
   void dataPhaseDone(const bus::Tl2PhaseInfo& info) override;
 
+  /// Total energy in whole attojoules.
+  std::uint64_t totalEnergy_aJ() const { return total_aJ_; }
+
   // IntervalPowerIf — the paper's layer-2 power interface has only the
   // interval method; Figure 6 shows the resulting phase-granular
   // sampling skew.
   double energySinceLastCall_fJ() override;
-  double totalEnergy_fJ() const override { return total_fJ_; }
+  double totalEnergy_fJ() const override {
+    return bus::toFemtojoules(total_aJ_);
+  }
 
   /// Estimated transition counts per bundle (diagnostics).
-  double estimatedTransitions(bus::SignalId id) const {
+  std::uint64_t estimatedTransitions(bus::SignalId id) const {
     return estTransitions_[static_cast<std::size_t>(id)];
   }
 
   /// Attach an energy-attribution ledger. Every per-phase energy term is
-  /// forwarded in accumulation order, so ledger.total_fJ() stays
-  /// bit-identical to totalEnergy_fJ(). `master` tags all contributions.
-  void attachLedger(obs::EnergyLedger& ledger, int master = 0) {
-    ledger_ = &ledger;
-    master_ = master;
-  }
+  /// forwarded, so each ledger axis sums exactly to the energy accrued
+  /// since attaching.
+  void attachLedger(obs::EnergyLedger& ledger) { ledger_ = &ledger; }
 
   /// -- Checkpoint (see ckpt/checkpoint.h): estimated transition
-  /// counters, bit-exact energy accumulators and the attribution
-  /// context of the last phase.
-  static constexpr std::uint32_t kCkptVersion = 1;
+  /// counters, energy accumulators and the attribution context of the
+  /// last phase. Version 2: counters and accumulators are u64 (aJ for
+  /// energy), no longer f64.
+  static constexpr std::uint32_t kCkptVersion = 2;
 
   void saveState(ckpt::StateWriter& w) const {
-    for (const double v : estTransitions_) w.f64(v);
-    w.f64(total_fJ_);
-    w.f64(intervalMarker_fJ_);
+    for (const std::uint64_t v : estTransitions_) w.u64(v);
+    w.u64(total_aJ_);
+    w.u64(intervalMarker_aJ_);
     w.u8(static_cast<std::uint8_t>(ctxClass_));
     w.i64(ctxSlave_);
   }
 
+  /// Throws ckpt::CheckpointError for an attribution class at or above
+  /// obs::kTxClassCount (it would index past the ledger's class axis).
   void loadState(ckpt::StateReader& r) {
-    for (double& v : estTransitions_) v = r.f64();
-    total_fJ_ = r.f64();
-    intervalMarker_fJ_ = r.f64();
-    ctxClass_ = static_cast<obs::TxClass>(r.u8());
+    for (std::uint64_t& v : estTransitions_) v = r.u64();
+    total_aJ_ = r.u64();
+    intervalMarker_aJ_ = r.u64();
+    const std::uint8_t cls = r.u8();
+    if (cls >= obs::kTxClassCount) {
+      throw ckpt::CheckpointError(
+          "Tl2PowerModel::loadState: attribution class out of range");
+    }
+    ctxClass_ = static_cast<obs::TxClass>(cls);
     ctxSlave_ = static_cast<int>(r.i64());
   }
 
@@ -97,18 +107,17 @@ class Tl2PowerModel final : public bus::Tl2Observer, public IntervalPowerIf {
   template <bool kAttributed>
   void chargeDataPhase(const bus::Tl2PhaseInfo& info);
   template <bool kAttributed>
-  void addTransitions(bus::SignalId id, double n);
+  void addTransitions(bus::SignalId id, std::uint64_t n);
 
   SignalEnergyTable table_;
-  std::array<double, bus::kSignalCount> estTransitions_{};
-  double total_fJ_ = 0.0;
-  double intervalMarker_fJ_ = 0.0;
+  std::array<std::uint64_t, bus::kSignalCount> estTransitions_{};
+  std::uint64_t total_aJ_ = 0;
+  std::uint64_t intervalMarker_aJ_ = 0;
 
   // Energy attribution (null = detached). While a ledger is attached,
   // each observer callback stamps the phase context before the charge
   // body it covers.
   obs::EnergyLedger* ledger_ = nullptr;
-  int master_ = 0;
   obs::TxClass ctxClass_ = obs::TxClass::DataRead;
   int ctxSlave_ = -1;
 };

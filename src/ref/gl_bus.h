@@ -67,9 +67,6 @@ class GlBus final : public sim::Module,
   bus::BusStatus fetch(bus::Tl1Request& req) override;
   bus::BusStatus read(bus::Tl1Request& req) override;
   bus::BusStatus write(bus::Tl1Request& req) override;
-  // The bus process moves req.stage to Finished itself; intermediate
-  // polls are side-effect-free, so masters may gate on the stage field.
-  bool publishesStage() const override { return true; }
 
   bool idle() const;
 

@@ -38,7 +38,7 @@ void RoiProfiler::busCycleEnd(std::uint64_t cycle) {
   }
   if (samples_.size() >= cfg_.samplesPerTrace) return;
   const std::uint64_t idx = samples_.size();
-  const double sample_fJ = pm_.energyLastCycle_fJ() +
+  const double sample_fJ = bus::toFemtojoules(pm_.energyLastCycle_aJ()) +
                            crypto_.internalEnergyLastCycle_fJ() +
                            noise_fJ(idx);
   samples_.push_back(static_cast<std::int64_t>(

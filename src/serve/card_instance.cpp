@@ -131,9 +131,8 @@ SessionOutcome CardInstance::runSession(const std::vector<Step>& steps,
     if (r.sw != steps[i].expectSw) out.expected = false;
   }
 
-  // Settle the platform so the energy window closes at a quiesce point
-  // (the ledger total and the deferred cycle sum agree there). The
-  // final end-of-session command halted the core; only the UART
+  // Settle the platform so the energy window closes at a quiesce point.
+  // The final end-of-session command halted the core; only the UART
   // shifter can still be live.
   rig_.settle(power::CardRig::kSettleCycles);
 

@@ -12,11 +12,11 @@
 // before each session (recycle). The snapshot deliberately carries TWO
 // sections beyond the SoC's own fourteen: the Tl1 power model ("pm",
 // registered by the rig) and the energy ledger ("ledger", registered
-// here after it). Restoring them rewinds every floating-point
-// accumulator to the identical boot-end bit pattern, so a session's
-// energy delta is a subtraction of identical operands no matter which
-// worker ran it or how many sessions the instance served before — the
-// foundation of the threads=1 vs threads=N bit-identity contract.
+// here after it). Restoring them rewinds every energy accumulator to the
+// boot-end count, and the accumulators are integers, so a session's
+// energy delta is the same no matter which worker ran it or how many
+// sessions the instance served before — the threads=1 vs threads=N
+// bit-identity contract.
 //
 // Thread model: a CardInstance is single-threaded (one per serve
 // worker). The golden Snapshot is shared across workers by const
@@ -36,8 +36,8 @@
 
 namespace sct::serve {
 
-/// Everything a session produces. Doubles are exact accumulator
-/// values; the JSON layer prints them losslessly.
+/// Everything a session produces. Energies are exact attojoule counts;
+/// the JSON layer prints them as femtojoules, losslessly.
 struct SessionOutcome {
   bool ok = false;           ///< Every exchange completed (no timeout).
   bool expected = false;     ///< ...and every status word matched.

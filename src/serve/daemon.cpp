@@ -94,7 +94,8 @@ void ServeEngine::submitLine(const std::string& line, Sink sink) {
       job.scenario = sc->asString();
     }
     if (const JsonValue* seed = v.find("seed")) {
-      job.seed = static_cast<std::uint64_t>(seed->asNumber());
+      // 2^53: every seed up to it survives a trip through a JSON double.
+      job.seed = seed->asUint(std::uint64_t{1} << 53);
     }
     if (const JsonValue* f = v.find("fidelity")) {
       job.fidelity = f->asString();
@@ -169,31 +170,29 @@ std::string ServeEngine::resultLine(const Job& job,
   }
   s += "],\"cycles\":" + std::to_string(o.cycles);
   s += ",\"instructions\":" + std::to_string(o.instructions);
+  const auto energy = [&s](std::uint64_t aJ) {
+    appendJsonNumber(s, bus::toFemtojoules(aJ));
+  };
   s += ",\"energy_fJ\":";
-  appendJsonNumber(s, o.energy.total);
+  energy(o.energy.total_aJ());
   s += ",\"by_class\":{";
   for (std::size_t i = 0; i < obs::kTxClassCount; ++i) {
     if (i != 0) s += ',';
     appendJsonString(s, obs::txClassName(static_cast<obs::TxClass>(i)));
     s += ':';
-    appendJsonNumber(s, o.energy.byClass[i]);
+    energy(o.energy.byClass[i]);
   }
   s += "},\"by_bundle\":{";
   for (std::size_t i = 0; i < bus::kSignalCount; ++i) {
     if (i != 0) s += ',';
     appendJsonString(s, bus::signalName(static_cast<bus::SignalId>(i)));
     s += ':';
-    appendJsonNumber(s, o.energy.byBundle[i]);
+    energy(o.energy.byBundle[i]);
   }
   s += "},\"by_slave\":[";
   for (std::size_t i = 0; i < o.energy.bySlave.size(); ++i) {
     if (i != 0) s += ',';
-    appendJsonNumber(s, o.energy.bySlave[i]);
-  }
-  s += "],\"by_master\":[";
-  for (std::size_t i = 0; i < o.energy.byMaster.size(); ++i) {
-    if (i != 0) s += ',';
-    appendJsonNumber(s, o.energy.byMaster[i]);
+    energy(o.energy.bySlave[i]);
   }
   s += ']';
   if (!o.error.empty()) {

@@ -1,5 +1,6 @@
 #include "serve/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -13,10 +14,11 @@ JsonValue JsonValue::makeBool(bool b) {
   return v;
 }
 
-JsonValue JsonValue::makeNumber(double d) {
+JsonValue JsonValue::makeNumber(double d, std::string text) {
   JsonValue v;
   v.kind_ = Kind::Number;
   v.number_ = d;
+  v.string_ = std::move(text);
   return v;
 }
 
@@ -47,6 +49,18 @@ bool JsonValue::asBool() const {
 double JsonValue::asNumber() const {
   if (kind_ != Kind::Number) throw JsonError("JSON value is not a number");
   return number_;
+}
+
+std::uint64_t JsonValue::asUint(std::uint64_t max) const {
+  std::uint64_t u = 0;
+  const char* end = string_.data() + string_.size();
+  const auto [ptr, ec] = std::from_chars(string_.data(), end, u);
+  if (kind_ != Kind::Number || string_.empty() || ec != std::errc{} ||
+      ptr != end || u > max) {
+    throw JsonError("JSON value is not an integer in [0, " +
+                    std::to_string(max) + "]");
+  }
+  return u;
 }
 
 const std::string& JsonValue::asString() const {
@@ -275,7 +289,7 @@ class Parser {
       pos_ = start;
       fail("malformed number");
     }
-    return JsonValue::makeNumber(d);
+    return JsonValue::makeNumber(d, token);
   }
 
   std::string_view text_;

@@ -6,9 +6,11 @@
 // objects, arrays, strings, doubles, bools, null. The parser is a
 // strict recursive-descent over one line; the writer escapes strings
 // per RFC 8259 and prints doubles with %.17g so a value survives a
-// parse→print round trip BIT-EXACT — the session determinism suite
-// compares result lines as strings, which only works because the
-// energy doubles are printed losslessly.
+// parse→print round trip BIT-EXACT. Energies are whole attojoule counts
+// converted once to femtojoules (bus::toFemtojoules), so a client
+// recovers the exact count as round(1000 * value), and equal sessions
+// print equal lines — the session determinism suite compares result
+// lines as strings.
 #ifndef SCT_SERVE_JSON_H
 #define SCT_SERVE_JSON_H
 
@@ -34,7 +36,9 @@ class JsonValue {
 
   JsonValue() = default;
   static JsonValue makeBool(bool b);
-  static JsonValue makeNumber(double d);
+  /// `text` is the literal as it appeared in the document (asUint reads
+  /// it); values built in code may leave it empty.
+  static JsonValue makeNumber(double d, std::string text = {});
   static JsonValue makeString(std::string s);
   static JsonValue makeArray();
   static JsonValue makeObject();
@@ -46,6 +50,11 @@ class JsonValue {
 
   bool asBool() const;
   double asNumber() const;
+  /// The number's literal read exactly, as digits only, into an integer
+  /// no larger than `max` — no double rounding in between. Throws
+  /// JsonError for anything else: a sign, a fraction, an exponent, a
+  /// value above `max`, or a value that is not a number.
+  std::uint64_t asUint(std::uint64_t max) const;
   const std::string& asString() const;
   const std::vector<JsonValue>& asArray() const;
   const std::map<std::string, JsonValue>& asObject() const;
@@ -60,7 +69,7 @@ class JsonValue {
   Kind kind_ = Kind::Null;
   bool bool_ = false;
   double number_ = 0.0;
-  std::string string_;
+  std::string string_;  ///< A string's value, or a number's literal.
   std::vector<JsonValue> array_;
   std::map<std::string, JsonValue> object_;
 };

@@ -164,16 +164,13 @@ std::uint32_t substitute(std::uint32_t v) {
   return out;
 }
 
-std::uint32_t rotl32(std::uint32_t v, unsigned k) {
-  return (v << k) | (v >> (32 - k));
-}
-
 std::uint32_t roundKey(const std::uint32_t key[4], unsigned round) {
-  return rotl32(key[round & 3] ^ (0x9E3779B9u * (round + 1)), round % 31);
+  return std::rotl(key[round & 3] ^ (0x9E3779B9u * (round + 1)),
+                   static_cast<int>(round % 31));
 }
 
 std::uint32_t feistelF(std::uint32_t half, std::uint32_t rk) {
-  return rotl32(substitute(half ^ rk), 5) ^ (half >> 3);
+  return std::rotl(substitute(half ^ rk), 5) ^ (half >> 3);
 }
 
 } // namespace

@@ -58,10 +58,8 @@ ReplayMaster::ReplayMaster(sim::Clock& clock, std::string name,
       instrIf_(instrIf),
       dataIf_(dataIf),
       maxInFlight_(maxInFlight),
-      stageGated_(instrIf.publishesStage() && dataIf.publishesStage()),
       predictive_(instrIf.predictsFinish() || dataIf.predictsFinish()),
-      epochGated_(stageGated_ &&
-                  instrIf.finishEpoch() != bus::kEpochUnknown &&
+      epochGated_(instrIf.finishEpoch() != bus::kEpochUnknown &&
                   dataIf.finishEpoch() != bus::kEpochUnknown),
       trace_(trace.entries()) {
   // The trace is referenced in place (constructor contract: it outlives
@@ -97,13 +95,13 @@ void ReplayMaster::syncStalls(std::uint64_t through) const {
 
 void ReplayMaster::onRisingEdge() {
   const std::uint64_t cycle = clock_.cycle();
-  // A stage-publishing adapter over an event-driven bus (the
-  // Tl2MasterBridge) defers completion bookkeeping until asked;
-  // querying the next finish publishes every stage transition due by
-  // now, so the gates below read fresh stages. A cycle-true bus never
-  // predicts (predictsFinish() false) and publishes stages from its own
-  // process — no pump needed, no virtual calls spent.
-  if (predictive_ && stageGated_ && !inFlight_.empty()) {
+  // An adapter over an event-driven bus (the Tl2MasterBridge) defers
+  // completion bookkeeping until asked; querying the next finish
+  // publishes every stage transition due by now, so the gates below
+  // read fresh stages. A cycle-true bus never predicts (predictsFinish()
+  // false) and publishes stages from its own process — no pump needed,
+  // no virtual calls spent.
+  if (predictive_ && !inFlight_.empty()) {
     instrIf_.nextFinishCycle();
     dataIf_.nextFinishCycle();
   }
@@ -133,38 +131,24 @@ void ReplayMaster::onRisingEdge() {
     syncStalls(cycle - 1);
     stallOpen_ = false;
   }
-  // Poll transactions in flight. When the bus publishes stage
-  // transitions (publishesStage()), a payload whose public stage is
-  // not Finished is still owned by the bus, and a Finished payload is
-  // collected directly from the payload fields — the pickup poll of
-  // every stage-publishing bus is exactly `result = req.result, stage
-  // = Idle` (the publishesStage() contract), so no call is made at
-  // all. Adapters that do not publish stages need every poll to pump
-  // their lower transaction, so they are polled unconditionally.
+  // Poll transactions in flight. Every bus publishes its stage
+  // transitions (the EcInstrIf stage contract): a payload whose public
+  // stage is not Finished is still owned by the bus, and a Finished
+  // payload is collected directly from the payload fields — the pickup
+  // poll is exactly `result = req.result, stage = Idle`, so no call is
+  // made at all.
   if (mayComplete) {
     for (auto it = inFlight_.begin(); it != inFlight_.end();) {
       Tl1Request& q = **it;
-      if (stageGated_) {
-        if (q.stage != bus::Tl1Stage::Finished) {
-          ++it;
-          continue;
-        }
-        q.stage = bus::Tl1Stage::Idle;
-        ++stats_.completed;
-        if (q.result == BusStatus::Error) ++stats_.errors;
-        stats_.finishCycle = cycle;
-        it = inFlight_.erase(it);
+      if (q.stage != bus::Tl1Stage::Finished) {
+        ++it;
         continue;
       }
-      const BusStatus s = invoke(instrIf_, dataIf_, q);
-      if (finished(s)) {
-        ++stats_.completed;
-        if (s == BusStatus::Error) ++stats_.errors;
-        stats_.finishCycle = cycle;
-        it = inFlight_.erase(it);
-      } else {
-        ++it;
-      }
+      q.stage = bus::Tl1Stage::Idle;
+      ++stats_.completed;
+      if (q.result == BusStatus::Error) ++stats_.errors;
+      stats_.finishCycle = cycle;
+      it = inFlight_.erase(it);
     }
   }
   // Issue further transactions in trace order, materialising each
@@ -360,7 +344,6 @@ Tl2ReplayMaster::Tl2ReplayMaster(sim::Clock& clock, std::string name,
       clock_(clock),
       busIf_(busIf),
       maxInFlight_(maxInFlight),
-      stageGated_(busIf.publishesStage()),
       trace_(trace.entries()) {
   // Same reference-in-place-then-lazy-materialise construction as
   // ReplayMaster (see above). Buffers are resized up front
@@ -404,10 +387,10 @@ void Tl2ReplayMaster::onRisingEdge() {
   // An event-driven bus without observers defers completion bookkeeping
   // until asked; querying the next finish publishes every stage
   // transition due by now, so the gate below reads fresh stages.
-  if (stageGated_ && !inFlight_.empty()) busIf_.nextFinishCycle();
+  if (!inFlight_.empty()) busIf_.nextFinishCycle();
   // Same Finished-stage gate as ReplayMaster::onRisingEdge().
   for (auto it = inFlight_.begin(); it != inFlight_.end();) {
-    if (stageGated_ && (*it)->stage != bus::Tl2Stage::Finished) {
+    if ((*it)->stage != bus::Tl2Stage::Finished) {
       ++it;
       continue;
     }

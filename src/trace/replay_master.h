@@ -119,13 +119,12 @@ class ReplayMaster final : public sim::Module {
   /// path; this is purely a dispatch shortcut.
   bus::Tl1Bus* tl1_ = nullptr;
   unsigned maxInFlight_;
-  bool stageGated_;  ///< Both interfaces publish the Finished stage.
   bool predictive_;  ///< Either interface may predict completions; when
                      ///  false the park/pump bookkeeping is skipped —
                      ///  the schedule is poll-every-cycle regardless.
-  bool epochGated_;  ///< Stage-gated over epoch-keeping interfaces: the
-                     ///  in-flight scan and refused-issue retry only run
-                     ///  on cycles whose finishEpoch sum moved.
+  bool epochGated_;  ///< Both interfaces keep an epoch: the in-flight
+                     ///  scan and refused-issue retry only run on
+                     ///  cycles whose finishEpoch sum moved.
   /// Entry payloads, referenced in place (the trace outlives the
   /// master; see the constructor contract). Requests are built from it
   /// one by one as they are issued; requests_ is reserved to full size
@@ -193,7 +192,6 @@ class Tl2ReplayMaster final : public sim::Module {
   sim::Clock::HandlerId handlerId_;
   bus::Tl2MasterIf& busIf_;
   unsigned maxInFlight_;
-  bool stageGated_;  ///< The interface publishes the Finished stage.
   /// See ReplayMaster: referenced entries, lazily materialised
   /// requests (reserved to full size, so pointers stay stable).
   std::span<const TraceEntry> trace_;

@@ -5,8 +5,9 @@
 // times per sweep, so "garbage in, exception out" is a load-bearing
 // contract, exercised here byte-surgically (bad magic, bad format
 // version, truncation at every prefix, oversized/undersized section
-// length fields, trailing garbage, duplicate section tags, and
-// registry-level version skew through the buffer path).
+// length fields, trailing garbage, duplicate section tags,
+// registry-level version skew through the buffer path, and pm section
+// fields that would index past the signal frame or the ledger).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,8 +15,11 @@
 #include <string>
 #include <vector>
 
+#include "bus/ec_signals.h"
 #include "ckpt/checkpoint.h"
 #include "obs/ledger.h"
+#include "power/tl1_power_model.h"
+#include "power/tl2_power_model.h"
 
 namespace sct {
 namespace {
@@ -137,6 +141,57 @@ TEST(SnapshotBufferNegative, LedgerSectionWithoutAccumulatorsIsRejected) {
   crafted.addSection("ledger", obs::EnergyLedger::kCkptVersion, {0});
   expectRefusal([&] { reg.loadAll(crafted); },
                 "EnergyLedger::loadState: section carries no accumulators");
+}
+
+/// A real power-model section with one field overwritten, loaded back.
+template <typename Model>
+void loadPatched(std::size_t offset, const std::vector<std::uint8_t>& bytes,
+                 const std::string& needle) {
+  const Model saved{power::SignalEnergyTable{}};
+  ckpt::StateWriter w;
+  saved.saveState(w);
+  std::vector<std::uint8_t> buf = w.take();
+  ASSERT_LE(offset + bytes.size(), buf.size());
+  std::memcpy(buf.data() + offset, bytes.data(), bytes.size());
+  Model restored{power::SignalEnergyTable{}};
+  ckpt::StateReader r(buf);
+  expectRefusal([&] { restored.loadState(r); }, needle);
+}
+
+/// Tl1PowerModel byte offsets follow its section layout: the frame and
+/// shadow lanes, then the dirty, strobe-set and pending-low masks, the
+/// transition counts, three energy accumulators, and the owner classes.
+void loadPatchedPm(std::size_t offset, const std::vector<std::uint8_t>& bytes,
+                   const std::string& needle) {
+  loadPatched<power::Tl1PowerModel>(offset, bytes, needle);
+}
+
+constexpr std::size_t kPmMasksAt = 2 * 8 * bus::kSignalCount;
+constexpr std::size_t kPmOwnerClassAt =
+    kPmMasksAt + 3 * 4 + 8 * bus::kSignalCount + 3 * 8;
+
+TEST(SnapshotBufferNegative, PmDirtyBitBeyondTheFrameIsRejected) {
+  loadPatchedPm(kPmMasksAt, {0, 0, 0x10, 0}, "signal mask names no bundle");
+}
+
+TEST(SnapshotBufferNegative, PmStrobeSetBitBeyondTheFrameIsRejected) {
+  loadPatchedPm(kPmMasksAt + 4, {0, 0, 0, 0x01},
+                "signal mask names no bundle");
+}
+
+TEST(SnapshotBufferNegative, PmPendingLowBitBeyondTheFrameIsRejected) {
+  loadPatchedPm(kPmMasksAt + 8, {0, 0, 0, 0x80},
+                "signal mask names no bundle");
+}
+
+TEST(SnapshotBufferNegative, PmOwnerClassOutOfRangeIsRejected) {
+  loadPatchedPm(kPmOwnerClassAt, {200}, "owner class out of range");
+}
+
+TEST(SnapshotBufferNegative, Tl2PmAttributionClassOutOfRangeIsRejected) {
+  // After the estimated transition counts and two energy accumulators.
+  loadPatched<power::Tl2PowerModel>(8 * bus::kSignalCount + 2 * 8, {3},
+                                    "attribution class out of range");
 }
 
 TEST(SnapshotBufferNegative, TrailingGarbageIsRejected) {

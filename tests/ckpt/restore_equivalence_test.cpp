@@ -108,10 +108,10 @@ struct Tl1Result {
   bus::Tl1BusStats busStats;
   std::vector<Req1Snap> requests;
   std::array<std::uint64_t, bus::kSignalCount> transitions{};
-  double pmTotal = 0.0;
-  double pmLastCycle = 0.0;
-  double ledgerTotal = 0.0;
-  std::vector<double> ledgerByBundle;
+  std::uint64_t pmTotal = 0;
+  std::uint64_t pmLastCycle = 0;
+  std::uint64_t ledgerTotal = 0;
+  std::vector<std::uint64_t> ledgerByBundle;
   std::vector<power::PowerProfile::Sample> samples;
   std::uint64_t fastDigest = 0;
   std::uint64_t waitedDigest = 0;
@@ -130,11 +130,11 @@ Tl1Result collect(Tl1Platform& p) {
   for (std::size_t i = 0; i < bus::kSignalCount; ++i) {
     r.transitions[i] = p.pm.transitions(static_cast<bus::SignalId>(i));
     r.ledgerByBundle.push_back(
-        p.ledger.byBundle_fJ(static_cast<bus::SignalId>(i)));
+        p.ledger.byBundle_aJ(static_cast<bus::SignalId>(i)));
   }
-  r.pmTotal = p.pm.totalEnergy_fJ();
-  r.pmLastCycle = p.pm.energyLastCycle_fJ();
-  r.ledgerTotal = p.ledger.total_fJ();
+  r.pmTotal = p.pm.totalEnergy_aJ();
+  r.pmLastCycle = p.pm.energyLastCycle_aJ();
+  r.ledgerTotal = p.ledger.total_aJ();
   r.samples = p.profile.samples();
   r.fastDigest = p.fast.imageDigest();
   r.waitedDigest = p.waited.imageDigest();
@@ -352,9 +352,9 @@ struct Tl2Result {
   bus::Tl2BusStats busStats;
   std::vector<Req2Snap> requests;
   std::vector<std::array<std::uint8_t, 16>> readData;
-  std::vector<double> estTransitions;
-  double pmTotal = 0.0;
-  double ledgerTotal = 0.0;
+  std::vector<std::uint64_t> estTransitions;
+  std::uint64_t pmTotal = 0;
+  std::uint64_t ledgerTotal = 0;
   std::uint64_t fastDigest = 0;
   std::uint64_t waitedDigest = 0;
 };
@@ -375,8 +375,8 @@ Tl2Result collect(Tl2Platform& p, const BusTrace& t) {
     r.estTransitions.push_back(
         p.pm.estimatedTransitions(static_cast<bus::SignalId>(i)));
   }
-  r.pmTotal = p.pm.totalEnergy_fJ();
-  r.ledgerTotal = p.ledger.total_fJ();
+  r.pmTotal = p.pm.totalEnergy_aJ();
+  r.ledgerTotal = p.ledger.total_aJ();
   r.fastDigest = p.fast.imageDigest();
   r.waitedDigest = p.waited.imageDigest();
   return r;
@@ -545,9 +545,9 @@ struct HybridResult {
   trace::ReplayStats replay;
   std::vector<Req1Snap> requests;
   std::array<std::uint64_t, bus::kSignalCount> transitions{};
-  double pm1Total = 0.0;
-  double pm2Total = 0.0;
-  double ledgerTotal = 0.0;
+  std::uint64_t pm1Total = 0;
+  std::uint64_t pm2Total = 0;
+  std::uint64_t ledgerTotal = 0;
   std::vector<power::PowerProfile::Sample> samples;
   std::uint64_t fastDigest = 0;
   std::uint64_t waitedDigest = 0;
@@ -566,9 +566,9 @@ HybridResult collect(HybridPlatform& p) {
   for (std::size_t i = 0; i < bus::kSignalCount; ++i) {
     r.transitions[i] = p.pm1.transitions(static_cast<bus::SignalId>(i));
   }
-  r.pm1Total = p.pm1.totalEnergy_fJ();
-  r.pm2Total = p.pm2.totalEnergy_fJ();
-  r.ledgerTotal = p.ledger1.total_fJ();
+  r.pm1Total = p.pm1.totalEnergy_aJ();
+  r.pm2Total = p.pm2.totalEnergy_aJ();
+  r.ledgerTotal = p.ledger1.total_aJ();
   r.samples = p.profile.samples();
   r.fastDigest = p.fast.imageDigest();
   r.waitedDigest = p.waited.imageDigest();

@@ -140,7 +140,7 @@ TEST(Intermittent, AmpleFieldRunsUninterrupted) {
   ASSERT_EQ(r.segments.size(), 1u);
   EXPECT_EQ(r.segments.front().wallStart, 0u);
   EXPECT_EQ(r.segments.front().wallEnd, r.wallCycles);
-  EXPECT_GT(r.segments.front().energy.total, 0.0);
+  EXPECT_GT(r.segments.front().energy.total_aJ(), 0u);
   EXPECT_GT(r.checkpointBytes, 0u);
   EXPECT_DOUBLE_EQ(r.dutyCycle(), 1.0);
 }

@@ -107,7 +107,7 @@ struct RunResult {
   std::uint64_t writeBeats = 0;
   std::vector<std::array<bus::Word, 4>> payloads;
   std::array<std::uint64_t, bus::kSignalCount> transitions{};
-  double pmTotal = 0.0;
+  std::uint64_t pmTotal = 0;
   std::uint64_t fastDigest = 0;
   std::uint64_t waitedDigest = 0;
 };
@@ -125,7 +125,7 @@ RunResult collect(EncPlatform& p) {
   for (std::size_t i = 0; i < bus::kSignalCount; ++i) {
     r.transitions[i] = p.pm.transitions(static_cast<bus::SignalId>(i));
   }
-  r.pmTotal = p.pm.totalEnergy_fJ();
+  r.pmTotal = p.pm.totalEnergy_aJ();
   r.fastDigest = p.fast.imageDigest();
   r.waitedDigest = p.waited.imageDigest();
   return r;

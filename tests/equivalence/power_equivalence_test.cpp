@@ -2,11 +2,11 @@
 //
 // Tl1PowerModel::busCycleEnd was restructured for speed: early-out on
 // unchanged frames, XOR + popcount Hamming distances, and direct
-// indexing of the flat coefficient array instead of an energyFor() call
-// per signal. None of that may change the numbers: this test replays
+// indexing of the flat coefficient array instead of a table lookup per
+// signal. None of that may change the numbers: this test replays
 // random-mix workloads with the production model and an independently
-// written naive observer (per-signal energyFor, no early-out) attached
-// to the same bus, and requires bit-identical accumulated energy and
+// written naive observer (per-signal coeff_aJ, no early-out) attached
+// to the same bus, and requires identical accumulated attojoules and
 // transition counts.
 #include <gtest/gtest.h>
 
@@ -27,7 +27,7 @@ using testbench::Tl1Bench;
 /// Straight-line reimplementation of the layer-1 TL-to-RTL adapter the
 /// way the original (pre-fast-path) code computed it: reconstruct the
 /// signal frame from the bus phases, then walk every signal, take
-/// hammingDistance and price it with energyFor — unconditionally.
+/// hammingDistance and price it with coeff_aJ — unconditionally.
 struct NaiveTl1Energy final : bus::Tl1Observer {
   explicit NaiveTl1Energy(const power::SignalEnergyTable& table)
       : table(table) {}
@@ -78,14 +78,12 @@ struct NaiveTl1Energy final : bus::Tl1Observer {
   }
 
   void busCycleEnd(std::uint64_t) override {
-    double e = 0.0;
     for (std::size_t i = 0; i < bus::kSignalCount; ++i) {
       const SignalId id = static_cast<SignalId>(i);
       const unsigned n = bus::hammingDistance(id, prev.get(id), next.get(id));
       transitions[i] += n;
-      e += table.energyFor(id, static_cast<double>(n));
+      total_aJ += table.coeff_aJ(id) * n;
     }
-    total_fJ += e;
     prev = next;
   }
 
@@ -93,7 +91,7 @@ struct NaiveTl1Energy final : bus::Tl1Observer {
   bus::SignalFrame prev;
   bus::SignalFrame next;
   std::array<std::uint64_t, bus::kSignalCount> transitions{};
-  double total_fJ = 0.0;
+  std::uint64_t total_aJ = 0;
 };
 
 power::SignalEnergyTable distinctTable() {
@@ -128,13 +126,13 @@ TEST_P(PowerEquivalenceSeedTest, FastPathEnergyBitIdenticalToNaive) {
   bench.bus.addObserver(naive);
   bench.run(workload);
 
-  // Bit-identical, not approximately equal: the fast path must perform
-  // the same additions in the same order.
-  EXPECT_EQ(fast.totalEnergy_fJ(), naive.total_fJ) << "seed " << GetParam();
-  EXPECT_GT(fast.totalEnergy_fJ(), 0.0);
+  // Equal, not approximately equal: the fast path must count the same
+  // transitions and price them with the same coefficients.
+  EXPECT_EQ(fast.totalEnergy_aJ(), naive.total_aJ) << "seed " << GetParam();
+  EXPECT_GT(fast.totalEnergy_aJ(), 0u);
   // The packed-lane counting (wide XOR over the whole frame on busy
   // cycles) and the per-bundle scalar walk must agree term for term.
-  EXPECT_EQ(fast.totalEnergy_fJ(), scalar.totalEnergy_fJ())
+  EXPECT_EQ(fast.totalEnergy_aJ(), scalar.totalEnergy_aJ())
       << "seed " << GetParam();
   // Whether any cycle of a given random mix crosses kPackedLaneThreshold
   // is workload-dependent; PackedPathExercised below guarantees coverage
@@ -182,8 +180,8 @@ TEST(PowerEquivalenceTest, PackedPathExercised) {
 
   EXPECT_GT(fast.packedLaneCycles(), 0u);
   EXPECT_EQ(scalar.packedLaneCycles(), 0u);
-  EXPECT_EQ(fast.totalEnergy_fJ(), naive.total_fJ);
-  EXPECT_EQ(fast.totalEnergy_fJ(), scalar.totalEnergy_fJ());
+  EXPECT_EQ(fast.totalEnergy_aJ(), naive.total_aJ);
+  EXPECT_EQ(fast.totalEnergy_aJ(), scalar.totalEnergy_aJ());
   for (std::size_t i = 0; i < bus::kSignalCount; ++i) {
     EXPECT_EQ(fast.transitions(static_cast<SignalId>(i)),
               naive.transitions[i])

@@ -12,8 +12,7 @@
 //  * read-result payloads and final slave memory images,
 //  * the cycle number of every observer callback,
 //  * Tl2PowerModel interval samples and accumulated energy (exact
-//    double equality — the callback sequence is the same, so the
-//    floating-point operation order must be too).
+//    equality: the attojoule total and every converted sample).
 // Workloads sweep the interesting regimes: dense mixes (unit backlog),
 // sparse issue gaps (dead-cycle warp), decode misses, wait-state
 // combinations, and single-class floods that saturate the
@@ -134,7 +133,7 @@ struct RunResult {
   std::vector<std::array<std::uint8_t, 16>> readData;
   std::vector<PhaseRecord> phases;
   std::vector<double> intervals;
-  double total_fJ = 0.0;
+  std::uint64_t total_aJ = 0;
   std::vector<std::uint8_t> fastImage;
   std::vector<std::uint8_t> waitedImage;
 };
@@ -184,7 +183,7 @@ RunResult run(const BusTrace& t, bool perCycle,
   }
   r.phases = std::move(logger.log);
   r.intervals = std::move(sampler.samples);
-  r.total_fJ = pm.totalEnergy_fJ();
+  r.total_aJ = pm.totalEnergy_aJ();
   r.fastImage.assign(p.fast.data(), p.fast.data() + p.fast.sizeBytes());
   r.waitedImage.assign(p.waited.data(),
                        p.waited.data() + p.waited.sizeBytes());
@@ -245,7 +244,7 @@ void expectIdentical(const RunResult& ev, const RunResult& pc) {
   for (std::size_t i = 0; i < pc.intervals.size(); ++i) {
     EXPECT_EQ(ev.intervals[i], pc.intervals[i]) << "interval sample " << i;
   }
-  EXPECT_EQ(ev.total_fJ, pc.total_fJ);
+  EXPECT_EQ(ev.total_aJ, pc.total_aJ);
 
   EXPECT_EQ(ev.fastImage, pc.fastImage);
   EXPECT_EQ(ev.waitedImage, pc.waitedImage);
@@ -398,7 +397,7 @@ TEST(Tl2EventEquivalence, MidRunStatsQueriesAgree) {
 struct AttachRunResult {
   std::vector<PhaseRecord> phases;
   std::vector<double> intervals;
-  double total_fJ = 0.0;
+  std::uint64_t total_aJ = 0;
   bus::Tl2BusStats bus;
   std::uint64_t finishCycle = 0;
 };
@@ -417,7 +416,7 @@ AttachRunResult attachMidRun(const BusTrace& t, bool perCycle) {
   AttachRunResult r;
   r.phases = std::move(logger.log);
   r.intervals = std::move(sampler.samples);
-  r.total_fJ = pm.totalEnergy_fJ();
+  r.total_aJ = pm.totalEnergy_aJ();
   r.bus = p.bus.stats();
   r.finishCycle = master.stats().finishCycle;
   return r;
@@ -442,7 +441,7 @@ TEST(Tl2EventEquivalence, ObserverAttachMidRunAgrees) {
   for (std::size_t i = 0; i < pc.intervals.size(); ++i) {
     EXPECT_EQ(ev.intervals[i], pc.intervals[i]) << "interval sample " << i;
   }
-  EXPECT_EQ(ev.total_fJ, pc.total_fJ);
+  EXPECT_EQ(ev.total_aJ, pc.total_aJ);
   expectBusStatsEqual(ev.bus, pc.bus);
   EXPECT_EQ(ev.finishCycle, pc.finishCycle);
 }

@@ -232,11 +232,11 @@ TEST(RoiTriggerTest, EnergyBudgetTripsOnSustainedDraw) {
   EnergyBudgetTrigger t(power::gsm5V(), /*clockPeriodPs=*/10,
                         /*chipScale=*/1.0, /*windowCycles=*/10,
                         /*triggerFraction=*/0.8, /*holdCycles=*/20);
-  t.onEnergy(1.0e6, 3);
+  t.onEnergy(1'000'000'000, 3);  // 1e6 fJ, fed in aJ.
   EXPECT_FALSE(t.wantsRoi(10));  // Window closes quiet: 1e6 < 4e6.
   EXPECT_EQ(t.windowsTripped(), 0u);
 
-  t.onEnergy(5.0e6, 15);
+  t.onEnergy(5'000'000'000, 15);
   EXPECT_TRUE(t.wantsRoi(20));  // Hot window: armed until 40.
   EXPECT_EQ(t.windowsTripped(), 1u);
   EXPECT_TRUE(t.wantsRoi(39));

@@ -60,8 +60,8 @@ constexpr std::uint64_t kSegments = 4;
 
 struct SegmentRecord {
   std::uint64_t elapsed = 0;
-  double cumulativeEnergy_fJ = 0.0;
-  double delta_fJ = 0.0;
+  std::uint64_t cumulativeEnergy_aJ = 0;
+  std::uint64_t delta_aJ = 0;
   std::vector<bus::Word> readWords;
 };
 
@@ -80,14 +80,14 @@ TEST(HybridEquivalence, RoiWindowsAreBitIdenticalToPureTl1) {
 
   std::vector<SegmentRecord> pureSeg(kSegments);
   for (std::uint64_t s = 0; s < kSegments; ++s) {
-    const double before = purePm.totalEnergy_fJ();
+    const std::uint64_t before = purePm.totalEnergy_aJ();
     const auto t = roiSegment(101 + s);
     trace::ReplayMaster m(pure.clk, "roi", pure.bus, pure.bus, t);
     pureSeg[s].elapsed = m.runToCompletion();
     EXPECT_TRUE(m.done());
     pure.clk.runCycles(2);  // Settle: trailing strobe deassertion.
-    pureSeg[s].cumulativeEnergy_fJ = purePm.totalEnergy_fJ();
-    pureSeg[s].delta_fJ = purePm.totalEnergy_fJ() - before;
+    pureSeg[s].cumulativeEnergy_aJ = purePm.totalEnergy_aJ();
+    pureSeg[s].delta_aJ = purePm.totalEnergy_aJ() - before;
     for (const auto& r : m.requests()) pureSeg[s].readWords.push_back(r.data[0]);
   }
 
@@ -123,7 +123,7 @@ TEST(HybridEquivalence, RoiWindowsAreBitIdenticalToPureTl1) {
       hybSeg[s].elapsed = m.runToCompletion();
       EXPECT_TRUE(m.done());
       clk.runCycles(2);
-      hybSeg[s].cumulativeEnergy_fJ = pm1.totalEnergy_fJ();
+      hybSeg[s].cumulativeEnergy_aJ = pm1.totalEnergy_aJ();
       for (const auto& r : m.requests())
         hybSeg[s].readWords.push_back(r.data[0]);
     }
@@ -136,17 +136,14 @@ TEST(HybridEquivalence, RoiWindowsAreBitIdenticalToPureTl1) {
   ctrl.finalize();
 
   // ---- Per-segment timing, payloads, cumulative energy: bitwise. ----
-  double prevCumulative = 0.0;
   for (std::uint64_t s = 0; s < kSegments; ++s) {
     SCOPED_TRACE("segment " + std::to_string(s));
     EXPECT_EQ(hybSeg[s].elapsed, pureSeg[s].elapsed);
     EXPECT_EQ(hybSeg[s].readWords, pureSeg[s].readWords);
-    EXPECT_EQ(hybSeg[s].cumulativeEnergy_fJ, pureSeg[s].cumulativeEnergy_fJ);
-    prevCumulative = hybSeg[s].cumulativeEnergy_fJ;
+    EXPECT_EQ(hybSeg[s].cumulativeEnergy_aJ, pureSeg[s].cumulativeEnergy_aJ);
   }
-  EXPECT_EQ(pm1.totalEnergy_fJ(), purePm.totalEnergy_fJ());
-  EXPECT_EQ(ledger1.total_fJ(), pureLedger.total_fJ());
-  (void)prevCumulative;
+  EXPECT_EQ(pm1.totalEnergy_aJ(), purePm.totalEnergy_aJ());
+  EXPECT_EQ(ledger1.view(), pureLedger.view());
 
   // ---- Signal-level equivalence: transitions and the final frame. ----
   for (std::size_t i = 0; i < bus::kSignalCount; ++i) {
@@ -179,7 +176,8 @@ TEST(HybridEquivalence, RoiWindowsAreBitIdenticalToPureTl1) {
   ASSERT_EQ(tl1Regions.size(), kSegments);
   for (std::uint64_t s = 0; s < kSegments; ++s) {
     SCOPED_TRACE("region " + std::to_string(s));
-    EXPECT_EQ(tl1Regions[s]->energy_fJ, pureSeg[s].delta_fJ);
+    EXPECT_EQ(tl1Regions[s]->energy_fJ,
+              bus::toFemtojoules(pureSeg[s].delta_aJ));
     EXPECT_EQ(tl1Regions[s]->toCycle - tl1Regions[s]->fromCycle,
               pureSeg[s].elapsed + 2);
   }

@@ -20,7 +20,22 @@ TEST(CoeffTableTest, SetAndGet) {
   SignalEnergyTable t;
   t.setCoeff_fJ(SignalId::EB_A, 123.5);
   EXPECT_DOUBLE_EQ(t.coeff_fJ(SignalId::EB_A), 123.5);
-  EXPECT_DOUBLE_EQ(t.energyFor(SignalId::EB_A, 4), 494.0);
+  EXPECT_EQ(t.coeff_aJ(SignalId::EB_A), 123500u);
+}
+
+TEST(CoeffTableTest, SetRoundsToWholeAttojoules) {
+  SignalEnergyTable t;
+  t.setCoeff_fJ(SignalId::EB_A, 100.1604);
+  EXPECT_EQ(t.coeff_aJ(SignalId::EB_A), 100160u);
+  t.setCoeff_fJ(SignalId::EB_A, 100.1606);
+  EXPECT_EQ(t.coeff_aJ(SignalId::EB_A), 100161u);
+  // Rounded once, on the way in: the stored value reads back as the
+  // nearest double to the whole-aJ value.
+  EXPECT_EQ(t.coeff_fJ(SignalId::EB_A), 100.161);
+  EXPECT_THROW(t.setCoeff_fJ(SignalId::EB_A, -1.0), std::runtime_error);
+  EXPECT_THROW(
+      t.setCoeff_fJ(SignalId::EB_A, 2 * SignalEnergyTable::kMaxCoeff_fJ),
+      std::runtime_error);
 }
 
 TEST(CoeffTableTest, SaveLoadRoundTrip) {

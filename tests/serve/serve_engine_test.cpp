@@ -16,6 +16,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <string>
@@ -95,12 +97,11 @@ TEST(ServeCard, RecycledSessionsAreBitIdentical) {
   const serve::SessionOutcome first = card.runSession(steps);
   ASSERT_TRUE(first.ok);
   EXPECT_TRUE(first.expected);
-  EXPECT_GT(first.energy.total, 0.0);
+  EXPECT_GT(first.energy.total_aJ(), 0u);
 
   // Serve more sessions on the SAME instance — a different scenario in
   // between to dirty the state — recycling before each. The repeat of
-  // the first session must match bit for bit (exact double equality
-  // via LedgerView::operator==).
+  // the first session must match exactly (LedgerView::operator==).
   card.recycle(golden);
   const serve::SessionOutcome other =
       card.runSession(serve::buildScenario("mixed", 99));
@@ -254,15 +255,61 @@ TEST(ServeEngine, ResultLinesAreValidJsonWithAttribution) {
   EXPECT_EQ(v.find("by_class")->asObject().size(), obs::kTxClassCount);
   EXPECT_EQ(v.find("by_bundle")->asObject().size(), bus::kSignalCount);
   EXPECT_EQ(v.find("by_slave")->asArray().size(), obs::kLedgerSlaveSlots);
-  EXPECT_EQ(v.find("by_master")->asArray().size(), obs::kLedgerMasterSlots);
-  // The dimensional splits cross-sum to the total (same accumulation
-  // order per dimension, so plain summation reproduces it here).
-  double classSum = 0.0;
+  EXPECT_EQ(v.find("by_master"), nullptr);
+  // Every printed energy is a whole number of attojoules, and each
+  // dimensional split sums exactly to the total.
+  const auto aJ = [](const serve::JsonValue& fJ) {
+    return std::llround(fJ.asNumber() * 1000.0);
+  };
+  long long classSum = 0, bundleSum = 0, slaveSum = 0;
   for (const auto& [name, val] : v.find("by_class")->asObject()) {
-    classSum += val.asNumber();
+    classSum += aJ(val);
   }
-  EXPECT_NEAR(classSum, v.find("energy_fJ")->asNumber(),
-              1e-9 * classSum + 1e-12);
+  for (const auto& [name, val] : v.find("by_bundle")->asObject()) {
+    bundleSum += aJ(val);
+  }
+  for (const serve::JsonValue& val : v.find("by_slave")->asArray()) {
+    slaveSum += aJ(val);
+  }
+  const long long total = aJ(*v.find("energy_fJ"));
+  EXPECT_EQ(classSum, total);
+  EXPECT_EQ(bundleSum, total);
+  EXPECT_EQ(slaveSum, total);
+}
+
+TEST(ServeEngine, SeedsOutsideExactIntegersComeBackAsErrorLines) {
+  // A seed is read exactly from its JSON literal: a negative, fractional
+  // or out-of-range number must not be cast into some other seed.
+  serve::ServeEngine engine(fixedTable(), 1);
+  Collector out;
+  const char* bad[] = {"-1", "1e300", "18446744073709551615", "0.5",
+                       "9007199254740993"};
+  const auto submit = [&](const char* seed) {
+    engine.submitLine(std::string("{\"id\":\"") + seed +
+                          "\",\"scenario\":\"challenge\",\"seed\":" + seed +
+                          "}",
+                      out.sinkFor(seed));
+  };
+  for (const char* seed : bad) submit(seed);
+  submit("0");
+  submit("9007199254740992");
+  engine.drain();
+  for (const char* seed : bad) {
+    SCOPED_TRACE(seed);
+    const serve::JsonValue v = serve::parseJson(out.byId.at(seed));
+    EXPECT_EQ(v.find("event")->asString(), "error");
+  }
+  // Serving continues, and the largest accepted seed echoes unchanged.
+  const serve::JsonValue top =
+      serve::parseJson(out.byId.at("9007199254740992"));
+  EXPECT_EQ(top.find("event")->asString(), "result");
+  EXPECT_NE(out.byId.at("9007199254740992")
+                .find("\"seed\":9007199254740992,"),
+            std::string::npos);
+  EXPECT_EQ(serve::parseJson(out.byId.at("0")).find("event")->asString(),
+            "result");
+  EXPECT_EQ(engine.errors(), std::size(bad));
+  EXPECT_EQ(engine.completed(), 2u);
 }
 
 TEST(ServeEngine, ProtocolErrorsComeBackAsErrorLines) {
