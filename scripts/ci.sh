@@ -40,6 +40,14 @@ for preset in release asan-ubsan; do
   run cmake --preset "$preset" -DSCT_WERROR=ON
   run cmake --build --preset "$preset" --parallel "$jobs"
   run ctest --preset "$preset" --parallel "$jobs"
+  # The `equivalence` label is the gate for the event-driven TL2 bus:
+  # its event-vs-per-cycle suite pins the phase schedule, both observer
+  # delivery classes and every read of the power model against the
+  # per-cycle reference (the label also carries the layer and power
+  # equivalence suites and the ledger reconciliation). Run it
+  # explicitly so a filter or preset change can never silently drop it
+  # from the pass.
+  run ctest --preset "$preset" -L equivalence --parallel "$jobs"
   # The adaptive-fidelity equivalence suite is the gate for the hybrid
   # TL1/TL2 bus: run the `hier` label explicitly so a filter or preset
   # change can never silently drop it from the pass.

@@ -48,9 +48,26 @@ void Tl2Bus::setPerCycleProcess(bool v) {
   perCycle_ = v;
 }
 
+void Tl2Bus::addObserver(Tl2Observer& obs) {
+  if (!perCycle_ && notifyDepth_ == 0) retireDue();
+  observers_.push_back(&obs);
+  if (obs.orderOnly()) {
+    obs.attachedBus_ = this;
+  } else {
+    ++exactObservers_;
+    if (!perCycle_) parkProcess(nextEventCycle());
+  }
+}
+
 void Tl2Bus::removeObserver(Tl2Observer& obs) {
+  if (!perCycle_ && notifyDepth_ == 0) retireDue();
   auto it = std::find(observers_.begin(), observers_.end(), &obs);
   if (it == observers_.end()) return;
+  if (obs.orderOnly()) {
+    obs.attachedBus_ = nullptr;
+  } else if (--exactObservers_ == 0 && !perCycle_ && notifyDepth_ == 0) {
+    parkProcess(sim::Clock::kNeverWake);
+  }
   if (notifyDepth_ > 0) {
     // Mid-notification: keep indices stable, compact afterwards.
     *it = nullptr;
@@ -60,7 +77,15 @@ void Tl2Bus::removeObserver(Tl2Observer& obs) {
   }
 }
 
-void Tl2Bus::notifyAddressPhase(const Tl2PhaseInfo& info) {
+void Tl2Bus::notifyAddressPhase(const Tl2Request& req) {
+  Tl2PhaseInfo info;
+  info.kind = req.kind;
+  info.address = req.address;
+  info.bytes = req.bytes;
+  info.beats = req.beatCount();
+  info.cycles = req.addrCycles;
+  info.slave = req.slave;
+  info.error = req.slave < 0;
   ++notifyDepth_;
   // By index, with the size snapshotted: callbacks may detach any
   // observer (slot nulled above) or attach new ones (first notified
@@ -78,7 +103,16 @@ void Tl2Bus::notifyAddressPhase(const Tl2PhaseInfo& info) {
   }
 }
 
-void Tl2Bus::notifyDataPhase(const Tl2PhaseInfo& info) {
+void Tl2Bus::notifyDataPhase(const Tl2Request& req, bool ok) {
+  Tl2PhaseInfo info;
+  info.kind = req.kind;
+  info.address = req.address;
+  info.data = req.data;
+  info.bytes = req.bytes;
+  info.beats = req.beatCount();
+  info.cycles = req.dataCycles;
+  info.slave = req.slave;
+  info.error = !ok;
   ++notifyDepth_;
   const std::size_t n = observers_.size();
   for (std::size_t i = 0; i < n && i < observers_.size(); ++i) {
@@ -232,32 +266,30 @@ void Tl2Bus::retireDue() const {
 void Tl2Bus::retireThrough(std::uint64_t through) {
   std::uint64_t last = 0;
   bool any = false;
-  // Address boundaries first: a request's address phase always precedes
-  // its data phase, and address completions touch no slave state, so
-  // draining them ahead of the data walk is order-safe.
-  while (!requestQueue_.empty() &&
-         requestQueue_.front()->addrDoneCycle <= through) {
-    Tl2Request& req = *requestQueue_.front();
-    requestQueue_.pop_front();
-    last = req.addrDoneCycle;  // Fronts ascend.
-    any = true;
-    completeAddressPhase(req, /*notify=*/false);
-  }
-  // Data boundaries in global completion order: block transfers touch
-  // slave memory, so reads and writes must interleave exactly as the
-  // per-cycle units dispatch them (ascending cycle; the read unit runs
-  // first on a shared edge).
   for (;;) {
+    // The queue fronts carry each unit's next boundary, ascending.
     const std::uint64_t r = readQueue_.empty()
                                 ? sim::Clock::kNeverWake
                                 : readQueue_.front()->dataDoneCycle;
     const std::uint64_t w = writeQueue_.empty()
                                 ? sim::Clock::kNeverWake
                                 : writeQueue_.front()->dataDoneCycle;
-    const std::uint64_t boundary = std::min(r, w);
-    if (boundary > through) break;
-    completeDataPhase(r <= w ? readQueue_ : writeQueue_, /*notify=*/false);
-    if (boundary > last) last = boundary;
+    const std::uint64_t data = std::min(r, w);
+    // Address boundaries before the next data boundary go first; on a
+    // shared edge the data units run first, as in busProcess. A data
+    // front never waits on a pending address boundary of its own
+    // request (data-done > address-done).
+    while (!requestQueue_.empty()) {
+      Tl2Request& req = *requestQueue_.front();
+      if (req.addrDoneCycle >= data || req.addrDoneCycle > through) break;
+      requestQueue_.pop_front();
+      last = req.addrDoneCycle;
+      any = true;
+      completeAddressPhase(req);
+    }
+    if (data > through) break;
+    completeDataPhase(r <= w ? readQueue_ : writeQueue_);
+    last = data;
     any = true;
   }
   if (any && busyOpen_ && requestQueue_.empty() && readQueue_.empty() &&
@@ -357,54 +389,26 @@ void Tl2Bus::scheduleRequest(Tl2Request& req) {
     busyFrom_ = submit;
   }
   // Wake the bus process for the earliest pending boundary — but only
-  // if somebody needs exact-cycle callbacks. With no observers the
-  // whole schedule retires lazily from the interface entry points and
-  // the process never has to run.
-  parkProcess(observers_.empty() ? sim::Clock::kNeverWake : nextEventCycle());
+  // if somebody needs exact-cycle callbacks. Otherwise the whole
+  // schedule retires lazily from the interface entry points and the
+  // order-only observers' reads, and the process never has to run.
+  parkProcess(exactObservers_ == 0 ? sim::Clock::kNeverWake
+                                   : nextEventCycle());
 }
 
 void Tl2Bus::eventProcess() {
-  const std::uint64_t e = clock_.cycle();
-  // Boundaries deferred from an observer-free stretch (the process only
-  // wakes while observers are attached, but a detach can leave it armed
-  // with older boundaries still pending) retire silently first.
-  retireThrough(e - 1);
-  // Same intra-edge order as the per-cycle process: both data units
-  // before the address unit. At most one boundary per unit can land on
-  // one edge, and a data phase never completes on its own address-done
-  // edge, so the front checks below are exhaustive.
-  if (!readQueue_.empty() && readQueue_.front()->dataDoneCycle == e) {
-    completeDataPhase(readQueue_, /*notify=*/true);
-  }
-  if (!writeQueue_.empty() && writeQueue_.front()->dataDoneCycle == e) {
-    completeDataPhase(writeQueue_, /*notify=*/true);
-  }
-  if (!requestQueue_.empty() && requestQueue_.front()->addrDoneCycle == e) {
-    Tl2Request& req = *requestQueue_.front();
-    requestQueue_.pop_front();
-    completeAddressPhase(req, /*notify=*/true);
-  }
-  const std::uint64_t next = nextEventCycle();
-  if (next == sim::Clock::kNeverWake && busyOpen_) {
-    // Last boundary of the backlog: close the busy interval.
-    closedBusyCycles_ += e - busyFrom_ + 1;
-    busyOpen_ = false;
-  }
-  parkProcess(observers_.empty() ? sim::Clock::kNeverWake : next);
+  // During the falling dispatch the last virtual edge is this one, so
+  // this retires any boundary left over from a stretch without
+  // exact-cycle observers, then this edge's — in per-cycle order, with
+  // callbacks. It also marks the edge current, so a callback that
+  // queries the bus cannot retire the rest of the edge ahead of time.
+  retireDue();
+  parkProcess(exactObservers_ == 0 ? sim::Clock::kNeverWake
+                                   : nextEventCycle());
 }
 
-void Tl2Bus::completeAddressPhase(Tl2Request& req, bool notify) {
-  if (notify && !observers_.empty()) {
-    Tl2PhaseInfo info;
-    info.kind = req.kind;
-    info.address = req.address;
-    info.bytes = req.bytes;
-    info.beats = req.beatCount();
-    info.cycles = req.addrCycles;
-    info.slave = req.slave;
-    info.error = req.slave < 0;
-    notifyAddressPhase(info);
-  }
+void Tl2Bus::completeAddressPhase(Tl2Request& req) {
+  if (!observers_.empty()) notifyAddressPhase(req);
   req.addrCyclesLeft = 0;
   if (obsRec_ != nullptr) noteAddrPhaseObs(req);
   if (req.slave < 0) {
@@ -415,7 +419,7 @@ void Tl2Bus::completeAddressPhase(Tl2Request& req, bool notify) {
   }
 }
 
-void Tl2Bus::completeDataPhase(RequestRing& queue, bool notify) {
+void Tl2Bus::completeDataPhase(RequestRing& queue) {
   Tl2Request& req = *queue.front();
   queue.pop_front();
 
@@ -428,18 +432,7 @@ void Tl2Bus::completeDataPhase(RequestRing& queue, bool notify) {
     ok = slave.readBlock(req.address, req.data, req.bytes);
   }
 
-  if (notify && !observers_.empty()) {
-    Tl2PhaseInfo info;
-    info.kind = req.kind;
-    info.address = req.address;
-    info.data = req.data;
-    info.bytes = req.bytes;
-    info.beats = req.beatCount();
-    info.cycles = req.dataCycles;
-    info.slave = req.slave;
-    info.error = !ok;
-    notifyDataPhase(info);
-  }
+  if (!observers_.empty()) notifyDataPhase(req, ok);
   req.dataCyclesLeft = 0;
   if (obsRec_ != nullptr) noteDataPhaseObs(req);
   finish(req, ok ? BusStatus::Ok : BusStatus::Error, req.dataDoneCycle);
@@ -598,15 +591,7 @@ void Tl2Bus::addressPhase() {
   if (req.addrCyclesLeft > 0) return;
 
   // Address phase finishes this cycle.
-  Tl2PhaseInfo info;
-  info.kind = req.kind;
-  info.address = req.address;
-  info.bytes = req.bytes;
-  info.beats = req.beatCount();
-  info.cycles = req.addrCycles;
-  info.slave = req.slave;
-  info.error = req.slave < 0;
-  notifyAddressPhase(info);
+  notifyAddressPhase(req);
 
   if (req.slave < 0) {
     finish(req, BusStatus::Error, clock_.cycle());
@@ -639,17 +624,7 @@ void Tl2Bus::dataPhase(Tl2Request*& current, RequestRing& queue) {
   } else {
     ok = slave.readBlock(req.address, req.data, req.bytes);
   }
-
-  Tl2PhaseInfo info;
-  info.kind = req.kind;
-  info.address = req.address;
-  info.data = req.data;
-  info.bytes = req.bytes;
-  info.beats = req.beatCount();
-  info.cycles = req.dataCycles;
-  info.slave = req.slave;
-  info.error = !ok;
-  notifyDataPhase(info);
+  notifyDataPhase(req, ok);
 
   finish(req, ok ? BusStatus::Ok : BusStatus::Error, clock_.cycle());
   current = nullptr;

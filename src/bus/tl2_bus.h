@@ -28,12 +28,17 @@
 // depends on the cycles in between — so by default the bus is
 // *event-driven*: at accept it resolves the whole phase schedule with
 // event arithmetic (address-done cycle, data-done cycle, serialised
-// per unit exactly as the counters would serialise them) and parks its
-// clock handler until the next phase boundary. Combined with the
-// clock's dead-cycle warp, idle and wait-state cycles cost nothing.
-// The original per-cycle countdown survives behind a testing hook
-// (setPerCycleProcess) as the reference implementation; both paths
-// produce bit-identical stats, observer callbacks and request fields.
+// per unit exactly as the counters would serialise them). Its clock
+// handler wakes on a phase boundary only while an exact-cycle observer
+// is attached (see Tl2Observer); otherwise it stays parked and passed
+// boundaries are retired in bulk, in per-cycle order, from the
+// interface entry points and from order-only observers' reads.
+// Combined with the clock's dead-cycle warp, idle and wait-state
+// cycles cost nothing. The original per-cycle countdown survives
+// behind a testing hook (setPerCycleProcess) as the reference
+// implementation; both paths produce bit-identical stats, request
+// fields and callback sequences (exact-cycle observers also on the
+// same cycles).
 #ifndef SCT_BUS_TL2_BUS_H
 #define SCT_BUS_TL2_BUS_H
 
@@ -81,20 +86,32 @@ class Tl2Bus final : public sim::Module, public Tl2MasterIf {
   /// observer is not called again, not even for the current phase), an
   /// addition from the next phase on.
   ///
-  /// While no observer is attached the event-driven bus defers phase
-  /// bookkeeping entirely (see retireDue); attaching first retires the
-  /// backlog — phases that completed before the attach are never
-  /// reported, exactly as in the per-cycle model — and re-arms the bus
-  /// process so every later boundary is processed (and notified) on its
-  /// own cycle.
-  void addObserver(Tl2Observer& obs) {
-    if (!perCycle_ && notifyDepth_ == 0) {
-      retireDue();
-      parkProcess(nextEventCycle());
-    }
-    observers_.push_back(&obs);
-  }
+  /// Outside a notification, both first retire every passed boundary
+  /// for the observers already attached: phases that completed before
+  /// an attach are never reported (as in the per-cycle model), and a
+  /// departing observer is fed every phase that completed before it
+  /// left. Attaching an exact-cycle observer arms the bus process for
+  /// the next boundary; detaching the last one parks it until another
+  /// attaches. An order-only observer is bound to this bus (see
+  /// Tl2Observer::attachedBus) until removed.
+  void addObserver(Tl2Observer& obs);
   void removeObserver(Tl2Observer& obs);
+
+  /// Bring the order-only observers current: deliver every boundary
+  /// that has passed. Their reads call this first. A no-op
+  ///  * in per-cycle mode, and while any exact-cycle observer is
+  ///    attached: boundaries are then processed on their own edge;
+  ///  * while a notification is running: a read from inside a callback
+  ///    must not retire the rest of the edge ahead of the bus process;
+  ///  * while nothing is pending (no busy interval open), so a model
+  ///    read every cycle — hier::FidelityController does in TL1
+  ///    regions — costs a flag test.
+  void syncObservers() const {
+    if (busyOpen_ && !perCycle_ && exactObservers_ == 0 &&
+        notifyDepth_ == 0) {
+      retireDue();
+    }
+  }
 
   // Tl2MasterIf. Instruction fetches use read() with kind ==
   // Kind::InstrFetch (the "instruction bit" parameter of the paper).
@@ -162,24 +179,27 @@ class Tl2Bus final : public sim::Module, public Tl2MasterIf {
   // --- event-driven path ---------------------------------------------------
   void scheduleRequest(Tl2Request& req);
   void eventProcess();
-  void completeAddressPhase(Tl2Request& req, bool notify);
-  void completeDataPhase(RequestRing& queue, bool notify);
+  void completeAddressPhase(Tl2Request& req);
+  void completeDataPhase(RequestRing& queue);
   std::uint64_t nextEventCycle() const;
   std::uint64_t lastVirtualEdge() const;
   void syncLazyStats() const;
-  /// Observer-free fast path: all phase timing is resolved at accept,
-  /// so with nobody listening for exact-cycle callbacks the bus process
-  /// never needs to wake at all. Boundaries that have already passed
-  /// (cycle <= lastVirtualEdge()) are retired in bulk from the
-  /// interface entry points instead — every cycle, stage transition and
-  /// statistic comes out of the recorded schedule, bit-identical to
-  /// processing each boundary on its own edge. O(1) when current.
+  /// All phase timing is resolved at accept, so unless an exact-cycle
+  /// observer is listening the bus process never needs to wake at all.
+  /// Boundaries that have already passed (cycle <= lastVirtualEdge())
+  /// are retired in bulk from the interface entry points instead — every
+  /// cycle, stage transition, statistic and callback comes out of the
+  /// recorded schedule, bit-identical to processing each boundary on its
+  /// own edge. O(1) when current; the bus process runs it too, so a
+  /// re-entrant call from a callback retires nothing.
   void retireDue() const;
-  /// Process every pending phase boundary with cycle <= `through`,
-  /// silently (these boundaries all predate any observer; data
-  /// transfers replay in global completion order so slave memory sees
-  /// the per-cycle interleaving).
-  void retireThrough(std::uint64_t through);
+  /// Process every pending phase boundary with cycle <= `through` in
+  /// per-cycle order — ascending cycle; on a shared edge the read unit,
+  /// the write unit, then the address unit — notifying the attached
+  /// observers. Block transfers therefore touch slave memory in the
+  /// per-cycle interleaving. Out of line, so the O(1) currency check in
+  /// retireDue stays small enough to inline into every entry point.
+  [[gnu::noinline]] void retireThrough(std::uint64_t through);
   /// Park the bus process until `wake`, skipping the clock call when
   /// the handler is already parked there (the mirror is exact: nothing
   /// else parks this handler).
@@ -195,14 +215,18 @@ class Tl2Bus final : public sim::Module, public Tl2MasterIf {
   SCT_OBS_COLD void noteFinishObs(const Tl2Request& req, BusStatus result);
   SCT_OBS_COLD void noteAddrPhaseObs(const Tl2Request& req);
   SCT_OBS_COLD void noteDataPhaseObs(const Tl2Request& req);
-  void notifyAddressPhase(const Tl2PhaseInfo& info);
-  void notifyDataPhase(const Tl2PhaseInfo& info);
+  /// Fan a completed phase out to the observers. Out of line, so the
+  /// observer-free retirement walk stays small enough to inline its
+  /// phase bodies.
+  [[gnu::noinline]] void notifyAddressPhase(const Tl2Request& req);
+  [[gnu::noinline]] void notifyDataPhase(const Tl2Request& req, bool ok);
   std::uint64_t currentEdge() const;
 
   sim::Clock& clock_;
   sim::Clock::HandlerId processId_;
   AddressDecoder decoder_;
   std::vector<Tl2Observer*> observers_;
+  unsigned exactObservers_ = 0;  ///< Attached observers not orderOnly().
   int notifyDepth_ = 0;
   bool observersDirty_ = false;
 
@@ -238,7 +262,8 @@ class Tl2Bus final : public sim::Module, public Tl2MasterIf {
 
   // Event-mode lazy cycle counters: cycles/busyCycles are derived on
   // stats() from the clock position and the busy intervals instead of
-  // being ticked every falling edge.
+  // being ticked every falling edge. A busy interval is open exactly
+  // while some request is queued, i.e. while a boundary is pending.
   std::uint64_t firstEdge_ = 1;
   std::uint64_t busyFrom_ = 0;
   std::uint64_t closedBusyCycles_ = 0;

@@ -38,6 +38,16 @@ std::vector<std::uint8_t> Snapshot::serialize() const {
   return w.take();
 }
 
+std::size_t Snapshot::serializedSize(std::size_t count) const {
+  // Mirrors serialize(): magic, format version, section count, then per
+  // section the length-prefixed tag, version, payload length, payload.
+  std::size_t n = sizeof(kMagic) + 4 + 4;
+  for (std::size_t i = 0; i < count && i < sections_.size(); ++i) {
+    n += 4 + sections_[i].tag.size() + 4 + 4 + sections_[i].payload.size();
+  }
+  return n;
+}
+
 Snapshot Snapshot::deserialize(const std::uint8_t* data, std::size_t size) {
   StateReader r(data, size);
   char magic[sizeof(kMagic)];

@@ -54,6 +54,10 @@ class Snapshot {
   /// Serialize to the versioned on-disk byte format.
   std::vector<std::uint8_t> serialize() const;
 
+  /// Size serialize() would return for a snapshot holding only the
+  /// first `count` sections (all of them if there are fewer).
+  std::size_t serializedSize(std::size_t count) const;
+
   /// Parse, validating magic / format version / section framing.
   static Snapshot deserialize(const std::uint8_t* data, std::size_t size);
   static Snapshot deserialize(const std::vector<std::uint8_t>& buf) {

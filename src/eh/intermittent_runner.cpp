@@ -100,17 +100,26 @@ RunResult IntermittentRunner::run(const FieldProfile& field,
   periodicDue_ = false;
   pmMark_aJ_ = rig_.pm.totalEnergy_aJ();
 
+  // Backups are restored from the whole snapshot but priced by the card
+  // state it holds (CardRig::cardStateBytes), which is what the NVM
+  // engine would stream.
+  std::vector<std::uint8_t> backupBytes;
+  const auto saveBackup = [&] {
+    const ckpt::Snapshot snap = rig_.registry.saveAll();
+    backupBytes = snap.serialize();
+    res.checkpointBytes = rig_.cardStateBytes(snap);
+    res.checkpointDigest = fnv1a(backupBytes);
+  };
+
   // Backup #0 is free: the state the card entered the field with is
   // already in NVM (it is the personalized card image).
-  std::vector<std::uint8_t> backupBytes = rig_.registry.saveAll().serialize();
+  saveBackup();
   backupSimCycle_ = clock.cycle();
-  res.checkpointBytes = backupBytes.size();
-  res.checkpointDigest = fnv1a(backupBytes);
 
   // Restart headroom: recharging exactly to vOn and then paying the
   // restore must not land back below the brownout threshold, or the
   // card would livelock in a trip/restore loop.
-  const BackupCosts restoreEstimate = scheme.restoreCosts(backupBytes.size());
+  const BackupCosts restoreEstimate = scheme.restoreCosts(res.checkpointBytes);
   supply.setRestartLevel_fJ(
       std::max(supply.restartLevel_fJ(),
                supply.brownoutLevel_fJ() + 2.0 * restoreEstimate.energy_fJ));
@@ -130,8 +139,8 @@ RunResult IntermittentRunner::run(const FieldProfile& field,
   };
 
   const auto takeBackup = [&] {
-    backupBytes = rig_.registry.saveAll().serialize();
-    const BackupCosts sc = scheme.saveCosts(backupBytes.size());
+    saveBackup();
+    const BackupCosts sc = scheme.saveCosts(res.checkpointBytes);
     // The core stalls while the NVM engine streams the image out; the
     // field keeps charging, the lump sum models the write energy.
     for (std::uint64_t i = 0;
@@ -144,8 +153,6 @@ RunResult IntermittentRunner::run(const FieldProfile& field,
     res.backupEnergy_fJ += sc.energy_fJ;
     ++res.backups;
     backupSimCycle_ = clock.cycle();
-    res.checkpointBytes = backupBytes.size();
-    res.checkpointDigest = fnv1a(backupBytes);
   };
 
   // Run a powered stretch; wall_ advances inside the hook.
@@ -167,7 +174,7 @@ RunResult IntermittentRunner::run(const FieldProfile& field,
       }
       if (wall_ >= cfg.maxWallCycles) break;
       // Recharged: pay the restore and rewind to the last backup.
-      const BackupCosts rc = scheme.restoreCosts(backupBytes.size());
+      const BackupCosts rc = scheme.restoreCosts(res.checkpointBytes);
       for (std::uint64_t i = 0;
            i < rc.cycles && wall_ < cfg.maxWallCycles; ++i) {
         supply.stepOff(wall_);

@@ -105,8 +105,13 @@ struct RunResult {
   double harvested_fJ = 0.0;
   double consumed_fJ = 0.0;
   double finalStored_fJ = 0.0;
-  std::size_t checkpointBytes = 0;    ///< Size of the last backup.
-  std::uint64_t checkpointDigest = 0; ///< FNV-1a of the last backup.
+  /// NVM image size of the last backup: the card-state sections alone
+  /// (power::CardRig::cardStateBytes), the size the scheme prices
+  /// saves and restores by.
+  std::size_t checkpointBytes = 0;
+  /// FNV-1a of the last backup's whole serialized snapshot, simulator
+  /// sections ("pm", "ledger") included — the bytes it restores from.
+  std::uint64_t checkpointDigest = 0;
   std::uint32_t progressWord = 0;     ///< Blocks finished (workload).
   std::uint32_t digestWord = 0;       ///< Workload digest word.
   std::vector<std::uint64_t> brownoutWallCycles;

@@ -11,7 +11,8 @@
 //    (serve and eh add the energy ledger as "ledger");
 //  * what counts as quiesced (quiesced());
 //  * how to hunt a snapshot point (snapshotWhen());
-//  * that a restore drains first (recycle()).
+//  * that a restore drains first (recycle());
+//  * how many bytes of a snapshot are card state (cardStateBytes()).
 // Whatever the snapshot does not carry — an ROI profiler, a supply
 // hook's per-run state, per-trace pokes — the owner resets per use.
 //
@@ -51,6 +52,7 @@ class CardRig {
     soc.bus().addObserver(pm);
     soc.loadProgram(program);
     soc.registerCheckpoint(registry);
+    socSections_ = registry.size();
     registry.add("pm", pm);
   }
 
@@ -95,6 +97,17 @@ class CardRig {
                              : "; last refusal: " + lastRefusal));
   }
 
+  /// Bytes a card writes to NVM to back up `snap`, a snapshot of this
+  /// rig's registry: its serialized size over the SoC's sections alone.
+  /// "pm" and the owners' sections after it (the energy ledger) are
+  /// simulator bookkeeping — signal history, transition counts,
+  /// attribution — that no card stores, so a backup priced by this size
+  /// does not move when that bookkeeping changes. Restores still load
+  /// the whole snapshot.
+  std::size_t cardStateBytes(const ckpt::Snapshot& snap) const {
+    return snap.serializedSize(socSections_);
+  }
+
   /// Drain to a quiesce point, then restore every registered section.
   /// Legal on a fresh rig and on one stopped anywhere, mid-transfer
   /// included. Throws CheckpointError if the restore is refused.
@@ -106,6 +119,9 @@ class CardRig {
   Soc soc{soc::SocConfig{}};
   Tl1PowerModel pm;
   ckpt::CheckpointRegistry registry;
+
+ private:
+  std::size_t socSections_ = 0;  ///< Registered ahead of "pm".
 };
 
 } // namespace sct::power

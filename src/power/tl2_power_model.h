@@ -29,6 +29,16 @@
 //             phase on its own", no inter-beat or inter-transaction
 //             correlation; over-counts the strongly correlated data of
 //             real instruction streams and arrays.
+//
+// The model keeps no cross-transaction state and adds integers, so the
+// moment a phase is delivered cannot change any sum: it is an
+// order-only observer (bus::Tl2Observer): the event-driven bus it is
+// attached to stays parked and delivers passed phases in bulk. Every read — totals, the interval method, transition
+// counts, saveState — first brings that bus current
+// (Tl2Bus::syncObservers), so each read equals what an exact-cycle
+// model would answer at the same point. A bound model must not be read
+// after its bus is destroyed: declare it after the bus, as every
+// in-tree site does.
 #ifndef SCT_POWER_TL2_POWER_MODEL_H
 #define SCT_POWER_TL2_POWER_MODEL_H
 
@@ -36,6 +46,7 @@
 
 #include "bus/ec_interfaces.h"
 #include "bus/ec_signals.h"
+#include "bus/tl2_bus.h"
 #include "ckpt/state_io.h"
 #include "obs/ledger.h"
 #include "power/coeff_table.h"
@@ -50,76 +61,78 @@ class Tl2PowerModel final : public bus::Tl2Observer, public IntervalPowerIf {
   // bus::Tl2Observer
   void addressPhaseDone(const bus::Tl2PhaseInfo& info) override;
   void dataPhaseDone(const bus::Tl2PhaseInfo& info) override;
+  bool orderOnly() const override { return true; }
 
   /// Total energy in whole attojoules.
-  std::uint64_t totalEnergy_aJ() const { return total_aJ_; }
+  std::uint64_t totalEnergy_aJ() const {
+    sync();
+    return total_aJ_;
+  }
 
   // IntervalPowerIf — the paper's layer-2 power interface has only the
   // interval method; Figure 6 shows the resulting phase-granular
   // sampling skew.
   double energySinceLastCall_fJ() override;
   double totalEnergy_fJ() const override {
-    return bus::toFemtojoules(total_aJ_);
+    return bus::toFemtojoules(totalEnergy_aJ());
   }
 
   /// Estimated transition counts per bundle (diagnostics).
   std::uint64_t estimatedTransitions(bus::SignalId id) const {
+    sync();
     return estTransitions_[static_cast<std::size_t>(id)];
   }
 
   /// Attach an energy-attribution ledger. Every per-phase energy term is
   /// forwarded, so each ledger axis sums exactly to the energy accrued
-  /// since attaching.
-  void attachLedger(obs::EnergyLedger& ledger) { ledger_ = &ledger; }
+  /// since attaching (phases that completed before the attach are
+  /// delivered first, unattributed). The ledger is fed as phases are
+  /// delivered: it is current whenever the bus is — after any query of
+  /// the bus or any read of this model. Read it after completion (every
+  /// in-tree reader does) or after such a read.
+  void attachLedger(obs::EnergyLedger& ledger) {
+    sync();
+    ledger_ = &ledger;
+  }
 
   /// -- Checkpoint (see ckpt/checkpoint.h): estimated transition
-  /// counters, energy accumulators and the attribution context of the
-  /// last phase. Version 2: counters and accumulators are u64 (aJ for
-  /// energy), no longer f64.
-  static constexpr std::uint32_t kCkptVersion = 2;
+  /// counters and energy accumulators. Version 3: the attribution
+  /// context of the last phase is gone (it was never read back).
+  static constexpr std::uint32_t kCkptVersion = 3;
 
   void saveState(ckpt::StateWriter& w) const {
+    sync();
     for (const std::uint64_t v : estTransitions_) w.u64(v);
     w.u64(total_aJ_);
     w.u64(intervalMarker_aJ_);
-    w.u8(static_cast<std::uint8_t>(ctxClass_));
-    w.i64(ctxSlave_);
   }
 
-  /// Throws ckpt::CheckpointError for an attribution class at or above
-  /// obs::kTxClassCount (it would index past the ledger's class axis).
+  /// Delivers pending phases first, so they cannot land on the
+  /// restored state later.
   void loadState(ckpt::StateReader& r) {
+    sync();
     for (std::uint64_t& v : estTransitions_) v = r.u64();
     total_aJ_ = r.u64();
     intervalMarker_aJ_ = r.u64();
-    const std::uint8_t cls = r.u8();
-    if (cls >= obs::kTxClassCount) {
-      throw ckpt::CheckpointError(
-          "Tl2PowerModel::loadState: attribution class out of range");
-    }
-    ctxClass_ = static_cast<obs::TxClass>(cls);
-    ctxSlave_ = static_cast<int>(r.i64());
   }
 
  private:
+  void sync() const {
+    if (const bus::Tl2Bus* b = attachedBus()) b->syncObservers();
+  }
   template <bool kAttributed>
   void chargeAddressPhase(const bus::Tl2PhaseInfo& info);
   template <bool kAttributed>
   void chargeDataPhase(const bus::Tl2PhaseInfo& info);
   template <bool kAttributed>
-  void addTransitions(bus::SignalId id, std::uint64_t n);
+  void addTransitions(bus::SignalId id, std::uint64_t n, obs::TxClass cls,
+                      int slave);
 
   SignalEnergyTable table_;
   std::array<std::uint64_t, bus::kSignalCount> estTransitions_{};
   std::uint64_t total_aJ_ = 0;
   std::uint64_t intervalMarker_aJ_ = 0;
-
-  // Energy attribution (null = detached). While a ledger is attached,
-  // each observer callback stamps the phase context before the charge
-  // body it covers.
-  obs::EnergyLedger* ledger_ = nullptr;
-  obs::TxClass ctxClass_ = obs::TxClass::DataRead;
-  int ctxSlave_ = -1;
+  obs::EnergyLedger* ledger_ = nullptr;  ///< Attribution; null = detached.
 };
 
 } // namespace sct::power

@@ -5,6 +5,7 @@
 #include <array>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "bus/memory_slave.h"
@@ -369,6 +370,101 @@ TEST_F(Tl2Fixture, ObserverAttachDuringCallbackStartsNextPhase) {
 
   EXPECT_TRUE(late.addr.empty());  // Missed the triggering address phase.
   EXPECT_EQ(late.data.size(), 1u);  // Present from the data phase on.
+}
+
+/// RecordingTl2Observer in the order-only delivery class; exposes the
+/// bus it is bound to.
+struct OrderOnlyRecorder final : RecordingTl2Observer {
+  bool orderOnly() const override { return true; }
+  const Tl2Bus* bound() const { return attachedBus(); }
+};
+
+TEST_F(Tl2Fixture, OrderOnlyObserverIsFedWhenTheBusIsBroughtCurrent) {
+  // With only an order-only observer attached, the event-driven bus
+  // stays parked: phases that have passed are delivered when something
+  // brings the bus current, not on their cycle.
+  MemorySlave ram("ram", window(0, 0x1000, /*aw=*/1, /*rw=*/2));
+  bus.attach(ram);
+  OrderOnlyRecorder obs;
+  bus.addObserver(obs);
+  EXPECT_EQ(obs.bound(), &bus);
+
+  Word v = 0;
+  Tl2Request req;
+  req.kind = Kind::Read;
+  req.address = 0x30;
+  req.data = reinterpret_cast<std::uint8_t*>(&v);
+  req.bytes = 4;
+  clk.onRising([&] {
+    if (req.stage == Tl2Stage::Idle && req.acceptCycle == 0) bus.read(req);
+  });
+  clk.runCycles(10);  // Both phases are long over; nobody asked.
+  EXPECT_TRUE(obs.addr.empty());
+  EXPECT_TRUE(obs.data.empty());
+  EXPECT_EQ(req.stage, Tl2Stage::Queued);
+
+  bus.syncObservers();
+  ASSERT_EQ(obs.addr.size(), 1u);
+  ASSERT_EQ(obs.data.size(), 1u);
+  EXPECT_EQ(obs.addr[0].cycles, 2u);
+  EXPECT_EQ(obs.data[0].cycles, 3u);
+  EXPECT_EQ(req.stage, Tl2Stage::Finished);
+  // Stamped from the schedule: accepted on edge 1, address phase done
+  // on edge 2, data phase (rw + 1 beat) on edges 3..5.
+  EXPECT_EQ(req.finishCycle, 5u);
+
+  bus.removeObserver(obs);
+  EXPECT_EQ(obs.bound(), nullptr);
+}
+
+/// Exact observer that queries the bus from inside every callback and
+/// logs (kind of phase, cycle) pairs.
+struct QueryingObserver final : Tl2Observer {
+  explicit QueryingObserver(Tl2Bus& bus) : bus(bus) {}
+  void addressPhaseDone(const Tl2PhaseInfo&) override { note(false); }
+  void dataPhaseDone(const Tl2PhaseInfo&) override { note(true); }
+  void note(bool data) {
+    (void)bus.stats();
+    (void)bus.idle();
+    log.emplace_back(data, bus.cycle());
+  }
+  Tl2Bus& bus;
+  std::vector<std::pair<bool, std::uint64_t>> log;
+};
+
+std::vector<std::pair<bool, std::uint64_t>> queryInsideCallbacks(
+    bool perCycle) {
+  sim::Kernel kernel;
+  sim::Clock clk{kernel, "clk", 10};
+  Tl2Bus bus{clk, "ecbus_tl2"};
+  bus.setPerCycleProcess(perCycle);
+  MemorySlave ram("ram", window(0, 0x1000));
+  bus.attach(ram);
+  QueryingObserver obs(bus);
+  bus.addObserver(obs);
+  std::array<Word, 4> vals{};
+  std::vector<Tl2Request> reqs(4);
+  std::vector<Tl2Request*> ptrs;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    reqs[i].kind = Kind::Read;
+    reqs[i].address = 4 * i;
+    reqs[i].data = reinterpret_cast<std::uint8_t*>(&vals[i]);
+    reqs[i].bytes = 4;
+    ptrs.push_back(&reqs[i]);
+  }
+  driveAll(clk, bus, ptrs);
+  return obs.log;
+}
+
+TEST(Tl2BusObserver, QueryInsideACallbackMissesNoPhase) {
+  // Back-to-back reads put a data boundary and the next address
+  // boundary on the same edge. An exact observer that queries the bus
+  // inside the data callback must not retire that address boundary
+  // ahead of the bus process, which would skip its callback.
+  const auto ev = queryInsideCallbacks(false);
+  const auto pc = queryInsideCallbacks(true);
+  EXPECT_EQ(ev.size(), 8u);
+  EXPECT_EQ(ev, pc);
 }
 
 TEST_F(Tl2Fixture, StatsAccumulate) {

@@ -6,8 +6,9 @@
 // contract, exercised here byte-surgically (bad magic, bad format
 // version, truncation at every prefix, oversized/undersized section
 // length fields, trailing garbage, duplicate section tags,
-// registry-level version skew through the buffer path, and pm section
-// fields that would index past the signal frame or the ledger).
+// registry-level version skew through the buffer path, pm section
+// fields that would index past the signal frame or the ledger, and a
+// TL2 model section of the previous layout).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -143,27 +144,21 @@ TEST(SnapshotBufferNegative, LedgerSectionWithoutAccumulatorsIsRejected) {
                 "EnergyLedger::loadState: section carries no accumulators");
 }
 
-/// A real power-model section with one field overwritten, loaded back.
-template <typename Model>
-void loadPatched(std::size_t offset, const std::vector<std::uint8_t>& bytes,
-                 const std::string& needle) {
-  const Model saved{power::SignalEnergyTable{}};
+/// A real Tl1PowerModel section with one field overwritten, loaded back.
+/// Byte offsets follow its section layout: the frame and shadow lanes,
+/// then the dirty, strobe-set and pending-low masks, the transition
+/// counts, three energy accumulators, and the owner classes.
+void loadPatchedPm(std::size_t offset, const std::vector<std::uint8_t>& bytes,
+                   const std::string& needle) {
+  const power::Tl1PowerModel saved{power::SignalEnergyTable{}};
   ckpt::StateWriter w;
   saved.saveState(w);
   std::vector<std::uint8_t> buf = w.take();
   ASSERT_LE(offset + bytes.size(), buf.size());
   std::memcpy(buf.data() + offset, bytes.data(), bytes.size());
-  Model restored{power::SignalEnergyTable{}};
+  power::Tl1PowerModel restored{power::SignalEnergyTable{}};
   ckpt::StateReader r(buf);
   expectRefusal([&] { restored.loadState(r); }, needle);
-}
-
-/// Tl1PowerModel byte offsets follow its section layout: the frame and
-/// shadow lanes, then the dirty, strobe-set and pending-low masks, the
-/// transition counts, three energy accumulators, and the owner classes.
-void loadPatchedPm(std::size_t offset, const std::vector<std::uint8_t>& bytes,
-                   const std::string& needle) {
-  loadPatched<power::Tl1PowerModel>(offset, bytes, needle);
 }
 
 constexpr std::size_t kPmMasksAt = 2 * 8 * bus::kSignalCount;
@@ -188,10 +183,25 @@ TEST(SnapshotBufferNegative, PmOwnerClassOutOfRangeIsRejected) {
   loadPatchedPm(kPmOwnerClassAt, {200}, "owner class out of range");
 }
 
-TEST(SnapshotBufferNegative, Tl2PmAttributionClassOutOfRangeIsRejected) {
-  // After the estimated transition counts and two energy accumulators.
-  loadPatched<power::Tl2PowerModel>(8 * bus::kSignalCount + 2 * 8, {3},
-                                    "attribution class out of range");
+TEST(SnapshotBufferNegative, Tl2PmVersion2SectionIsRefused) {
+  // Version 2 of the TL2 model section ended with the attribution
+  // context of the last phase (a class byte and a slave index); version
+  // 3 dropped it. A genuine version-2 payload must be refused by name,
+  // not read as a version-3 one.
+  const power::Tl2PowerModel saved{power::SignalEnergyTable{}};
+  ckpt::StateWriter w;
+  saved.saveState(w);
+  w.u8(0);
+  w.i64(-1);
+  ckpt::Snapshot older;
+  older.addSection("pm2", 2, w.take());
+  const std::vector<std::uint8_t> buf = older.serialize();
+
+  power::Tl2PowerModel restored{power::SignalEnergyTable{}};
+  ckpt::CheckpointRegistry current;
+  current.add("pm2", restored);
+  expectRefusal([&] { current.loadAll(ckpt::Snapshot::deserialize(buf)); },
+                "'pm2' version skew: snapshot has v2, this build expects v3");
 }
 
 TEST(SnapshotBufferNegative, TrailingGarbageIsRejected) {

@@ -6,7 +6,9 @@
 //  * wall-cycle accounting partitions exactly into active + dead +
 //    overhead,
 //  * the whole attempt is bit-identical run-to-run (energy doubles
-//    compared exactly), and
+//    compared exactly),
+//  * backups are priced by the card state alone, not by the
+//    simulator's energy bookkeeping in the snapshot, and
 //  * a supply collapse with the detector disabled is a hard death, and
 //    the restore after it drains whatever the dead core left in flight.
 #include "eh/intermittent_runner.h"
@@ -14,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "bus/ec_signals.h"
+#include "ckpt/checkpoint.h"
 #include "eh/workload.h"
 #include "obs/stats.h"
 #include "power/coeff_table.h"
@@ -143,6 +146,27 @@ TEST(Intermittent, AmpleFieldRunsUninterrupted) {
   EXPECT_GT(r.segments.front().energy.total_aJ(), 0u);
   EXPECT_GT(r.checkpointBytes, 0u);
   EXPECT_DOUBLE_EQ(r.dutyCycle(), 1.0);
+}
+
+TEST(Intermittent, BackupsArePricedByCardStateAlone) {
+  // The NVM engine streams the card's state, not the simulator's
+  // energy bookkeeping: the priced size is the serialized size of the
+  // SoC's sections, without the "pm" and "ledger" sections the runner's
+  // snapshots also carry (and restore from).
+  const power::SignalEnergyTable table = fixedTable();
+  const soc::AssembledProgram program = eh::cryptoWorkload(kBlocks);
+  eh::IntermittentRunner runner(table, program);
+  ckpt::CheckpointRegistry card;
+  runner.soc().registerCheckpoint(card);
+  const std::size_t cardBytes = card.saveAll().serialize().size();
+
+  // No brownout, so the reported size stays that of backup #0, taken
+  // from the state registered above.
+  eh::ConstantField field(50.0);
+  eh::ThresholdScheme scheme;
+  const eh::RunResult r = runner.run(field, scheme, starvedConfig());
+  ASSERT_EQ(r.backups, 0u);
+  EXPECT_EQ(r.checkpointBytes, cardBytes);
 }
 
 TEST(Intermittent, StarvingFieldBrownsOutAndStillCompletes) {

@@ -12,7 +12,10 @@
 //  * read-result payloads and final slave memory images,
 //  * the cycle number of every observer callback,
 //  * Tl2PowerModel interval samples and accumulated energy (exact
-//    equality: the attojoule total and every converted sample).
+//    equality: the attojoule total and every converted sample),
+//  * the delivery contract of order-only observers (the power model):
+//    fed late and in bulk, but in the exact-cycle sequence, with every
+//    read, attach and detach seeing what the per-cycle reference sees.
 // Workloads sweep the interesting regimes: dense mixes (unit backlog),
 // sparse issue gaps (dead-cycle warp), decode misses, wait-state
 // combinations, and single-class floods that saturate the
@@ -21,10 +24,14 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "../testbench.h"
 #include "bus/memory_slave.h"
+#include "obs/stats.h"
+#include "obs/trace_json.h"
 #include "bus/tl2_bus.h"
 #include "power/tl2_power_model.h"
 #include "trace/replay_master.h"
@@ -63,7 +70,7 @@ struct PhaseRecord {
 };
 
 /// Records every observer callback together with the cycle it fired on.
-struct PhaseLogger final : bus::Tl2Observer {
+struct PhaseLogger : bus::Tl2Observer {
   explicit PhaseLogger(const bus::Tl2Bus& bus) : bus_(bus) {}
 
   void addressPhaseDone(const bus::Tl2PhaseInfo& i) override {
@@ -78,7 +85,7 @@ struct PhaseLogger final : bus::Tl2Observer {
  private:
   PhaseRecord make(const bus::Tl2PhaseInfo& i, bool data) const {
     PhaseRecord r;
-    r.cycle = bus_.cycle();
+    r.cycle = orderOnly() ? 0 : bus_.cycle();
     r.dataPhase = data;
     r.kind = i.kind;
     r.address = i.address;
@@ -99,6 +106,18 @@ struct PhaseLogger final : bus::Tl2Observer {
 
   const bus::Tl2Bus& bus_;
 };
+
+/// The same log from an order-only observer. It is fed late, so it
+/// stamps no cycle (0).
+struct OrderOnlyLogger final : PhaseLogger {
+  using PhaseLogger::PhaseLogger;
+  bool orderOnly() const override { return true; }
+};
+
+std::vector<PhaseRecord> withoutCycles(std::vector<PhaseRecord> log) {
+  for (PhaseRecord& r : log) r.cycle = 0;
+  return log;
+}
 
 /// Samples the power model's interval method after every data phase —
 /// the platform sampling pattern — so the interval stream itself is
@@ -444,6 +463,342 @@ TEST(Tl2EventEquivalence, ObserverAttachMidRunAgrees) {
   EXPECT_EQ(ev.total_aJ, pc.total_aJ);
   expectBusStatsEqual(ev.bus, pc.bus);
   EXPECT_EQ(ev.finishCycle, pc.finishCycle);
+}
+
+// ---------------------------------------------------------------------------
+// Delivery classes. Tl2PowerModel is an order-only observer: while no
+// exact-cycle observer is attached, the event-driven bus never wakes
+// for it and delivers passed phases in bulk, and every read of the model
+// first brings the bus current. Each case pins a read, attach or detach
+// pattern against the per-cycle reference, where every observer is fed
+// on its own edge.
+
+struct CycleSamples {
+  std::vector<double> intervals;
+  std::vector<std::uint64_t> totals;
+};
+
+CycleSamples sampleEveryCycle(const BusTrace& t, bool perCycle) {
+  Platform p(perCycle, testbench::waitedCtl());
+  power::Tl2PowerModel pm(variedTable());
+  p.bus.addObserver(pm);
+  trace::Tl2ReplayMaster master(p.clk, "master", p.bus, t);
+  CycleSamples s;
+  while (!master.done()) {
+    p.clk.runCycles(1);
+    s.intervals.push_back(pm.energySinceLastCall_fJ());
+    s.totals.push_back(pm.totalEnergy_aJ());
+  }
+  return s;
+}
+
+TEST(Tl2DeliveryContract, ModelReadEveryCycleAgrees) {
+  // bench/fig6_sampling's pattern: the model alone, its interval method
+  // and its total read after every cycle. The event-driven bus feeds it
+  // only when read, yet every sample must match.
+  const auto regions = testbench::bothRegions();
+  for (const unsigned gap : {0u, 2u, 9u}) {
+    SCOPED_TRACE("issue gap " + std::to_string(gap));
+    const BusTrace t =
+        trace::randomMix(610 + gap, 150, regions, fullMix(), gap);
+    const CycleSamples ev = sampleEveryCycle(t, false);
+    const CycleSamples pc = sampleEveryCycle(t, true);
+    EXPECT_EQ(ev.intervals, pc.intervals);
+    EXPECT_EQ(ev.totals, pc.totals);
+  }
+}
+
+template <typename Logger>
+std::vector<PhaseRecord> logAlone(const BusTrace& t, bool perCycle) {
+  Platform p(perCycle, testbench::waitedCtl());
+  Logger logger(p.bus);
+  p.bus.addObserver(logger);
+  trace::Tl2ReplayMaster master(p.clk, "master", p.bus, t);
+  master.runToCompletion();
+  return std::move(logger.log);
+}
+
+TEST(Tl2DeliveryContract, OrderOnlyObserverSeesTheExactSequence) {
+  // Alone on the event-driven bus, an order-only logger is fed in bulk,
+  // late. Its sequence — every field, and the payload checksum read at
+  // delivery — must equal an exact logger's on the per-cycle reference.
+  auto missRegions = testbench::bothRegions();
+  missRegions.push_back(trace::TargetRegion{0x40000, 0x1000, true, true, true});
+  const std::array<BusTrace, 3> traces = {
+      trace::randomMix(71, 300, testbench::bothRegions(), fullMix(), 0),
+      trace::randomMix(72, 150, testbench::bothRegions(), fullMix(), 40),
+      trace::randomMix(73, 300, missRegions, fullMix(), 2),
+  };
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    SCOPED_TRACE("trace " + std::to_string(i));
+    const std::vector<PhaseRecord> late =
+        logAlone<OrderOnlyLogger>(traces[i], false);
+    const std::vector<PhaseRecord> exact =
+        withoutCycles(logAlone<PhaseLogger>(traces[i], true));
+    ASSERT_EQ(late.size(), exact.size());
+    for (std::size_t k = 0; k < exact.size(); ++k) {
+      EXPECT_EQ(late[k], exact[k]) << "callback " << k;
+    }
+  }
+}
+
+/// Park and wake transitions of the bus's falling handler over a replay
+/// of `t` with the model attached (plus an exact logger if asked),
+/// read from the clock's trace hooks. A handler that is parked for good
+/// at construction and never re-parked or woken is never dispatched.
+std::size_t busProcessTransitions(const BusTrace& t, bool withExactLogger,
+                                  std::uint64_t& total_aJ) {
+  sim::Kernel kernel;
+  sim::Clock clk{kernel, "clk", 10};
+  obs::StatsRegistry reg;
+  obs::TraceRecorder rec(1u << 16);
+  clk.attachObs(reg, &rec);
+  bus::Tl2Bus bus{clk, "ecbus_tl2"};
+  // The constructor parks the bus's handler until further notice: the
+  // first transition the clock records, naming the handler.
+  EXPECT_EQ(rec.size(), 1u);
+  const std::uint64_t handler = rec.event(0).a0.value;
+  EXPECT_EQ(rec.event(0).a1.value, sim::Clock::kNeverWake);
+
+  bus::MemorySlave fast{"ram", testbench::fastCtl()};
+  bus::MemorySlave waited{"eeprom", testbench::waitedCtl()};
+  bus.attach(fast);
+  bus.attach(waited);
+  trace::fillRealistic(fast.data(), fast.sizeBytes(), 11);
+  trace::fillRealistic(waited.data(), waited.sizeBytes(), 22);
+  power::Tl2PowerModel pm(variedTable());
+  bus.addObserver(pm);
+  PhaseLogger logger(bus);
+  if (withExactLogger) bus.addObserver(logger);
+  trace::Tl2ReplayMaster master(clk, "master", bus, t);
+  master.runToCompletion();
+  total_aJ = pm.totalEnergy_aJ();
+
+  EXPECT_EQ(rec.dropped(), 0u);
+  std::size_t n = 0;
+  for (std::size_t i = 1; i < rec.size(); ++i) {
+    const obs::TraceRecorder::Event& e = rec.event(i);
+    const std::string_view name = e.name;
+    if ((name == "park" || name == "wake") && e.a0.value == handler) ++n;
+  }
+  return n;
+}
+
+TEST(Tl2DeliveryContract, ModelAloneNeverWakesTheBusProcess) {
+  // A dense run with only the model attached: the bus's falling handler
+  // is dispatched 0 times, and the model still ends with the per-cycle
+  // reference's energy. With an exact logger as well, the handler wakes
+  // (the probe sees transitions when there are any).
+  const BusTrace t = trace::randomMix(88, 400, testbench::bothRegions(),
+                                      fullMix(), /*issueGapMax=*/0);
+  std::uint64_t alone_aJ = 0;
+  std::uint64_t withLogger_aJ = 0;
+  EXPECT_EQ(busProcessTransitions(t, false, alone_aJ), 0u);
+  EXPECT_GT(busProcessTransitions(t, true, withLogger_aJ), 0u);
+  const std::uint64_t reference_aJ =
+      run(t, /*perCycle=*/true, testbench::waitedCtl()).total_aJ;
+  EXPECT_EQ(alone_aJ, reference_aJ);
+  EXPECT_EQ(withLogger_aJ, reference_aJ);
+}
+
+struct DetachResult {
+  std::uint64_t total_aJ = 0;
+  std::size_t fedByDetach = 0;  ///< Phases the attach or detach delivered.
+  std::vector<PhaseRecord> witness;
+};
+
+DetachResult detachModelMidRun(const BusTrace& t, bool perCycle) {
+  Platform p(perCycle, testbench::waitedCtl());
+  power::Tl2PowerModel pm(variedTable());
+  OrderOnlyLogger witness(p.bus);
+  p.bus.addObserver(pm);
+  p.bus.addObserver(witness);
+  trace::Tl2ReplayMaster master(p.clk, "master", p.bus, t);
+  master.runToCompletion(/*maxCycles=*/61);
+  const std::size_t before = witness.log.size();
+  p.bus.removeObserver(pm);
+  DetachResult r;
+  r.fedByDetach = witness.log.size() - before;
+  master.runToCompletion();
+  r.total_aJ = pm.totalEnergy_aJ();
+  r.witness = std::move(witness.log);
+  return r;
+}
+
+TEST(Tl2DeliveryContract, DetachedModelKeepsExactlyThePhasesBeforeTheDetach) {
+  // The model leaves after 61 cycles while passed boundaries are still
+  // pending on the event-driven bus. The detach feeds them first, so the
+  // model ends with exactly the energy the per-cycle reference gave it
+  // by then, and the witness that stays sees every phase once.
+  const BusTrace t = trace::randomMix(91, 200, testbench::bothRegions(),
+                                      fullMix(), /*issueGapMax=*/0);
+  const DetachResult ev = detachModelMidRun(t, false);
+  const DetachResult pc = detachModelMidRun(t, true);
+  EXPECT_GT(ev.fedByDetach, 0u);  // Boundaries were pending.
+  EXPECT_EQ(pc.fedByDetach, 0u);
+  EXPECT_EQ(ev.total_aJ, pc.total_aJ);
+  EXPECT_EQ(ev.witness, pc.witness);
+  EXPECT_GT(ev.total_aJ, 0u);
+  EXPECT_LT(ev.total_aJ,
+            run(t, /*perCycle=*/true, testbench::waitedCtl()).total_aJ);
+}
+
+DetachResult attachModelMidRun(const BusTrace& t, bool perCycle) {
+  Platform p(perCycle, testbench::waitedCtl());
+  power::Tl2PowerModel pm(variedTable());
+  OrderOnlyLogger witness(p.bus);
+  p.bus.addObserver(witness);
+  trace::Tl2ReplayMaster master(p.clk, "master", p.bus, t);
+  master.runToCompletion(/*maxCycles=*/61);
+  const std::size_t before = witness.log.size();
+  p.bus.addObserver(pm);
+  DetachResult r;
+  r.fedByDetach = witness.log.size() - before;
+  master.runToCompletion();
+  r.total_aJ = pm.totalEnergy_aJ();
+  r.witness = std::move(witness.log);
+  return r;
+}
+
+TEST(Tl2DeliveryContract, AttachedModelSeesOnlyThePhasesAfterTheAttach) {
+  // The mirror case: the model arrives after 61 cycles while passed
+  // boundaries are pending. The attach feeds them to the observers
+  // already there first, so the model never sees a phase that
+  // completed before it came.
+  const BusTrace t = trace::randomMix(92, 200, testbench::bothRegions(),
+                                      fullMix(), /*issueGapMax=*/0);
+  const DetachResult ev = attachModelMidRun(t, false);
+  const DetachResult pc = attachModelMidRun(t, true);
+  EXPECT_GT(ev.fedByDetach, 0u);  // Boundaries were pending.
+  EXPECT_EQ(pc.fedByDetach, 0u);
+  EXPECT_EQ(ev.total_aJ, pc.total_aJ);
+  EXPECT_EQ(ev.witness, pc.witness);
+  EXPECT_GT(ev.total_aJ, 0u);
+}
+
+/// Reads the model inside its callbacks: the interval method in data
+/// callbacks (like IntervalSampler), the total in address callbacks.
+struct ModelReader final : bus::Tl2Observer {
+  explicit ModelReader(power::Tl2PowerModel& pm) : pm_(pm) {}
+  void addressPhaseDone(const bus::Tl2PhaseInfo&) override {
+    totals.push_back(pm_.totalEnergy_aJ());
+  }
+  void dataPhaseDone(const bus::Tl2PhaseInfo&) override {
+    intervals.push_back(pm_.energySinceLastCall_fJ());
+  }
+  std::vector<std::uint64_t> totals;
+  std::vector<double> intervals;
+
+ private:
+  power::Tl2PowerModel& pm_;
+};
+
+struct ReaderResult {
+  std::vector<std::uint64_t> totals;
+  std::vector<double> intervals;
+  std::uint64_t final_aJ = 0;
+};
+
+ReaderResult readModelBeforeItIsFed(const BusTrace& t, bool perCycle) {
+  Platform p(perCycle, testbench::waitedCtl());
+  power::Tl2PowerModel pm(variedTable());
+  ModelReader reader(pm);
+  p.bus.addObserver(reader);
+  p.bus.addObserver(pm);
+  trace::Tl2ReplayMaster master(p.clk, "master", p.bus, t);
+  master.runToCompletion();
+  return {std::move(reader.totals), std::move(reader.intervals),
+          pm.totalEnergy_aJ()};
+}
+
+TEST(Tl2DeliveryContract, ExactObserverReadingTheModelBeforeItIsFedAgrees) {
+  // An exact observer registered BEFORE the model reads it inside every
+  // callback, so each read comes before the model is fed that phase.
+  // The read runs inside a notification and must deliver nothing early.
+  // (IntervalSampler, registered after the model, covers the other
+  // order in every run() above.)
+  const BusTrace t = trace::randomMix(97, 300, testbench::bothRegions(),
+                                      fullMix(), /*issueGapMax=*/1);
+  const ReaderResult ev = readModelBeforeItIsFed(t, false);
+  const ReaderResult pc = readModelBeforeItIsFed(t, true);
+  EXPECT_FALSE(ev.totals.empty());
+  EXPECT_EQ(ev.totals, pc.totals);
+  EXPECT_EQ(ev.intervals, pc.intervals);
+  EXPECT_EQ(ev.final_aJ, pc.final_aJ);
+}
+
+/// An exact logger that detaches itself from inside its `limit`-th
+/// callback.
+struct SelfDetachingLogger final : PhaseLogger {
+  SelfDetachingLogger(bus::Tl2Bus& bus, std::size_t limit)
+      : PhaseLogger(bus), owner_(bus), limit_(limit) {}
+  void addressPhaseDone(const bus::Tl2PhaseInfo& i) override {
+    PhaseLogger::addressPhaseDone(i);
+    maybeDetach();
+  }
+  void dataPhaseDone(const bus::Tl2PhaseInfo& i) override {
+    PhaseLogger::dataPhaseDone(i);
+    maybeDetach();
+  }
+
+ private:
+  void maybeDetach() {
+    if (log.size() == limit_) owner_.removeObserver(*this);
+  }
+  bus::Tl2Bus& owner_;
+  std::size_t limit_;
+};
+
+struct ExactLeavesResult {
+  std::vector<PhaseRecord> exact;
+  std::vector<PhaseRecord> witness;
+  std::uint64_t total_aJ = 0;
+};
+
+/// Model, order-only witness and one exact logger; the exact logger
+/// leaves mid-run — from inside its own 150th callback (`fromInside`),
+/// or between cycles after 70 cycles.
+ExactLeavesResult lastExactObserverLeaves(const BusTrace& t, bool perCycle,
+                                          bool fromInside) {
+  Platform p(perCycle, testbench::waitedCtl());
+  power::Tl2PowerModel pm(variedTable());
+  OrderOnlyLogger witness(p.bus);
+  SelfDetachingLogger exact(p.bus, fromInside ? 150 : 0);
+  p.bus.addObserver(pm);
+  p.bus.addObserver(exact);
+  p.bus.addObserver(witness);
+  trace::Tl2ReplayMaster master(p.clk, "master", p.bus, t);
+  if (!fromInside) {
+    master.runToCompletion(/*maxCycles=*/70);
+    p.bus.removeObserver(exact);
+  }
+  master.runToCompletion();
+  ExactLeavesResult r;
+  r.exact = std::move(exact.log);
+  r.witness = std::move(witness.log);
+  r.total_aJ = pm.totalEnergy_aJ();
+  return r;
+}
+
+TEST(Tl2DeliveryContract, LastExactObserverLeavingMidRunLosesNothing) {
+  // While the exact logger is attached the bus wakes on every boundary;
+  // once it leaves, the bus stays parked and the rest is fed late.
+  // No phase may be lost or doubled across the switch, either way.
+  const BusTrace t = trace::randomMix(99, 250, testbench::bothRegions(),
+                                      fullMix(), /*issueGapMax=*/1);
+  for (const bool fromInside : {false, true}) {
+    SCOPED_TRACE(fromInside ? "detached inside a callback"
+                            : "detached between cycles");
+    const ExactLeavesResult ev = lastExactObserverLeaves(t, false, fromInside);
+    const ExactLeavesResult pc = lastExactObserverLeaves(t, true, fromInside);
+    EXPECT_FALSE(ev.exact.empty());
+    EXPECT_LT(ev.exact.size(), ev.witness.size());
+    EXPECT_EQ(ev.exact, pc.exact);  // Cycle stamps included.
+    EXPECT_EQ(ev.witness, pc.witness);
+    EXPECT_EQ(ev.total_aJ, pc.total_aJ);
+    EXPECT_EQ(ev.total_aJ,
+              run(t, /*perCycle=*/true, testbench::waitedCtl()).total_aJ);
+  }
 }
 
 } // namespace
