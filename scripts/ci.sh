@@ -21,9 +21,16 @@
 # src/bus and src/hier run — among them Tl1Bus::outstandingTotal()'s
 # check that its counters agree with its queues, which
 # power::CardRig::quiesced() relies on.
+# Pass 5 — perfbench smoke: the repository benchmark (perfbench/run.py,
+# which builds its own Release tree under .bench_build/) runs 10 s on
+# each workload untraced, plus one traced run on table3_dense. Each run
+# must end in a result line with "correct": true and "failed": 0, so a
+# deleted API or a broken benchmark check fails here, not first in a
+# benchmark run. It measures nothing.
 #
-# All passes use the presets in CMakePresets.json, so what CI checks
-# is exactly what `cmake --preset release` gives a developer.
+# Passes 1–4 use the presets in CMakePresets.json, so what CI checks
+# is exactly what `cmake --preset release` gives a developer; pass 5
+# builds perfbench from its own CMakeLists, as the benchmark does.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -41,10 +48,10 @@ for preset in release asan-ubsan; do
   run cmake --build --preset "$preset" --parallel "$jobs"
   run ctest --preset "$preset" --parallel "$jobs"
   # The `equivalence` label is the gate for the event-driven TL2 bus:
-  # its event-vs-per-cycle suite pins the phase schedule, both observer
-  # delivery classes and every read of the power model against the
-  # per-cycle reference (the label also carries the layer and power
-  # equivalence suites and the ledger reconciliation). Run it
+  # its event-vs-per-cycle suite pins the phase schedule, the lazy
+  # observer delivery with its cycle stamps and every read of the power
+  # model against the per-cycle reference (the label also carries the
+  # layer and power equivalence suites and the ledger reconciliation). Run it
   # explicitly so a filter or preset change can never silently drop it
   # from the pass.
   run ctest --preset "$preset" -L equivalence --parallel "$jobs"
@@ -105,4 +112,21 @@ run env SCT_BENCH_TINY=1 ./build/bench/sca_bench \
 run env SCT_BENCH_TINY=1 ./build/bench/enc_sweep_bench \
   --benchmark_min_time=0.01
 
-echo "CI: all four passes green"
+# The last stdout line of perfbench/run.py is the result object.
+perfbench_smoke() {
+  echo "==> perfbench smoke: $*"
+  result=$(python3 perfbench/run.py --seed 1 --seconds 10 "$@" | tail -n 1)
+  printf '%s\n' "$result" | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
+' || {
+    echo "perfbench smoke failed ($*): $result" >&2
+    exit 1
+  }
+}
+perfbench_smoke --workload table3_dense --trace 0
+perfbench_smoke --workload spa_idle --trace 0
+perfbench_smoke --workload table3_dense --trace 1
+
+echo "CI: all five passes green"

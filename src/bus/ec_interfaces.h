@@ -92,8 +92,6 @@ class Tl2MasterIf {
   /// An event-driven bus answers from its phase schedule, letting
   /// masters park their clock handlers until the finish cycle + 1.
   virtual std::uint64_t nextFinishCycle() const { return kFinishUnknown; }
-  /// See EcInstrIf::finishEpoch().
-  virtual std::uint64_t finishEpoch() const { return kEpochUnknown; }
 };
 
 /// Slave-side interface shared by both bus layers.
@@ -194,40 +192,33 @@ struct Tl2PhaseInfo {
   std::size_t bytes = 0;
   unsigned beats = 1;
   unsigned cycles = 1;  ///< Estimated length of the phase.
+  std::uint64_t cycle = 0;  ///< Bus cycle the phase completed on.
   int slave = -1;
   bool error = false;
 };
 
 class Tl2Bus;
 
-/// Observer hook of the layer-2 bus. The delivery class is a property of
-/// the observer type (orderOnly()):
-///  * Exact-cycle (the default): callbacks fire from the bus process on
-///    the falling edge of the cycle the phase completes on, so
-///    Tl2Bus::cycle() inside a callback is the phase's cycle. While one
-///    is attached, the event-driven bus wakes on every phase boundary.
-///  * Order-only: the observer needs every phase in the per-cycle
-///    order, not on its cycle. While only order-only observers are
-///    attached, the event-driven bus stays parked and delivers the
-///    passed phases in bulk whenever it is brought current — a master's
-///    submit or poll, nextFinishCycle(), idle(), stats(), or the
-///    observer's own Tl2Bus::syncObservers() before a read. The sequence
-///    is the exact-cycle one (ascending cycle; on a shared edge read
-///    data, write data, then address), only later, so the observer must
-///    not look at the bus cycle; its callbacks, and whatever they do,
-///    run late. Tl2PowerModel is one: its sums cannot depend on when a
-///    phase arrives.
+/// Observer hook of the layer-2 bus. Every phase is delivered in the
+/// per-cycle order (ascending cycle; on a shared edge read data, write
+/// data, then address) and stamped with the cycle it completed on
+/// (Tl2PhaseInfo::cycle), but late: the event-driven bus never wakes
+/// for an observer. It delivers the passed phases in bulk whenever it
+/// is brought current — a master's submit or poll, nextFinishCycle(),
+/// idle(), stats(), an attach or detach, or the observer's own
+/// Tl2Bus::syncObservers() before a read. A callback, and whatever it
+/// does, therefore runs late, so it must take the phase's cycle from
+/// the info, never from the bus clock.
 class Tl2Observer {
  public:
   virtual ~Tl2Observer() = default;
   virtual void addressPhaseDone(const Tl2PhaseInfo& /*info*/) {}
   virtual void dataPhaseDone(const Tl2PhaseInfo& /*info*/) {}
-  virtual bool orderOnly() const { return false; }
 
  protected:
-  /// The bus an order-only observer is attached to, so its reads can
-  /// bring that bus current first: bound by Tl2Bus::addObserver, reset
-  /// by removeObserver, null while detached. Neither destructor unbinds,
+  /// The bus this observer is attached to, so its reads can bring that
+  /// bus current first: bound by Tl2Bus::addObserver, reset by
+  /// removeObserver, null while detached. Neither destructor unbinds,
   /// so a bound observer must not be read after its bus is destroyed.
   const Tl2Bus* attachedBus() const { return attachedBus_; }
 

@@ -1,7 +1,5 @@
 #include "bus/tl2_bridge.h"
 
-#include <cassert>
-
 namespace sct::bus {
 
 void Tl2MasterBridge::copyOut(Tl1Request& req, Slot& s, BusStatus status) {
@@ -23,9 +21,9 @@ void Tl2MasterBridge::copyOut(Tl1Request& req, Slot& s, BusStatus status) {
 
 void Tl2MasterBridge::sync() {
   if (pending_.empty()) return;
-  // An observer-free event-driven lower bus defers its completion
-  // bookkeeping; asking for the next finish brings it current (O(1)
-  // when it already is) before trusting the published stages.
+  // An event-driven lower bus defers its completion bookkeeping; asking
+  // for the next finish brings it current (O(1) when it already is)
+  // before trusting the published stages.
   lower_.nextFinishCycle();
   for (auto it = pending_.begin(); it != pending_.end();) {
     Slot& s = it->second;
@@ -41,16 +39,6 @@ void Tl2MasterBridge::sync() {
     req.stage = Tl1Stage::Finished;
     it = pending_.erase(it);
   }
-}
-
-void Tl2MasterBridge::reset() {
-  sync();
-  // With an idle lower bus every slot's lower transaction has finished,
-  // so sync() has posted all of them and released their slots. Anything
-  // left would still be referenced by the lower bus and cannot be torn
-  // down safely.
-  assert(pending_.empty() && "reset() requires an idle lower bus");
-  pending_.clear();
 }
 
 BusStatus Tl2MasterBridge::transport(Tl1Request& req) {
@@ -135,14 +123,14 @@ BusStatus Tl2MasterBridge::transport(Tl1Request& req) {
 
   // Poll the lower transaction. The lower bus publishes its stage
   // transitions (an event-driven Tl2Bus moves the payload to Finished
-  // from its own process), so a poll before that point is a guaranteed
-  // side-effect-free Wait — skip the virtual round trip entirely; the
-  // cycle-true master above polls every cycle regardless.
+  // when it retires the boundary), so a poll before that point is a
+  // guaranteed side-effect-free Wait — skip the virtual round trip
+  // entirely; the cycle-true master above polls every cycle regardless.
   Slot& s = it->second;
   if (s.lower.stage != Tl2Stage::Finished) {
-    // An observer-free event-driven lower bus defers its completion
-    // bookkeeping; asking for the next finish brings it current (O(1)
-    // when it already is) before trusting the published stage.
+    // An event-driven lower bus defers its completion bookkeeping;
+    // asking for the next finish brings it current (O(1) when it
+    // already is) before trusting the published stage.
     lower_.nextFinishCycle();
     if (s.lower.stage != Tl2Stage::Finished) return BusStatus::Wait;
   }

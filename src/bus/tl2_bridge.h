@@ -64,12 +64,6 @@ class Tl2MasterBridge final : public EcInstrIf, public EcDataIf {
   /// bridge's — their slots are released when the result is posted).
   bool drained() const { return pending_.empty(); }
 
-  /// Deterministic teardown: retire every finished lower transaction
-  /// and release its slot. Requires the lower bus to be idle, so that
-  /// every pending slot is retirable — asserted; upper request
-  /// payloads are not touched (they may already be gone).
-  void reset();
-
   /// Transactions currently in flight through the bridge.
   std::size_t pendingCount() const { return pending_.size(); }
 
@@ -138,8 +132,8 @@ class BridgedTl2Bus final : public EcInstrIf, public EcDataIf {
   std::size_t pendingCount() const { return bridge_.pendingCount(); }
 
   /// -- Checkpoint: one section covering the bus + bridge pair. Version
-  /// 2: the bridge's stage-publishing byte is gone.
-  static constexpr std::uint32_t kCkptVersion = 2;
+  /// 3: the embedded Tl2Bus section is at its version 2.
+  static constexpr std::uint32_t kCkptVersion = 3;
   void saveState(ckpt::StateWriter& w) const {
     bus_.saveState(w);
     bridge_.saveState(w);

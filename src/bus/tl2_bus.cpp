@@ -9,19 +9,12 @@ namespace sct::bus {
 
 Tl2Bus::Tl2Bus(sim::Clock& clock, std::string name)
     : sim::Module(clock.kernel(), std::move(name)), clock_(clock) {
+  // Only the per-cycle reference path runs the process; in event mode
+  // it stays parked for good.
   processId_ = clock_.onFallingRaw(
-      [](void* self) {
-        auto* bus = static_cast<Tl2Bus*>(self);
-        if (bus->perCycle_) {
-          bus->busProcess();
-        } else {
-          bus->eventProcess();
-        }
-      },
-      this);
+      [](void* self) { static_cast<Tl2Bus*>(self)->busProcess(); }, this);
   firstEdge_ = currentEdge();
-  // Event mode: nothing scheduled yet, so sleep until the first accept.
-  parkProcess(sim::Clock::kNeverWake);
+  clock_.parkHandler(processId_, sim::Clock::kNeverWake);
 }
 
 Tl2Bus::~Tl2Bus() { clock_.removeHandler(processId_); }
@@ -36,38 +29,29 @@ void Tl2Bus::setPerCycleProcess(bool v) {
     // Materialise the lazily derived counters, then continue ticking
     // them per falling edge from the next edge on.
     syncLazyStats();
-    parkProcess(0);
+    clock_.parkHandler(processId_, 0);
   } else {
     // Re-base the lazy counters so they extend the ticked ones.
     firstEdge_ = lastVirtualEdge() + 1 - stats_.cycles;
     closedBusyCycles_ = stats_.busyCycles;
     busyOpen_ = false;
     addrFree_ = readFree_ = writeFree_ = 0;
-    parkProcess(sim::Clock::kNeverWake);
+    clock_.parkHandler(processId_, sim::Clock::kNeverWake);
   }
   perCycle_ = v;
 }
 
 void Tl2Bus::addObserver(Tl2Observer& obs) {
-  if (!perCycle_ && notifyDepth_ == 0) retireDue();
+  if (!perCycle_) retireDue();
   observers_.push_back(&obs);
-  if (obs.orderOnly()) {
-    obs.attachedBus_ = this;
-  } else {
-    ++exactObservers_;
-    if (!perCycle_) parkProcess(nextEventCycle());
-  }
+  obs.attachedBus_ = this;
 }
 
 void Tl2Bus::removeObserver(Tl2Observer& obs) {
-  if (!perCycle_ && notifyDepth_ == 0) retireDue();
+  if (!perCycle_) retireDue();
   auto it = std::find(observers_.begin(), observers_.end(), &obs);
   if (it == observers_.end()) return;
-  if (obs.orderOnly()) {
-    obs.attachedBus_ = nullptr;
-  } else if (--exactObservers_ == 0 && !perCycle_ && notifyDepth_ == 0) {
-    parkProcess(sim::Clock::kNeverWake);
-  }
+  obs.attachedBus_ = nullptr;
   if (notifyDepth_ > 0) {
     // Mid-notification: keep indices stable, compact afterwards.
     *it = nullptr;
@@ -77,13 +61,14 @@ void Tl2Bus::removeObserver(Tl2Observer& obs) {
   }
 }
 
-void Tl2Bus::notifyAddressPhase(const Tl2Request& req) {
+void Tl2Bus::notifyAddressPhase(const Tl2Request& req, std::uint64_t cycle) {
   Tl2PhaseInfo info;
   info.kind = req.kind;
   info.address = req.address;
   info.bytes = req.bytes;
   info.beats = req.beatCount();
   info.cycles = req.addrCycles;
+  info.cycle = cycle;
   info.slave = req.slave;
   info.error = req.slave < 0;
   ++notifyDepth_;
@@ -103,7 +88,8 @@ void Tl2Bus::notifyAddressPhase(const Tl2Request& req) {
   }
 }
 
-void Tl2Bus::notifyDataPhase(const Tl2Request& req, bool ok) {
+void Tl2Bus::notifyDataPhase(const Tl2Request& req, bool ok,
+                             std::uint64_t cycle) {
   Tl2PhaseInfo info;
   info.kind = req.kind;
   info.address = req.address;
@@ -111,6 +97,7 @@ void Tl2Bus::notifyDataPhase(const Tl2Request& req, bool ok) {
   info.bytes = req.bytes;
   info.beats = req.beatCount();
   info.cycles = req.dataCycles;
+  info.cycle = cycle;
   info.slave = req.slave;
   info.error = !ok;
   ++notifyDepth_;
@@ -178,10 +165,9 @@ std::uint64_t Tl2Bus::currentEdge() const {
 }
 
 BusStatus Tl2Bus::submitOrPoll(Tl2Request& req) {
-  // Event mode defers phase bookkeeping while no observer is attached;
-  // bring it current first so the outstanding slots, stages and results
-  // below reflect every boundary the per-cycle model would have
-  // processed by now.
+  // Event mode defers phase bookkeeping; bring it current first so the
+  // outstanding slots, stages and results below reflect every boundary
+  // the per-cycle model would have processed by now.
   if (!perCycle_) retireDue();
   switch (req.stage) {
     case Tl2Stage::Idle: {
@@ -388,27 +374,10 @@ void Tl2Bus::scheduleRequest(Tl2Request& req) {
     busyOpen_ = true;
     busyFrom_ = submit;
   }
-  // Wake the bus process for the earliest pending boundary — but only
-  // if somebody needs exact-cycle callbacks. Otherwise the whole
-  // schedule retires lazily from the interface entry points and the
-  // order-only observers' reads, and the process never has to run.
-  parkProcess(exactObservers_ == 0 ? sim::Clock::kNeverWake
-                                   : nextEventCycle());
-}
-
-void Tl2Bus::eventProcess() {
-  // During the falling dispatch the last virtual edge is this one, so
-  // this retires any boundary left over from a stretch without
-  // exact-cycle observers, then this edge's — in per-cycle order, with
-  // callbacks. It also marks the edge current, so a callback that
-  // queries the bus cannot retire the rest of the edge ahead of time.
-  retireDue();
-  parkProcess(exactObservers_ == 0 ? sim::Clock::kNeverWake
-                                   : nextEventCycle());
 }
 
 void Tl2Bus::completeAddressPhase(Tl2Request& req) {
-  if (!observers_.empty()) notifyAddressPhase(req);
+  if (!observers_.empty()) notifyAddressPhase(req, req.addrDoneCycle);
   req.addrCyclesLeft = 0;
   if (obsRec_ != nullptr) noteAddrPhaseObs(req);
   if (req.slave < 0) {
@@ -432,7 +401,7 @@ void Tl2Bus::completeDataPhase(RequestRing& queue) {
     ok = slave.readBlock(req.address, req.data, req.bytes);
   }
 
-  if (!observers_.empty()) notifyDataPhase(req, ok);
+  if (!observers_.empty()) notifyDataPhase(req, ok, req.dataDoneCycle);
   req.dataCyclesLeft = 0;
   if (obsRec_ != nullptr) noteDataPhaseObs(req);
   finish(req, ok ? BusStatus::Ok : BusStatus::Error, req.dataDoneCycle);
@@ -471,28 +440,14 @@ void Tl2Bus::finish(Tl2Request& req, BusStatus result, std::uint64_t cycle) {
   if (obsLatency_ != nullptr) noteFinishObs(req, result);
 }
 
-void Tl2Bus::reset() {
-  if (!idle()) {  // idle() retires due boundaries in event mode first.
-    throw std::logic_error(name() + ": reset with transactions in flight");
-  }
-  assert(missFinishCycles_.empty());
-  assert(outstandingInstr_ == 0 && outstandingRead_ == 0 &&
-         outstandingWrite_ == 0);
-  stats_ = Tl2BusStats{};
-  addrFree_ = readFree_ = writeFree_ = 0;
-  lastRetireEdge_ = 0;
-  firstEdge_ = currentEdge();
-  busyFrom_ = 0;
-  closedBusyCycles_ = 0;
-  busyOpen_ = false;
-  parkProcess(perCycle_ ? 0 : sim::Clock::kNeverWake);
-}
-
 void Tl2Bus::saveState(ckpt::StateWriter& w) const {
   if (!idle()) {  // Retires due boundaries, so the lazy state is current.
     throw ckpt::CheckpointError(
         "Tl2Bus::saveState: bus is not idle (not a quiesce point)");
   }
+  // Event mode: derive the lazy cycle counters, so the section does not
+  // depend on whether anything called stats() before the save.
+  if (!perCycle_) syncLazyStats();
   w.b(perCycle_);
   w.u64(stats_.cycles);
   w.u64(stats_.busyCycles);
@@ -502,15 +457,8 @@ void Tl2Bus::saveState(ckpt::StateWriter& w) const {
   w.u64(stats_.errors);
   w.u64(stats_.bytesRead);
   w.u64(stats_.bytesWritten);
-  w.u64(addrFree_);
-  w.u64(readFree_);
-  w.u64(writeFree_);
-  w.u64(parkedWake_);
-  w.u64(lastRetireEdge_);
   w.u64(firstEdge_);
-  w.u64(busyFrom_);
   w.u64(closedBusyCycles_);
-  w.b(busyOpen_);
 }
 
 void Tl2Bus::loadState(ckpt::StateReader& r) {
@@ -532,17 +480,14 @@ void Tl2Bus::loadState(ckpt::StateReader& r) {
   stats_.errors = r.u64();
   stats_.bytesRead = r.u64();
   stats_.bytesWritten = r.u64();
-  addrFree_ = r.u64();
-  readFree_ = r.u64();
-  writeFree_ = r.u64();
-  // Mirror only: the handler's actual wake cycle was restored by the
-  // Clock section, which loads before any bus.
-  parkedWake_ = r.u64();
-  lastRetireEdge_ = r.u64();
   firstEdge_ = r.u64();
-  busyFrom_ = r.u64();
   closedBusyCycles_ = r.u64();
-  busyOpen_ = r.b();
+  // An idle bus has every unit free by the next edge and no busy
+  // interval open; the retirement cache re-validates on first use.
+  addrFree_ = readFree_ = writeFree_ = 0;
+  busyFrom_ = 0;
+  busyOpen_ = false;
+  lastRetireEdge_ = 0;
 }
 
 void Tl2Bus::attachObs(obs::StatsRegistry& reg, obs::TraceRecorder* rec) {
@@ -591,7 +536,7 @@ void Tl2Bus::addressPhase() {
   if (req.addrCyclesLeft > 0) return;
 
   // Address phase finishes this cycle.
-  notifyAddressPhase(req);
+  notifyAddressPhase(req, clock_.cycle());
 
   if (req.slave < 0) {
     finish(req, BusStatus::Error, clock_.cycle());
@@ -624,7 +569,7 @@ void Tl2Bus::dataPhase(Tl2Request*& current, RequestRing& queue) {
   } else {
     ok = slave.readBlock(req.address, req.data, req.bytes);
   }
-  notifyDataPhase(req, ok);
+  notifyDataPhase(req, ok, clock_.cycle());
 
   finish(req, ok ? BusStatus::Ok : BusStatus::Error, clock_.cycle());
   current = nullptr;

@@ -29,16 +29,15 @@
 // *event-driven*: at accept it resolves the whole phase schedule with
 // event arithmetic (address-done cycle, data-done cycle, serialised
 // per unit exactly as the counters would serialise them). Its clock
-// handler wakes on a phase boundary only while an exact-cycle observer
-// is attached (see Tl2Observer); otherwise it stays parked and passed
-// boundaries are retired in bulk, in per-cycle order, from the
-// interface entry points and from order-only observers' reads.
-// Combined with the clock's dead-cycle warp, idle and wait-state
-// cycles cost nothing. The original per-cycle countdown survives
-// behind a testing hook (setPerCycleProcess) as the reference
-// implementation; both paths produce bit-identical stats, request
-// fields and callback sequences (exact-cycle observers also on the
-// same cycles).
+// handler never wakes: passed boundaries are retired in bulk, in
+// per-cycle order, from the interface entry points and from the
+// observers' reads, and each phase reaches the observers stamped with
+// its own cycle (see Tl2Observer). Combined with the clock's dead-cycle
+// warp, idle and wait-state cycles cost nothing. The original
+// per-cycle countdown survives behind a testing hook
+// (setPerCycleProcess) as the reference implementation; both paths
+// produce bit-identical stats, request fields and callback sequences,
+// cycle stamps included.
 #ifndef SCT_BUS_TL2_BUS_H
 #define SCT_BUS_TL2_BUS_H
 
@@ -90,27 +89,22 @@ class Tl2Bus final : public sim::Module, public Tl2MasterIf {
   /// for the observers already attached: phases that completed before
   /// an attach are never reported (as in the per-cycle model), and a
   /// departing observer is fed every phase that completed before it
-  /// left. Attaching an exact-cycle observer arms the bus process for
-  /// the next boundary; detaching the last one parks it until another
-  /// attaches. An order-only observer is bound to this bus (see
+  /// left. An attached observer is bound to this bus (see
   /// Tl2Observer::attachedBus) until removed.
   void addObserver(Tl2Observer& obs);
   void removeObserver(Tl2Observer& obs);
 
-  /// Bring the order-only observers current: deliver every boundary
-  /// that has passed. Their reads call this first. A no-op
-  ///  * in per-cycle mode, and while any exact-cycle observer is
-  ///    attached: boundaries are then processed on their own edge;
-  ///  * while a notification is running: a read from inside a callback
-  ///    must not retire the rest of the edge ahead of the bus process;
+  /// Bring the observers current: deliver every boundary that has
+  /// passed. Their reads call this first. A no-op
+  ///  * in per-cycle mode: boundaries are processed on their own edge;
+  ///  * inside a notification: the retirement running it has already
+  ///    marked the edge current (retireDue), so a read from a callback
+  ///    cannot retire the rest of the edge ahead of its turn;
   ///  * while nothing is pending (no busy interval open), so a model
   ///    read every cycle — hier::FidelityController does in TL1
   ///    regions — costs a flag test.
   void syncObservers() const {
-    if (busyOpen_ && !perCycle_ && exactObservers_ == 0 &&
-        notifyDepth_ == 0) {
-      retireDue();
-    }
+    if (busyOpen_ && !perCycle_) retireDue();
   }
 
   // Tl2MasterIf. Instruction fetches use read() with kind ==
@@ -123,7 +117,6 @@ class Tl2Bus final : public sim::Module, public Tl2MasterIf {
 
   const Tl2BusStats& stats() const;
   const AddressDecoder& decoder() const { return decoder_; }
-  std::uint64_t cycle() const { return clock_.cycle(); }
 
   /// Testing hook (PR 1 kernel fast-path pattern): route the bus back
   /// through the original per-cycle countdown process instead of the
@@ -131,9 +124,10 @@ class Tl2Bus final : public sim::Module, public Tl2MasterIf {
   /// equivalence suite pins the event path against it. Only legal while
   /// the bus is idle. In per-cycle mode nextFinishCycle() answers
   /// kFinishUnknown, so masters fall back to polling every cycle and
-  /// the hook covers the whole TL2 stack.
+  /// the hook covers the whole TL2 stack. The falling-edge handler is
+  /// registered in both modes (the Clock checkpoint keys on handler
+  /// ids), but only this hook unparks it.
   void setPerCycleProcess(bool v);
-  bool perCycleProcess() const { return perCycle_; }
 
   /// Resolve observability handles under "<name>." in `reg`
   /// (txn_latency_cycles, queue_depth, bus_errors) and optionally emit
@@ -142,22 +136,18 @@ class Tl2Bus final : public sim::Module, public Tl2MasterIf {
   /// exact even when boundaries are retired lazily after a clock warp.
   void attachObs(obs::StatsRegistry& reg, obs::TraceRecorder* rec = nullptr);
 
-  /// Deterministic reset to the state a bus constructed at this instant
-  /// would have (the companion of Tl2MasterBridge::reset()): zeroed
-  /// stats, free units, re-based lazy cycle counters, process parked
-  /// until the next accept. Requires idle() — every schedule retired,
-  /// no master-owned request pointer held; masters holding Finished
-  /// payloads keep them (pickup needs no bus state).
-  void reset();
-
   /// -- Checkpoint (see ckpt/checkpoint.h) ------------------------------
   /// Only legal while idle(): the queues, unit slots and the miss ring
-  /// are empty then, so the section carries the stats block, the unit
-  /// free-cycles and the lazy retirement/busy-interval bookkeeping. The
-  /// process handler's park state is restored by the Clock section; the
-  /// restore target must already be in the same process mode
-  /// (setPerCycleProcess) as the saved bus.
-  static constexpr std::uint32_t kCkptVersion = 1;
+  /// are empty then, the busy interval is closed and every unit is free
+  /// by the next edge, so the section carries the process mode, the
+  /// stats block and the two lazy cycle counters; loadState gives the
+  /// unit free-cycles, the busy interval and the retirement cache a
+  /// fresh bus's values. The process handler's park state is restored
+  /// by the Clock section; the restore target must already be in the
+  /// same process mode (setPerCycleProcess) as the saved bus. Version
+  /// 2: the unit free-cycles, the park mirror, the retirement cache and
+  /// the busy-interval start are no longer saved.
+  static constexpr std::uint32_t kCkptVersion = 2;
   void saveState(ckpt::StateWriter& w) const;
   void loadState(ckpt::StateReader& r);
 
@@ -178,20 +168,19 @@ class Tl2Bus final : public sim::Module, public Tl2MasterIf {
 
   // --- event-driven path ---------------------------------------------------
   void scheduleRequest(Tl2Request& req);
-  void eventProcess();
   void completeAddressPhase(Tl2Request& req);
   void completeDataPhase(RequestRing& queue);
   std::uint64_t nextEventCycle() const;
   std::uint64_t lastVirtualEdge() const;
   void syncLazyStats() const;
-  /// All phase timing is resolved at accept, so unless an exact-cycle
-  /// observer is listening the bus process never needs to wake at all.
-  /// Boundaries that have already passed (cycle <= lastVirtualEdge())
-  /// are retired in bulk from the interface entry points instead — every
-  /// cycle, stage transition, statistic and callback comes out of the
-  /// recorded schedule, bit-identical to processing each boundary on its
-  /// own edge. O(1) when current; the bus process runs it too, so a
-  /// re-entrant call from a callback retires nothing.
+  /// All phase timing is resolved at accept, so the bus process never
+  /// needs to wake. Boundaries that have already passed (cycle <=
+  /// lastVirtualEdge()) are retired in bulk from the interface entry
+  /// points instead — every cycle, stage transition, statistic and
+  /// callback comes out of the recorded schedule, bit-identical to
+  /// processing each boundary on its own edge. O(1) when current. Marks
+  /// the edge current before retiring, so a re-entrant call from a
+  /// callback retires nothing.
   void retireDue() const;
   /// Process every pending phase boundary with cycle <= `through` in
   /// per-cycle order — ascending cycle; on a shared edge the read unit,
@@ -200,33 +189,25 @@ class Tl2Bus final : public sim::Module, public Tl2MasterIf {
   /// per-cycle interleaving. Out of line, so the O(1) currency check in
   /// retireDue stays small enough to inline into every entry point.
   [[gnu::noinline]] void retireThrough(std::uint64_t through);
-  /// Park the bus process until `wake`, skipping the clock call when
-  /// the handler is already parked there (the mirror is exact: nothing
-  /// else parks this handler).
-  void parkProcess(std::uint64_t wake) {
-    if (wake != parkedWake_) {
-      parkedWake_ = wake;
-      clock_.parkHandler(processId_, wake);
-    }
-  }
 
   // --- shared --------------------------------------------------------------
   void finish(Tl2Request& req, BusStatus result, std::uint64_t cycle);
   SCT_OBS_COLD void noteFinishObs(const Tl2Request& req, BusStatus result);
   SCT_OBS_COLD void noteAddrPhaseObs(const Tl2Request& req);
   SCT_OBS_COLD void noteDataPhaseObs(const Tl2Request& req);
-  /// Fan a completed phase out to the observers. Out of line, so the
-  /// observer-free retirement walk stays small enough to inline its
-  /// phase bodies.
-  [[gnu::noinline]] void notifyAddressPhase(const Tl2Request& req);
-  [[gnu::noinline]] void notifyDataPhase(const Tl2Request& req, bool ok);
+  /// Fan a completed phase out to the observers, stamped with its
+  /// completion cycle. Out of line, so the observer-free retirement
+  /// walk stays small enough to inline its phase bodies.
+  [[gnu::noinline]] void notifyAddressPhase(const Tl2Request& req,
+                                            std::uint64_t cycle);
+  [[gnu::noinline]] void notifyDataPhase(const Tl2Request& req, bool ok,
+                                         std::uint64_t cycle);
   std::uint64_t currentEdge() const;
 
   sim::Clock& clock_;
   sim::Clock::HandlerId processId_;
   AddressDecoder decoder_;
   std::vector<Tl2Observer*> observers_;
-  unsigned exactObservers_ = 0;  ///< Attached observers not orderOnly().
   int notifyDepth_ = 0;
   bool observersDirty_ = false;
 
@@ -256,7 +237,6 @@ class Tl2Bus final : public sim::Module, public Tl2MasterIf {
   std::uint64_t addrFree_ = 0;
   std::uint64_t readFree_ = 0;
   std::uint64_t writeFree_ = 0;
-  std::uint64_t parkedWake_ = 0;  ///< Mirror of the handler's wake cycle.
   mutable std::uint64_t lastRetireEdge_ = 0;  ///< retireDue() currency guard.
   SmallRing<std::uint64_t, 16> missFinishCycles_;
 

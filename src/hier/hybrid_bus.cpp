@@ -1,9 +1,26 @@
 #include "hier/hybrid_bus.h"
 
 #include <cassert>
+#include <string>
 #include <utility>
 
 namespace sct::hier {
+
+namespace {
+
+/// A snapshot is outside input: a byte naming neither layer would
+/// leave active() equal to neither enumerator.
+Fidelity loadFidelity(ckpt::StateReader& r, const char* field) {
+  const std::uint8_t v = r.u8();
+  if (v > static_cast<std::uint8_t>(Fidelity::Tl2)) {
+    throw ckpt::CheckpointError("HybridBus::loadState: " +
+                                std::string(field) + " fidelity byte " +
+                                std::to_string(v) + " names no layer");
+  }
+  return static_cast<Fidelity>(v);
+}
+
+} // namespace
 
 HybridBus::HybridBus(sim::Clock& clock, std::string name, Fidelity initial)
     : clock_(clock),
@@ -129,8 +146,8 @@ void HybridBus::loadState(ckpt::StateReader& r) {
   tl1_.loadState(r);
   tl2_.loadState(r);
   bridge_.loadState(r);
-  active_ = static_cast<Fidelity>(r.u8());
-  pendingTarget_ = static_cast<Fidelity>(r.u8());
+  active_ = loadFidelity(r, "active");
+  pendingTarget_ = loadFidelity(r, "pending-target");
   switchPending_ = r.b();
   switchCount_ = r.u64();
   drainWaitAnswers_ = r.u64();

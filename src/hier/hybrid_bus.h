@@ -133,8 +133,9 @@ class HybridBus final : public bus::EcInstrIf, public bus::EcDataIf {
   /// Non-const: quiesced() brings the bridge's lazy completions
   /// current. The FidelityController is NOT part of the snapshot;
   /// checkpoint between its regions and re-drive ROIs from the harness.
-  /// Version 2: the bridge's stage-publishing byte is gone.
-  static constexpr std::uint32_t kCkptVersion = 2;
+  /// loadState refuses a fidelity byte other than tl1 (0) or tl2 (1).
+  /// Version 3: the embedded Tl2Bus section is at its version 2.
+  static constexpr std::uint32_t kCkptVersion = 3;
   void saveState(ckpt::StateWriter& w);
   void loadState(ckpt::StateReader& r);
 

@@ -31,14 +31,14 @@
 //             real instruction streams and arrays.
 //
 // The model keeps no cross-transaction state and adds integers, so the
-// moment a phase is delivered cannot change any sum: it is an
-// order-only observer (bus::Tl2Observer): the event-driven bus it is
-// attached to stays parked and delivers passed phases in bulk. Every read — totals, the interval method, transition
-// counts, saveState — first brings that bus current
-// (Tl2Bus::syncObservers), so each read equals what an exact-cycle
-// model would answer at the same point. A bound model must not be read
-// after its bus is destroyed: declare it after the bus, as every
-// in-tree site does.
+// moment a phase is delivered cannot change any sum — which is why it
+// can be fed the way every bus::Tl2Observer is: late, in bulk, in the
+// per-cycle order, while the event-driven bus stays parked. Every read
+// — totals, the interval method, transition counts, saveState — first
+// brings that bus current (Tl2Bus::syncObservers), so each read equals
+// what the per-cycle reference answers at the same point. A bound
+// model must not be read after its bus is destroyed: declare it after
+// the bus, as every in-tree site does.
 #ifndef SCT_POWER_TL2_POWER_MODEL_H
 #define SCT_POWER_TL2_POWER_MODEL_H
 
@@ -61,7 +61,6 @@ class Tl2PowerModel final : public bus::Tl2Observer, public IntervalPowerIf {
   // bus::Tl2Observer
   void addressPhaseDone(const bus::Tl2PhaseInfo& info) override;
   void dataPhaseDone(const bus::Tl2PhaseInfo& info) override;
-  bool orderOnly() const override { return true; }
 
   /// Total energy in whole attojoules.
   std::uint64_t totalEnergy_aJ() const {

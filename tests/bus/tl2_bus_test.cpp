@@ -11,6 +11,7 @@
 #include "bus/memory_slave.h"
 #include "bus/tl1_bus.h"
 #include "bus_test_util.h"
+#include "ckpt/state_io.h"
 #include "sim/clock.h"
 #include "sim/kernel.h"
 
@@ -372,20 +373,18 @@ TEST_F(Tl2Fixture, ObserverAttachDuringCallbackStartsNextPhase) {
   EXPECT_EQ(late.data.size(), 1u);  // Present from the data phase on.
 }
 
-/// RecordingTl2Observer in the order-only delivery class; exposes the
-/// bus it is bound to.
-struct OrderOnlyRecorder final : RecordingTl2Observer {
-  bool orderOnly() const override { return true; }
+/// RecordingTl2Observer that exposes the bus it is bound to.
+struct BoundRecorder final : RecordingTl2Observer {
   const Tl2Bus* bound() const { return attachedBus(); }
 };
 
-TEST_F(Tl2Fixture, OrderOnlyObserverIsFedWhenTheBusIsBroughtCurrent) {
-  // With only an order-only observer attached, the event-driven bus
-  // stays parked: phases that have passed are delivered when something
-  // brings the bus current, not on their cycle.
+TEST_F(Tl2Fixture, ObserverIsFedWhenTheBusIsBroughtCurrent) {
+  // With an observer attached, the event-driven bus still stays parked:
+  // phases that have passed are delivered when something brings the
+  // bus current, not on their cycle, each stamped with its own cycle.
   MemorySlave ram("ram", window(0, 0x1000, /*aw=*/1, /*rw=*/2));
   bus.attach(ram);
-  OrderOnlyRecorder obs;
+  BoundRecorder obs;
   bus.addObserver(obs);
   EXPECT_EQ(obs.bound(), &bus);
 
@@ -411,22 +410,24 @@ TEST_F(Tl2Fixture, OrderOnlyObserverIsFedWhenTheBusIsBroughtCurrent) {
   EXPECT_EQ(req.stage, Tl2Stage::Finished);
   // Stamped from the schedule: accepted on edge 1, address phase done
   // on edge 2, data phase (rw + 1 beat) on edges 3..5.
+  EXPECT_EQ(obs.addr[0].cycle, 2u);
+  EXPECT_EQ(obs.data[0].cycle, 5u);
   EXPECT_EQ(req.finishCycle, 5u);
 
   bus.removeObserver(obs);
   EXPECT_EQ(obs.bound(), nullptr);
 }
 
-/// Exact observer that queries the bus from inside every callback and
-/// logs (kind of phase, cycle) pairs.
+/// Observer that queries the bus from inside every callback and logs
+/// (kind of phase, completion cycle) pairs.
 struct QueryingObserver final : Tl2Observer {
   explicit QueryingObserver(Tl2Bus& bus) : bus(bus) {}
-  void addressPhaseDone(const Tl2PhaseInfo&) override { note(false); }
-  void dataPhaseDone(const Tl2PhaseInfo&) override { note(true); }
-  void note(bool data) {
+  void addressPhaseDone(const Tl2PhaseInfo& i) override { note(false, i); }
+  void dataPhaseDone(const Tl2PhaseInfo& i) override { note(true, i); }
+  void note(bool data, const Tl2PhaseInfo& i) {
     (void)bus.stats();
     (void)bus.idle();
-    log.emplace_back(data, bus.cycle());
+    log.emplace_back(data, i.cycle);
   }
   Tl2Bus& bus;
   std::vector<std::pair<bool, std::uint64_t>> log;
@@ -458,13 +459,42 @@ std::vector<std::pair<bool, std::uint64_t>> queryInsideCallbacks(
 
 TEST(Tl2BusObserver, QueryInsideACallbackMissesNoPhase) {
   // Back-to-back reads put a data boundary and the next address
-  // boundary on the same edge. An exact observer that queries the bus
-  // inside the data callback must not retire that address boundary
-  // ahead of the bus process, which would skip its callback.
+  // boundary on the same edge. An observer that queries the bus inside
+  // the data callback must not retire that address boundary ahead of
+  // its turn in the running retirement, which would skip its callback.
   const auto ev = queryInsideCallbacks(false);
   const auto pc = queryInsideCallbacks(true);
   EXPECT_EQ(ev.size(), 8u);
   EXPECT_EQ(ev, pc);
+}
+
+/// The bus section saved 10 idle cycles after one read on an
+/// event-driven bus, with or without a stats() query first.
+std::vector<std::uint8_t> savedAfterOneRead(bool queryStatsFirst) {
+  sim::Kernel kernel;
+  sim::Clock clk{kernel, "clk", 10};
+  Tl2Bus bus{clk, "ecbus_tl2"};
+  MemorySlave ram("ram", window(0, 0x1000, /*aw=*/1, /*rw=*/2));
+  bus.attach(ram);
+  Word v = 0;
+  Tl2Request req;
+  req.kind = Kind::Read;
+  req.address = 0x30;
+  req.data = reinterpret_cast<std::uint8_t*>(&v);
+  req.bytes = 4;
+  driveOne(clk, bus, req);
+  clk.runCycles(10);
+  if (queryStatsFirst) (void)bus.stats();
+  ckpt::StateWriter w;
+  bus.saveState(w);
+  return w.take();
+}
+
+TEST(Tl2BusCheckpoint, SectionBytesDoNotDependOnAStatsQuery) {
+  // The event-driven bus derives its cycle counters lazily; the section
+  // must carry the derived values, not whatever the last stats() call
+  // left behind.
+  EXPECT_EQ(savedAfterOneRead(false), savedAfterOneRead(true));
 }
 
 TEST_F(Tl2Fixture, StatsAccumulate) {

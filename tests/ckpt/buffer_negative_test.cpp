@@ -7,8 +7,9 @@
 // version, truncation at every prefix, oversized/undersized section
 // length fields, trailing garbage, duplicate section tags,
 // registry-level version skew through the buffer path, pm section
-// fields that would index past the signal frame or the ledger, and a
-// TL2 model section of the previous layout).
+// fields that would index past the signal frame or the ledger, TL2
+// model and TL2 bus sections of their previous layouts, and hybrid-bus
+// fidelity bytes that name no layer).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,10 +18,14 @@
 #include <vector>
 
 #include "bus/ec_signals.h"
+#include "bus/tl2_bus.h"
 #include "ckpt/checkpoint.h"
+#include "hier/hybrid_bus.h"
 #include "obs/ledger.h"
 #include "power/tl1_power_model.h"
 #include "power/tl2_power_model.h"
+#include "sim/clock.h"
+#include "sim/kernel.h"
 
 namespace sct {
 namespace {
@@ -202,6 +207,63 @@ TEST(SnapshotBufferNegative, Tl2PmVersion2SectionIsRefused) {
   current.add("pm2", restored);
   expectRefusal([&] { current.loadAll(ckpt::Snapshot::deserialize(buf)); },
                 "'pm2' version skew: snapshot has v2, this build expects v3");
+}
+
+TEST(SnapshotBufferNegative, Tl2BusVersion1SectionIsRefused) {
+  // Version 1 of the TL2 bus section also carried the three unit
+  // free-cycles, the park mirror, the retirement cache, the busy
+  // interval's start and its open flag; version 2 keeps only what an
+  // idle bus needs. A genuine version-1 payload must be refused by
+  // name, not read as a version-2 one.
+  ckpt::StateWriter w;
+  w.b(false);                                // Process mode.
+  for (int i = 0; i < 8; ++i) w.u64(0);      // Stats block.
+  for (int i = 0; i < 5; ++i) w.u64(0);      // Free cycles, mirror, cache.
+  w.u64(1);                                  // First edge.
+  w.u64(0);                                  // Busy-interval start.
+  w.u64(0);                                  // Closed busy cycles.
+  w.b(false);                                // Busy interval open.
+  ckpt::Snapshot older;
+  older.addSection("tl2", 1, w.take());
+  const std::vector<std::uint8_t> buf = older.serialize();
+
+  sim::Kernel kernel;
+  sim::Clock clk{kernel, "clk", 10};
+  bus::Tl2Bus restored{clk, "ecbus_tl2"};
+  ckpt::CheckpointRegistry current;
+  current.add("tl2", restored);
+  expectRefusal([&] { current.loadAll(ckpt::Snapshot::deserialize(buf)); },
+                "'tl2' version skew: snapshot has v1, this build expects v2");
+}
+
+/// A quiesced HybridBus section with one fidelity byte — the active
+/// layer (`which` 0) or the pending switch target (1) — set to
+/// `value`, loaded back.
+void loadHybridWithFidelityByte(std::size_t which, std::uint8_t value,
+                                const std::string& needle) {
+  sim::Kernel kernel;
+  sim::Clock clk{kernel, "clk", 10};
+  hier::HybridBus saved{clk, "saved"};
+  ckpt::StateWriter w;
+  saved.saveState(w);
+  std::vector<std::uint8_t> buf = w.take();
+  // The section ends with the two fidelity bytes, the switch-pending
+  // flag and two u64 counters.
+  buf[buf.size() - 2 * 8 - 1 - 2 + which] = value;
+  hier::HybridBus restored{clk, "restored"};
+  ckpt::StateReader r(buf);
+  expectRefusal([&] { restored.loadState(r); }, needle);
+}
+
+TEST(SnapshotBufferNegative, HybridFidelityByteNamingNoLayerIsRefused) {
+  // A snapshot is outside input: a fidelity byte of 2 would leave the
+  // bus on neither layer, and the fidelity controller would then
+  // request a spurious switch.
+  loadHybridWithFidelityByte(0, 2, "active fidelity byte 2 names no layer");
+  loadHybridWithFidelityByte(1, 2,
+                             "pending-target fidelity byte 2 names no layer");
+  loadHybridWithFidelityByte(0, 0xFF,
+                             "active fidelity byte 255 names no layer");
 }
 
 TEST(SnapshotBufferNegative, TrailingGarbageIsRejected) {

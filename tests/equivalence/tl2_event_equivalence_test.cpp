@@ -10,18 +10,21 @@
 //  * Tl2BusStats and ReplayStats, field by field,
 //  * per-request result/slave/phase lengths/accept/finish cycles,
 //  * read-result payloads and final slave memory images,
-//  * the cycle number of every observer callback,
+//  * every observer callback, with the completion cycle it is stamped
+//    with,
 //  * Tl2PowerModel interval samples and accumulated energy (exact
 //    equality: the attojoule total and every converted sample),
-//  * the delivery contract of order-only observers (the power model):
-//    fed late and in bulk, but in the exact-cycle sequence, with every
-//    read, attach and detach seeing what the per-cycle reference sees.
+//  * the delivery contract: every observer is fed late and in bulk,
+//    but in the per-cycle sequence with the per-cycle stamps, and
+//    every read, attach and detach sees what the per-cycle reference
+//    sees.
 // Workloads sweep the interesting regimes: dense mixes (unit backlog),
 // sparse issue gaps (dead-cycle warp), decode misses, wait-state
 // combinations, and single-class floods that saturate the
 // kMaxOutstandingPerClass backpressure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
@@ -55,7 +58,7 @@ power::SignalEnergyTable variedTable() {
 }
 
 struct PhaseRecord {
-  std::uint64_t cycle = 0;  ///< Bus cycle the callback fired on.
+  std::uint64_t cycle = 0;  ///< Completion cycle stamped on the callback.
   bool dataPhase = false;
   Kind kind = Kind::Read;
   bus::Address address = 0;
@@ -69,10 +72,8 @@ struct PhaseRecord {
   bool operator==(const PhaseRecord&) const = default;
 };
 
-/// Records every observer callback together with the cycle it fired on.
+/// Records every observer callback together with its cycle stamp.
 struct PhaseLogger : bus::Tl2Observer {
-  explicit PhaseLogger(const bus::Tl2Bus& bus) : bus_(bus) {}
-
   void addressPhaseDone(const bus::Tl2PhaseInfo& i) override {
     log.push_back(make(i, false));
   }
@@ -83,9 +84,9 @@ struct PhaseLogger : bus::Tl2Observer {
   std::vector<PhaseRecord> log;
 
  private:
-  PhaseRecord make(const bus::Tl2PhaseInfo& i, bool data) const {
+  static PhaseRecord make(const bus::Tl2PhaseInfo& i, bool data) {
     PhaseRecord r;
-    r.cycle = orderOnly() ? 0 : bus_.cycle();
+    r.cycle = i.cycle;
     r.dataPhase = data;
     r.kind = i.kind;
     r.address = i.address;
@@ -103,21 +104,7 @@ struct PhaseLogger : bus::Tl2Observer {
     }
     return r;
   }
-
-  const bus::Tl2Bus& bus_;
 };
-
-/// The same log from an order-only observer. It is fed late, so it
-/// stamps no cycle (0).
-struct OrderOnlyLogger final : PhaseLogger {
-  using PhaseLogger::PhaseLogger;
-  bool orderOnly() const override { return true; }
-};
-
-std::vector<PhaseRecord> withoutCycles(std::vector<PhaseRecord> log) {
-  for (PhaseRecord& r : log) r.cycle = 0;
-  return log;
-}
 
 /// Samples the power model's interval method after every data phase —
 /// the platform sampling pattern — so the interval stream itself is
@@ -180,7 +167,7 @@ RunResult run(const BusTrace& t, bool perCycle,
               const bus::SlaveControl& slowCtl, bool withObservers = true) {
   Platform p(perCycle, slowCtl);
   power::Tl2PowerModel pm(variedTable());
-  PhaseLogger logger(p.bus);
+  PhaseLogger logger;
   IntervalSampler sampler(pm);
   if (withObservers) {
     p.bus.addObserver(pm);
@@ -255,7 +242,7 @@ void expectIdentical(const RunResult& ev, const RunResult& pc) {
   ASSERT_EQ(ev.phases.size(), pc.phases.size());
   for (std::size_t i = 0; i < pc.phases.size(); ++i) {
     EXPECT_EQ(ev.phases[i], pc.phases[i])
-        << "callback " << i << ": event cycle " << ev.phases[i].cycle
+        << "callback " << i << ": event stamp " << ev.phases[i].cycle
         << " vs per-cycle " << pc.phases[i].cycle;
   }
 
@@ -356,10 +343,10 @@ TEST(Tl2EventEquivalence, PerClassSaturation) {
 }
 
 TEST(Tl2EventEquivalence, ObserverFreeLazyRetirementAgrees) {
-  // With no observer attached the event-driven bus never wakes its
-  // clock handler; every stage transition and statistic is retired
-  // lazily from the interface entry points. Results must still be
-  // bit-identical to per-cycle processing.
+  // With no observer attached, only the master's own polls bring the
+  // event-driven bus current; every stage transition and statistic is
+  // retired lazily from the interface entry points. Results must still
+  // be bit-identical to per-cycle processing.
   const auto regions = testbench::bothRegions();
   const BusTrace t =
       trace::randomMix(77, 300, regions, fullMix(), /*issueGapMax=*/2);
@@ -424,7 +411,7 @@ struct AttachRunResult {
 AttachRunResult attachMidRun(const BusTrace& t, bool perCycle) {
   Platform p(perCycle, testbench::waitedCtl());
   power::Tl2PowerModel pm(variedTable());
-  PhaseLogger logger(p.bus);
+  PhaseLogger logger;
   IntervalSampler sampler(pm);
   trace::Tl2ReplayMaster master(p.clk, "master", p.bus, t);
   master.runToCompletion(/*maxCycles=*/61);
@@ -442,10 +429,10 @@ AttachRunResult attachMidRun(const BusTrace& t, bool perCycle) {
 }
 
 TEST(Tl2EventEquivalence, ObserverAttachMidRunAgrees) {
-  // 61 cycles run observer-free (event mode: boundaries retired
-  // lazily), then a power model attaches. Phases completed before the
-  // attach are never reported in either mode; everything after must
-  // match cycle for cycle and joule for joule.
+  // 61 cycles run observer-free, then the power model, a logger and a
+  // sampler attach. Phases completed before the attach are never
+  // reported in either mode; everything after must match stamp for
+  // stamp and joule for joule.
   const auto regions = testbench::bothRegions();
   const BusTrace t =
       trace::randomMix(53, 200, regions, fullMix(), /*issueGapMax=*/1);
@@ -466,12 +453,11 @@ TEST(Tl2EventEquivalence, ObserverAttachMidRunAgrees) {
 }
 
 // ---------------------------------------------------------------------------
-// Delivery classes. Tl2PowerModel is an order-only observer: while no
-// exact-cycle observer is attached, the event-driven bus never wakes
-// for it and delivers passed phases in bulk, and every read of the model
-// first brings the bus current. Each case pins a read, attach or detach
-// pattern against the per-cycle reference, where every observer is fed
-// on its own edge.
+// Delivery contract. Every observer is fed late: the event-driven bus
+// never wakes for one and delivers passed phases in bulk, and every
+// read of the model first brings the bus current. Each case pins a
+// read, attach or detach pattern against the per-cycle reference,
+// where every observer is fed on its own edge.
 
 struct CycleSamples {
   std::vector<double> intervals;
@@ -508,20 +494,19 @@ TEST(Tl2DeliveryContract, ModelReadEveryCycleAgrees) {
   }
 }
 
-template <typename Logger>
 std::vector<PhaseRecord> logAlone(const BusTrace& t, bool perCycle) {
   Platform p(perCycle, testbench::waitedCtl());
-  Logger logger(p.bus);
+  PhaseLogger logger;
   p.bus.addObserver(logger);
   trace::Tl2ReplayMaster master(p.clk, "master", p.bus, t);
   master.runToCompletion();
   return std::move(logger.log);
 }
 
-TEST(Tl2DeliveryContract, OrderOnlyObserverSeesTheExactSequence) {
-  // Alone on the event-driven bus, an order-only logger is fed in bulk,
-  // late. Its sequence — every field, and the payload checksum read at
-  // delivery — must equal an exact logger's on the per-cycle reference.
+TEST(Tl2DeliveryContract, LoggerAloneSeesThePerCycleSequence) {
+  // Alone on the event-driven bus, a logger is fed in bulk, late. Its
+  // sequence — every field, the cycle stamp, and the payload checksum
+  // read at delivery — must equal the per-cycle reference's.
   auto missRegions = testbench::bothRegions();
   missRegions.push_back(trace::TargetRegion{0x40000, 0x1000, true, true, true});
   const std::array<BusTrace, 3> traces = {
@@ -531,23 +516,50 @@ TEST(Tl2DeliveryContract, OrderOnlyObserverSeesTheExactSequence) {
   };
   for (std::size_t i = 0; i < traces.size(); ++i) {
     SCOPED_TRACE("trace " + std::to_string(i));
-    const std::vector<PhaseRecord> late =
-        logAlone<OrderOnlyLogger>(traces[i], false);
-    const std::vector<PhaseRecord> exact =
-        withoutCycles(logAlone<PhaseLogger>(traces[i], true));
-    ASSERT_EQ(late.size(), exact.size());
-    for (std::size_t k = 0; k < exact.size(); ++k) {
-      EXPECT_EQ(late[k], exact[k]) << "callback " << k;
+    const std::vector<PhaseRecord> late = logAlone(traces[i], false);
+    const std::vector<PhaseRecord> reference = logAlone(traces[i], true);
+    ASSERT_EQ(late.size(), reference.size());
+    for (std::size_t k = 0; k < reference.size(); ++k) {
+      EXPECT_EQ(late[k], reference[k]) << "callback " << k;
     }
   }
 }
 
-/// Park and wake transitions of the bus's falling handler over a replay
-/// of `t` with the model attached (plus an exact logger if asked),
-/// read from the clock's trace hooks. A handler that is parked for good
-/// at construction and never re-parked or woken is never dispatched.
-std::size_t busProcessTransitions(const BusTrace& t, bool withExactLogger,
-                                  std::uint64_t& total_aJ) {
+/// A logger that detaches itself from inside its `limit`-th callback
+/// (never, for 0).
+struct SelfDetachingLogger final : PhaseLogger {
+  SelfDetachingLogger(bus::Tl2Bus& bus, std::size_t limit)
+      : owner_(bus), limit_(limit) {}
+  void addressPhaseDone(const bus::Tl2PhaseInfo& i) override {
+    PhaseLogger::addressPhaseDone(i);
+    maybeDetach();
+  }
+  void dataPhaseDone(const bus::Tl2PhaseInfo& i) override {
+    PhaseLogger::dataPhaseDone(i);
+    maybeDetach();
+  }
+
+ private:
+  void maybeDetach() {
+    if (log.size() == limit_) owner_.removeObserver(*this);
+  }
+  bus::Tl2Bus& owner_;
+  std::size_t limit_;
+};
+
+struct ProbeResult {
+  std::size_t transitions = 0;  ///< Park/wake of the bus's handler.
+  std::vector<PhaseRecord> logged;
+  std::vector<PhaseRecord> selfDetached;
+  std::uint64_t total_aJ = 0;
+};
+
+/// Replays `t` on the event-driven bus with the model, a logger and a
+/// logger that leaves from inside its 150th callback attached, and
+/// counts the park and wake transitions of the bus's falling handler
+/// from the clock's trace hooks. A handler that is parked for good at
+/// construction and never re-parked or woken is never dispatched.
+ProbeResult probeBusProcess(const BusTrace& t) {
   sim::Kernel kernel;
   sim::Clock clk{kernel, "clk", 10};
   obs::StatsRegistry reg;
@@ -567,38 +579,44 @@ std::size_t busProcessTransitions(const BusTrace& t, bool withExactLogger,
   trace::fillRealistic(fast.data(), fast.sizeBytes(), 11);
   trace::fillRealistic(waited.data(), waited.sizeBytes(), 22);
   power::Tl2PowerModel pm(variedTable());
+  PhaseLogger logger;
+  SelfDetachingLogger leaver(bus, 150);
   bus.addObserver(pm);
-  PhaseLogger logger(bus);
-  if (withExactLogger) bus.addObserver(logger);
+  bus.addObserver(logger);
+  bus.addObserver(leaver);
   trace::Tl2ReplayMaster master(clk, "master", bus, t);
   master.runToCompletion();
-  total_aJ = pm.totalEnergy_aJ();
 
+  ProbeResult r;
+  r.total_aJ = pm.totalEnergy_aJ();
+  r.logged = std::move(logger.log);
+  r.selfDetached = std::move(leaver.log);
   EXPECT_EQ(rec.dropped(), 0u);
-  std::size_t n = 0;
   for (std::size_t i = 1; i < rec.size(); ++i) {
     const obs::TraceRecorder::Event& e = rec.event(i);
     const std::string_view name = e.name;
-    if ((name == "park" || name == "wake") && e.a0.value == handler) ++n;
+    if ((name == "park" || name == "wake") && e.a0.value == handler) {
+      ++r.transitions;
+    }
   }
-  return n;
+  return r;
 }
 
-TEST(Tl2DeliveryContract, ModelAloneNeverWakesTheBusProcess) {
-  // A dense run with only the model attached: the bus's falling handler
-  // is dispatched 0 times, and the model still ends with the per-cycle
-  // reference's energy. With an exact logger as well, the handler wakes
-  // (the probe sees transitions when there are any).
+TEST(Tl2DeliveryContract, NoObserverWakesTheEventDrivenBus) {
+  // A dense run with the model, a logger and a self-detaching logger
+  // attached: the bus's falling handler is dispatched 0 times, yet the
+  // model ends on the per-cycle reference's energy and both logs match
+  // the reference's callbacks, cycle stamps included.
   const BusTrace t = trace::randomMix(88, 400, testbench::bothRegions(),
                                       fullMix(), /*issueGapMax=*/0);
-  std::uint64_t alone_aJ = 0;
-  std::uint64_t withLogger_aJ = 0;
-  EXPECT_EQ(busProcessTransitions(t, false, alone_aJ), 0u);
-  EXPECT_GT(busProcessTransitions(t, true, withLogger_aJ), 0u);
-  const std::uint64_t reference_aJ =
-      run(t, /*perCycle=*/true, testbench::waitedCtl()).total_aJ;
-  EXPECT_EQ(alone_aJ, reference_aJ);
-  EXPECT_EQ(withLogger_aJ, reference_aJ);
+  const ProbeResult probe = probeBusProcess(t);
+  const RunResult reference = run(t, /*perCycle=*/true, testbench::waitedCtl());
+  EXPECT_EQ(probe.transitions, 0u);
+  EXPECT_EQ(probe.total_aJ, reference.total_aJ);
+  EXPECT_EQ(probe.logged, reference.phases);
+  ASSERT_EQ(probe.selfDetached.size(), 150u);
+  EXPECT_TRUE(std::equal(probe.selfDetached.begin(), probe.selfDetached.end(),
+                         reference.phases.begin()));
 }
 
 struct DetachResult {
@@ -610,7 +628,7 @@ struct DetachResult {
 DetachResult detachModelMidRun(const BusTrace& t, bool perCycle) {
   Platform p(perCycle, testbench::waitedCtl());
   power::Tl2PowerModel pm(variedTable());
-  OrderOnlyLogger witness(p.bus);
+  PhaseLogger witness;
   p.bus.addObserver(pm);
   p.bus.addObserver(witness);
   trace::Tl2ReplayMaster master(p.clk, "master", p.bus, t);
@@ -646,7 +664,7 @@ TEST(Tl2DeliveryContract, DetachedModelKeepsExactlyThePhasesBeforeTheDetach) {
 DetachResult attachModelMidRun(const BusTrace& t, bool perCycle) {
   Platform p(perCycle, testbench::waitedCtl());
   power::Tl2PowerModel pm(variedTable());
-  OrderOnlyLogger witness(p.bus);
+  PhaseLogger witness;
   p.bus.addObserver(witness);
   trace::Tl2ReplayMaster master(p.clk, "master", p.bus, t);
   master.runToCompletion(/*maxCycles=*/61);
@@ -711,10 +729,10 @@ ReaderResult readModelBeforeItIsFed(const BusTrace& t, bool perCycle) {
           pm.totalEnergy_aJ()};
 }
 
-TEST(Tl2DeliveryContract, ExactObserverReadingTheModelBeforeItIsFedAgrees) {
-  // An exact observer registered BEFORE the model reads it inside every
+TEST(Tl2DeliveryContract, ObserverReadingTheModelBeforeItIsFedAgrees) {
+  // An observer registered BEFORE the model reads it inside every
   // callback, so each read comes before the model is fed that phase.
-  // The read runs inside a notification and must deliver nothing early.
+  // The read runs inside a retirement and must deliver nothing early.
   // (IntervalSampler, registered after the model, covers the other
   // order in every run() above.)
   const BusTrace t = trace::randomMix(97, 300, testbench::bothRegions(),
@@ -727,73 +745,51 @@ TEST(Tl2DeliveryContract, ExactObserverReadingTheModelBeforeItIsFedAgrees) {
   EXPECT_EQ(ev.final_aJ, pc.final_aJ);
 }
 
-/// An exact logger that detaches itself from inside its `limit`-th
-/// callback.
-struct SelfDetachingLogger final : PhaseLogger {
-  SelfDetachingLogger(bus::Tl2Bus& bus, std::size_t limit)
-      : PhaseLogger(bus), owner_(bus), limit_(limit) {}
-  void addressPhaseDone(const bus::Tl2PhaseInfo& i) override {
-    PhaseLogger::addressPhaseDone(i);
-    maybeDetach();
-  }
-  void dataPhaseDone(const bus::Tl2PhaseInfo& i) override {
-    PhaseLogger::dataPhaseDone(i);
-    maybeDetach();
-  }
-
- private:
-  void maybeDetach() {
-    if (log.size() == limit_) owner_.removeObserver(*this);
-  }
-  bus::Tl2Bus& owner_;
-  std::size_t limit_;
-};
-
-struct ExactLeavesResult {
-  std::vector<PhaseRecord> exact;
+struct LeavesResult {
+  std::vector<PhaseRecord> leaver;
   std::vector<PhaseRecord> witness;
   std::uint64_t total_aJ = 0;
 };
 
-/// Model, order-only witness and one exact logger; the exact logger
-/// leaves mid-run — from inside its own 150th callback (`fromInside`),
-/// or between cycles after 70 cycles.
-ExactLeavesResult lastExactObserverLeaves(const BusTrace& t, bool perCycle,
-                                          bool fromInside) {
+/// Model, witness and one more logger; the logger leaves mid-run —
+/// from inside its own 150th callback (`fromInside`), or between
+/// cycles after 70 cycles.
+LeavesResult loggerLeaves(const BusTrace& t, bool perCycle, bool fromInside) {
   Platform p(perCycle, testbench::waitedCtl());
   power::Tl2PowerModel pm(variedTable());
-  OrderOnlyLogger witness(p.bus);
-  SelfDetachingLogger exact(p.bus, fromInside ? 150 : 0);
+  PhaseLogger witness;
+  SelfDetachingLogger leaver(p.bus, fromInside ? 150 : 0);
   p.bus.addObserver(pm);
-  p.bus.addObserver(exact);
+  p.bus.addObserver(leaver);
   p.bus.addObserver(witness);
   trace::Tl2ReplayMaster master(p.clk, "master", p.bus, t);
   if (!fromInside) {
     master.runToCompletion(/*maxCycles=*/70);
-    p.bus.removeObserver(exact);
+    p.bus.removeObserver(leaver);
   }
   master.runToCompletion();
-  ExactLeavesResult r;
-  r.exact = std::move(exact.log);
+  LeavesResult r;
+  r.leaver = std::move(leaver.log);
   r.witness = std::move(witness.log);
   r.total_aJ = pm.totalEnergy_aJ();
   return r;
 }
 
-TEST(Tl2DeliveryContract, LastExactObserverLeavingMidRunLosesNothing) {
-  // While the exact logger is attached the bus wakes on every boundary;
-  // once it leaves, the bus stays parked and the rest is fed late.
-  // No phase may be lost or doubled across the switch, either way.
+TEST(Tl2DeliveryContract, LoggerLeavingMidRunLosesNothing) {
+  // A logger leaves while the model and a witness stay, with passed
+  // boundaries pending on the event-driven bus. No phase may be lost
+  // or doubled for those who stay, and the leaver's log must end where
+  // the per-cycle reference's does, either way.
   const BusTrace t = trace::randomMix(99, 250, testbench::bothRegions(),
                                       fullMix(), /*issueGapMax=*/1);
   for (const bool fromInside : {false, true}) {
     SCOPED_TRACE(fromInside ? "detached inside a callback"
                             : "detached between cycles");
-    const ExactLeavesResult ev = lastExactObserverLeaves(t, false, fromInside);
-    const ExactLeavesResult pc = lastExactObserverLeaves(t, true, fromInside);
-    EXPECT_FALSE(ev.exact.empty());
-    EXPECT_LT(ev.exact.size(), ev.witness.size());
-    EXPECT_EQ(ev.exact, pc.exact);  // Cycle stamps included.
+    const LeavesResult ev = loggerLeaves(t, false, fromInside);
+    const LeavesResult pc = loggerLeaves(t, true, fromInside);
+    EXPECT_FALSE(ev.leaver.empty());
+    EXPECT_LT(ev.leaver.size(), ev.witness.size());
+    EXPECT_EQ(ev.leaver, pc.leaver);  // Cycle stamps included.
     EXPECT_EQ(ev.witness, pc.witness);
     EXPECT_EQ(ev.total_aJ, pc.total_aJ);
     EXPECT_EQ(ev.total_aJ,
