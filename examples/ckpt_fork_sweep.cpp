@@ -145,10 +145,12 @@ int main() {
 
   const double bootCost = seconds(t2, t3);  // One boot + one variant.
   const double forkSweep = seconds(t0, t2); // Boot once + N forks.
-  std::printf("boot-per-job sweep would cost ~%.1f ms; fork sweep took "
-              "%.1f ms (boot paid once, %.1f ms)\n",
-              1e3 * bootCost * static_cast<double>(kVariants),
-              1e3 * forkSweep, 1e3 * seconds(t0, t1));
+  // Host time varies run to run, so it stays off stdout.
+  std::fprintf(stderr,
+               "boot-per-job sweep would cost ~%.1f ms; fork sweep took "
+               "%.1f ms (boot paid once, %.1f ms)\n",
+               1e3 * bootCost * static_cast<double>(kVariants),
+               1e3 * forkSweep, 1e3 * seconds(t0, t1));
   std::remove("fork_sweep_boot.sctck");
   return identical ? 0 : 1;
 }

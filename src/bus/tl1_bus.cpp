@@ -12,7 +12,7 @@
 namespace sct::bus {
 
 Tl1Bus::Tl1Bus(sim::Clock& clock, std::string name)
-    : sim::Module(clock.kernel(), std::move(name)), clock_(clock) {
+    : sim::Module(std::move(name)), clock_(clock) {
   // The bus process runs on the falling edge; masters and slaves are
   // expected to act on the rising edge (paper, Figure 2).
   processId_ = clock_.onFallingRaw(

@@ -8,7 +8,7 @@
 namespace sct::bus {
 
 Tl2Bus::Tl2Bus(sim::Clock& clock, std::string name)
-    : sim::Module(clock.kernel(), std::move(name)), clock_(clock) {
+    : sim::Module(std::move(name)), clock_(clock) {
   // Only the per-cycle reference path runs the process; in event mode
   // it stays parked for good.
   processId_ = clock_.onFallingRaw(

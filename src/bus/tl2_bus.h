@@ -118,7 +118,7 @@ class Tl2Bus final : public sim::Module, public Tl2MasterIf {
   const Tl2BusStats& stats() const;
   const AddressDecoder& decoder() const { return decoder_; }
 
-  /// Testing hook (PR 1 kernel fast-path pattern): route the bus back
+  /// Testing hook: route the bus back
   /// through the original per-cycle countdown process instead of the
   /// event-driven schedule. Reference behaviour by construction; the
   /// equivalence suite pins the event path against it. Only legal while

@@ -104,8 +104,7 @@ class Component final : public Checkpointable {
 
 /// Ordered collection of components. Registration order defines both
 /// the section order in the snapshot and the load order on restore —
-/// register the Kernel before the Clock(s) and the clocks before
-/// anything that re-parks against them.
+/// register the Clock before anything that re-parks against it.
 class CheckpointRegistry {
  public:
   /// Binds `object` under `tag`; uses T::kCkptVersion unless an

@@ -13,7 +13,7 @@
 // the transaction record ('X' complete events), which fits the
 // event-driven TL2 bus: phase end cycles are resolved at accept time,
 // so a span can be written the moment the retire point is reached even
-// when the kernel warped over the intervening cycles.
+// when the clock warped over the intervening cycles.
 #ifndef SCT_OBS_TRACE_JSON_H
 #define SCT_OBS_TRACE_JSON_H
 

@@ -18,7 +18,7 @@ using bus::Word;
 GlBus::GlBus(sim::Clock& clock, std::string name,
              const TransitionEnergyModel& energyModel,
              const HazardParams& hazards)
-    : sim::Module(clock.kernel(), std::move(name)),
+    : sim::Module(std::move(name)),
       clock_(clock),
       energyModel_(energyModel),
       hazards_(hazards) {

@@ -10,10 +10,12 @@ Clock::Clock(Kernel& kernel, std::string name, Time period)
   if (period_ == 0 || period_ % 2 != 0) {
     throw std::invalid_argument("Clock: period must be non-zero and even");
   }
-  periodicId_ = kernel_.addPeriodic(*this);
+  if (kernel_.clocked_) {
+    throw std::logic_error("Clock: '" + name_ +
+                           "' — the kernel already has a clock");
+  }
+  kernel_.clocked_ = true;
 }
-
-Clock::~Clock() { kernel_.removePeriodic(periodicId_); }
 
 Clock::HandlerId Clock::onEdge(Edge edge, Callback cb, int priority) {
   if (!cb) throw std::invalid_argument("Clock::onEdge: empty callback");
@@ -44,9 +46,6 @@ Clock::HandlerId Clock::insertHandler(Edge edge, Handler&& h) {
   vec.insert(pos, std::move(h));
   minWakeDirty_ = true;
   parkIndexDirty_ = true;
-  if (!scheduled_ && !halted_) {
-    armNextEdge(kernel_.now() + period_, /*rising=*/true);
-  }
   return id;
 }
 
@@ -103,45 +102,15 @@ bool Clock::anyHandlers() const {
   return !rising_.empty() || !falling_.empty();
 }
 
-void Clock::armNextEdge(Time when, bool rising) {
-  scheduled_ = true;
-  nextEdgeRising_ = rising;
-  kernel_.armPeriodic(periodicId_, when);
-}
-
-void Clock::fire() {
-  scheduled_ = false;
-  if (nextEdgeRising_) {
-    fireRising();
-  } else {
-    fireFalling();
-  }
-}
-
-void Clock::fireRising() {
-  if (!pendingRemoval_.empty()) {
-    auto gone = [this](const Handler& h) { return flaggedForRemoval(h.id); };
-    rising_.erase(std::remove_if(rising_.begin(), rising_.end(), gone),
-                  rising_.end());
-    falling_.erase(std::remove_if(falling_.begin(), falling_.end(), gone),
-                   falling_.end());
-    pendingRemoval_.clear();
-    minWakeDirty_ = true;
-    parkIndexDirty_ = true;
-  }
-  if (halted_ || !anyHandlers()) return;
-  ++cycle_;
-  inHighPhase_ = true;
-  dispatch(rising_);
-  armNextEdge(kernel_.now() + period_ / 2, /*rising=*/false);
-}
-
-void Clock::fireFalling() {
-  inFallingDispatch_ = true;
-  dispatch(falling_);
-  inFallingDispatch_ = false;
-  inHighPhase_ = false;
-  if (!halted_) armNextEdge(kernel_.now() + period_ / 2, /*rising=*/true);
+void Clock::eraseRemoved() {
+  auto gone = [this](const Handler& h) { return flaggedForRemoval(h.id); };
+  rising_.erase(std::remove_if(rising_.begin(), rising_.end(), gone),
+                rising_.end());
+  falling_.erase(std::remove_if(falling_.begin(), falling_.end(), gone),
+                 falling_.end());
+  pendingRemoval_.clear();
+  minWakeDirty_ = true;
+  parkIndexDirty_ = true;
 }
 
 void Clock::dispatch(std::vector<Handler>& handlers) {
@@ -178,112 +147,38 @@ std::uint64_t Clock::minWakeCycle() const {
   return m;
 }
 
-void Clock::maybeWarp(std::uint64_t target) {
-  // Flagged-but-unerased handlers still count as present (erasure
-  // happens on the next dispatched rising edge, and may stop the
-  // clock); never warp over that edge.
-  if (!pendingRemoval_.empty()) return;
-  const std::uint64_t stop = std::min(minWakeCycle(), target);
-  if (stop <= cycle_ + 1) return;  // Next rising edge must dispatch anyway.
-  // Land so that the next fired rising edge is cycle `stop`: every
-  // skipped cycle would have dispatched nothing, and the stop cycle
-  // (parked-handler wake or end of run) still produces real edges with
-  // the exact timestamps a fully clocked run would give them.
-  const std::uint64_t skip = stop - cycle_ - 1;
-  if (obsWarps_ != nullptr) noteWarp(cycle_, skip);
-  cycle_ += skip;
-  kernel_.postponeArmed(periodicId_, skip * period_);
-}
-
 void Clock::runCycles(std::uint64_t n) {
   breakRequested_ = false;
   const std::uint64_t target = cycle_ + n;
-  while ((cycle_ < target || inHighPhase_) && !halted_ && anyHandlers()) {
-    // Self-drive: when this clock's own activation is the only thing
-    // the kernel could dispatch, claim it and run whole cycles inline —
-    // same time advance, same bookkeeping, minus the per-edge kernel
-    // round trips. Anything else pending (queued events, other clocks)
-    // falls back to ordinary single-step dispatch. Before claiming a
-    // rising edge, warp over cycles in which every handler is parked.
-    if (scheduled_ && kernel_.soleArmedActivation(periodicId_)) {
-      if (nextEdgeRising_ && !inHighPhase_) {
-        maybeWarp(target);
-        kernel_.claimSoleActivation(periodicId_);
-        scheduled_ = false;
-        runInline(target);
-      } else {
-        kernel_.claimSoleActivation(periodicId_);
-        fire();
-      }
-    } else if (kernel_.step(1) == 0) {
-      break;
-    }
-    if (breakRequested_ && !inHighPhase_) break;
-  }
-}
-
-void Clock::runInline(std::uint64_t target) {
-  // Precondition: the rising activation was just claimed (kernel time
-  // sits on the rising edge of cycle_ + 1, nothing pending in the
-  // kernel). Each iteration produces one full cycle. All bail-outs
-  // re-create exactly the state the per-edge path would be in at the
-  // same point, so the two paths interleave freely.
-  Time rise = kernel_.now();
-  std::uint64_t edges = 0;
-  for (;;) {
-    // Rising edge (mirrors fireRising).
+  while (cycle_ < target && anyHandlers()) {
     if (!pendingRemoval_.empty()) {
-      auto gone = [this](const Handler& h) { return flaggedForRemoval(h.id); };
-      rising_.erase(std::remove_if(rising_.begin(), rising_.end(), gone),
-                    rising_.end());
-      falling_.erase(std::remove_if(falling_.begin(), falling_.end(), gone),
-                     falling_.end());
-      pendingRemoval_.clear();
-      minWakeDirty_ = true;
-      parkIndexDirty_ = true;
-      if (!anyHandlers()) {
-        kernel_.noteInlineDispatches(edges);
-        return;  // Clock stops: no arm, like fireRising.
-      }
-    }
-    ++cycle_;
-    inHighPhase_ = true;
-    dispatch(rising_);
-    ++edges;
-    if (halted_ || !kernel_.idleForInline()) {
-      kernel_.noteInlineDispatches(edges);
-      armNextEdge(rise + period_ / 2, /*rising=*/false);
-      return;
-    }
-    // Falling edge (mirrors fireFalling).
-    kernel_.advanceInline(rise + period_ / 2);
-    inFallingDispatch_ = true;
-    dispatch(falling_);
-    inFallingDispatch_ = false;
-    inHighPhase_ = false;
-    ++edges;
-    if (halted_) {
-      kernel_.noteInlineDispatches(edges);
-      return;  // Halted: no re-arm, like fireFalling.
-    }
-    if (!kernel_.idleForInline() || breakRequested_ || cycle_ >= target) {
-      kernel_.noteInlineDispatches(edges);
-      armNextEdge(rise + period_, /*rising=*/true);
-      return;
-    }
-    // Next cycle; warp over fully parked cycles (mirrors maybeWarp,
-    // with no armed activation to postpone — just jump the timestamp).
-    rise += period_;
-    if (pendingRemoval_.empty()) {
+      // Never warped over: the erasure may stop the clock.
+      eraseRemoved();
+      if (!anyHandlers()) return;
+    } else {
+      // Warp so that the next dispatched cycle is the earliest wake (or
+      // the run's last cycle): every skipped cycle would have dispatched
+      // nothing, and the stop cycle still produces real edges with the
+      // timestamps a fully clocked run gives them.
       const std::uint64_t stop = std::min(minWakeCycle(), target);
       if (stop > cycle_ + 1) {
         const std::uint64_t skip = stop - cycle_ - 1;
         if (obsWarps_ != nullptr) noteWarp(cycle_, skip);
         cycle_ += skip;
-        rise += skip * period_;
       }
     }
-    kernel_.advanceInline(rise);
+    ++cycle_;
+    const Time rise = cycle_ * period_;
+    kernel_.now_ = rise;
+    inHighPhase_ = true;
+    dispatch(rising_);
+    kernel_.now_ = rise + period_ / 2;
+    inFallingDispatch_ = true;
+    dispatch(falling_);
+    inFallingDispatch_ = false;
+    inHighPhase_ = false;
+    kernel_.dispatched_ += 2;
+    if (breakRequested_) return;
   }
 }
 
@@ -304,34 +199,14 @@ void Clock::noteWarp(std::uint64_t fromCycle, std::uint64_t skip) {
   }
 }
 
-void Clock::resume() {
-  halted_ = false;
-  if (!scheduled_ && anyHandlers()) {
-    armNextEdge(kernel_.now() + period_, /*rising=*/true);
-  }
-}
-
 void Clock::saveState(ckpt::StateWriter& w) const {
-  if (inHighPhase_ || inFallingDispatch_ || !pendingRemoval_.empty()) {
+  if (inHighPhase_ || !pendingRemoval_.empty()) {
     throw ckpt::CheckpointError(
         "Clock::saveState: '" + name_ +
         "' is mid-cycle or has pending handler removals — checkpoints "
         "are only legal between cycles");
   }
   w.u64(cycle_);
-  w.b(halted_);
-  w.b(scheduled_);
-  w.b(nextEdgeRising_);
-  if (scheduled_) {
-    const Kernel::ActivationState a = kernel_.activationState(periodicId_);
-    if (!a.armed) {
-      throw ckpt::CheckpointError("Clock::saveState: '" + name_ +
-                                  "' is scheduled but not armed");
-    }
-    w.u64(static_cast<std::uint64_t>(a.when));
-    w.i64(a.priority);
-    w.u64(a.seq);
-  }
   w.u64(static_cast<std::uint64_t>(nextId_));
   const auto writeHandlers = [&w](const std::vector<Handler>& v) {
     w.u32(static_cast<std::uint32_t>(v.size()));
@@ -345,20 +220,11 @@ void Clock::saveState(ckpt::StateWriter& w) const {
 }
 
 void Clock::loadState(ckpt::StateReader& r) {
-  if (inHighPhase_ || inFallingDispatch_ || !pendingRemoval_.empty()) {
+  if (inHighPhase_ || !pendingRemoval_.empty()) {
     throw ckpt::CheckpointError("Clock::loadState: '" + name_ +
                                 "' is not at a cycle boundary");
   }
   cycle_ = r.u64();
-  halted_ = r.b();
-  scheduled_ = r.b();
-  nextEdgeRising_ = r.b();
-  if (scheduled_) {
-    const Time when = static_cast<Time>(r.u64());
-    const int priority = static_cast<int>(r.i64());
-    const std::uint64_t seq = r.u64();
-    kernel_.restoreActivation(periodicId_, when, priority, seq);
-  }
   const auto nextId = static_cast<HandlerId>(r.u64());
   if (nextId != nextId_) {
     throw ckpt::CheckpointError(
@@ -384,6 +250,8 @@ void Clock::loadState(ckpt::StateReader& r) {
   };
   readHandlers(rising_);
   readHandlers(falling_);
+  // Between cycles the time is the last cycle's falling edge.
+  kernel_.now_ = cycle_ == 0 ? 0 : cycle_ * period_ + period_ / 2;
   minWakeDirty_ = true;
   parkIndexDirty_ = true;
   breakRequested_ = false;

@@ -1,26 +1,19 @@
-// Two-phase system clock.
+// Two-phase system clock, and the simulation's scheduler.
 //
 // The paper's SystemC models hang their processes off the two edges of
 // the system clock: bus masters and slaves evaluate on the *rising*
 // edge, the bus process of the TL1/TL2 models is sensitive to the
-// *falling* edge (Figures 2 and 4). The Clock reproduces that contract:
-// per cycle it first dispatches all rising-edge handlers, then all
-// falling-edge handlers, each group ordered by an explicit priority and
-// otherwise by registration order.
-//
-// The clock is a kernel PeriodicProcess: each edge is one armed
-// activation dispatched from the kernel's inline fast path, so a
-// running clock costs no heap allocation and no priority-queue traffic.
-// Aperiodic events scheduled through Kernel::schedule interleave with
-// the edges in exactly the order the pure event-queue design produced
-// (the activation's tie-break sequence number is allocated when the
-// previous edge re-arms, just as the old self-scheduling callback was).
+// *falling* edge (Figures 2 and 4). The Clock reproduces that contract
+// and is the only scheduler: runCycles() dispatches, per cycle c, all
+// rising-edge handlers at time c·period and then all falling-edge
+// handlers half a period later, each group ordered by an explicit
+// priority and otherwise by registration order. It writes the time and
+// the dispatch count into its Kernel, which holds nothing else.
 //
 // Event-driven models additionally *park* their handlers
 // (parkHandler()): a parked handler stays registered but is skipped
 // until its wake cycle. When every handler is parked beyond the next
-// cycle and the clock's own activation is the kernel's sole dispatch
-// candidate, runCycles() warps over the dead cycles in O(1) — cycle
+// cycle, runCycles() warps over the dead cycles in O(1) — cycle
 // numbering and edge timestamps of every cycle that actually dispatches
 // a handler are unchanged, so parked/warped runs are observably
 // identical to fully clocked ones.
@@ -43,11 +36,10 @@ namespace sct::sim {
 /// Edge selector for handler registration.
 enum class Edge : std::uint8_t { Rising, Falling };
 
-/// A clock generator bound to a kernel. The clock arms one periodic
-/// activation per edge; it only keeps the activation chain alive while
-/// at least one handler is registered and the cycle limit is not
-/// reached, so Kernel::run() terminates once every model has finished.
-class Clock final : private PeriodicProcess {
+/// A clock generator bound to a kernel, one clock per kernel. Edges
+/// are produced only inside runCycles(), and only while at least one
+/// handler is registered.
+class Clock final {
  public:
   using Callback = std::function<void()>;
   /// Raw-callback form for per-cycle hot handlers: one indirect call,
@@ -57,13 +49,14 @@ class Clock final : private PeriodicProcess {
   using HandlerId = std::size_t;
 
   /// `period` must be an even, non-zero number of picoseconds so both
-  /// edges land on integral timestamps.
+  /// edges land on integral timestamps. Throws std::logic_error when
+  /// `kernel` already has a clock.
   Clock(Kernel& kernel, std::string name, Time period);
-  ~Clock() override;
+  Clock(const Clock&) = delete;
+  Clock& operator=(const Clock&) = delete;
 
   const std::string& name() const { return name_; }
   Time period() const { return period_; }
-  Kernel& kernel() { return kernel_; }
 
   /// Completed cycles, i.e. how many rising edges have fired.
   std::uint64_t cycle() const { return cycle_; }
@@ -106,31 +99,21 @@ class Clock final : private PeriodicProcess {
   /// call from inside any handler.
   void parkHandler(HandlerId id, std::uint64_t wakeCycle);
 
-  /// Run the bound kernel for exactly `n` clock cycles (both edges).
-  /// Cycles in which every handler is parked are warped over whenever
-  /// the clock is the kernel's only pending work; a warp never skips a
-  /// cycle that would dispatch a handler, and the final cycle of the
-  /// run always dispatches so kernel time lands where a fully clocked
-  /// run would. Returns early after completing the cycle in which
-  /// requestBreak() was called.
+  /// Run exactly `n` clock cycles (both edges). Cycles in which every
+  /// handler is parked are warped over; a warp never skips a cycle that
+  /// would dispatch a handler or erase a removed one, and the final
+  /// cycle of the run always dispatches, so time lands where a fully
+  /// clocked run would. Returns early after completing the cycle in
+  /// which requestBreak() was called, or once no handler remains.
   void runCycles(std::uint64_t n);
 
-  /// Ask the innermost active runCycles() to return once the current
-  /// cycle completes (falling edge done). No-op outside runCycles();
-  /// the flag is cleared when runCycles() is entered.
+  /// Ask the active runCycles() to return once the current cycle
+  /// completes (falling edge done). No-op outside runCycles(); the flag
+  /// is cleared when runCycles() is entered.
   void requestBreak() { breakRequested_ = true; }
 
-  /// Stop generating edges after the current cycle completes.
-  void halt() { halted_ = true; }
-  bool halted() const { return halted_; }
-
-  /// Restart edge generation after halt(); the first rising edge fires
-  /// one full period after the current kernel time.
-  void resume();
-
-  /// True between a rising edge and the end of its falling dispatch,
-  /// i.e. while cycle() refers to a cycle whose edges are still being
-  /// produced.
+  /// True while the edges of cycle() are being dispatched, i.e. from
+  /// its rising dispatch to the end of its falling dispatch.
   bool midCycle() const { return inHighPhase_; }
 
   /// True while the falling-edge handlers of the current cycle are
@@ -143,14 +126,12 @@ class Clock final : private PeriodicProcess {
   void attachObs(obs::StatsRegistry& reg, obs::TraceRecorder* rec = nullptr);
 
   /// -- Checkpoint (see ckpt/checkpoint.h) ------------------------------
-  /// Saves the cycle counter, run-control flags, the armed edge
-  /// activation (exact kernel triple) and every handler's park wake
-  /// cycle, keyed by HandlerId. Restoring requires an identically
-  /// constructed clock (same handlers registered in the same order) and
-  /// must happen *after* the owning Kernel's section so the activation
-  /// can be re-armed against the restored scheduler. Only legal between
-  /// cycles (not mid-dispatch).
-  static constexpr std::uint32_t kCkptVersion = 1;
+  /// Saves the cycle counter and every handler's park wake cycle, keyed
+  /// by HandlerId. Restoring requires an identically constructed clock
+  /// (same handlers registered in the same order) and sets the kernel's
+  /// time to the saved cycle's falling edge. Only legal between cycles
+  /// (not mid-dispatch).
+  static constexpr std::uint32_t kCkptVersion = 2;
   void saveState(ckpt::StateWriter& w) const;
   void loadState(ckpt::StateReader& r);
 
@@ -165,35 +146,20 @@ class Clock final : private PeriodicProcess {
     Callback cb;
   };
 
-  // PeriodicProcess: one activation per edge.
-  void fire() override;
-
   /// Shared tail of onEdge/onEdgeRaw: assign the id, insert sorted by
-  /// priority, kick the edge chain if needed.
+  /// priority.
   HandlerId insertHandler(Edge edge, Handler&& h);
 
-  void armNextEdge(Time when, bool rising);
-  void fireRising();
-  void fireFalling();
   void dispatch(std::vector<Handler>& handlers);
   bool anyHandlers() const;
   bool flaggedForRemoval(HandlerId id) const;
+  /// Drop the handlers flagged by removeHandler().
+  void eraseRemoved();
   /// Earliest wake cycle over all handlers (0 when any is unparked).
-  /// Cached: the inline run loop probes this every cycle, and a
-  /// simulation whose handlers never park must not pay a handler scan
-  /// per cycle for a warp that can never trigger.
+  /// Cached: the run loop probes this every cycle, and a simulation
+  /// whose handlers never park must not pay a handler scan per cycle
+  /// for a warp that can never trigger.
   std::uint64_t minWakeCycle() const;
-  /// Jump cycle_/the armed activation forward so the next dispatched
-  /// rising edge belongs to cycle min(minWakeCycle(), target).
-  void maybeWarp(std::uint64_t target);
-  /// Fused run loop: with the clock's activation already claimed and
-  /// the kernel otherwise idle, produce whole cycles inline — rising
-  /// dispatch, falling dispatch, dead-cycle warp — without arming an
-  /// activation per edge. Bails back to the generic per-edge path (by
-  /// arming the next edge exactly where fireRising/fireFalling would)
-  /// the moment a handler schedules kernel work, halts the clock, or
-  /// the cycle budget is consumed.
-  void runInline(std::uint64_t target);
   /// Record one dead-cycle warp of `skip` cycles starting after
   /// `fromCycle` (only called with obs attached).
   SCT_OBS_COLD void noteWarp(std::uint64_t fromCycle, std::uint64_t skip);
@@ -204,7 +170,6 @@ class Clock final : private PeriodicProcess {
   Kernel& kernel_;
   std::string name_;
   Time period_;
-  Kernel::PeriodicId periodicId_;
   std::uint64_t cycle_ = 0;
   HandlerId nextId_ = 1;
   std::vector<Handler> rising_;
@@ -226,9 +191,6 @@ class Clock final : private PeriodicProcess {
   mutable std::vector<ParkSlot> parkIndex_;
   mutable bool parkIndexDirty_ = true;
   void rebuildParkIndex() const;
-  bool scheduled_ = false;
-  bool nextEdgeRising_ = true;
-  bool halted_ = false;
   bool inHighPhase_ = false;  ///< Between a rising edge and its falling edge.
   bool inFallingDispatch_ = false;
   bool breakRequested_ = false;

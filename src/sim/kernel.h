@@ -1,32 +1,17 @@
-// Minimal discrete-event simulation kernel.
+// Simulation time and dispatch count of one clocked simulation.
 //
-// This stands in for the SystemC 2.0 kernel used by the paper. The bus
-// models only require: (a) timestamp-ordered event dispatch, (b) stable
-// ordering of simultaneous events (insertion order, with an explicit
-// integer priority to realise the paper's "masters and slaves are
-// triggered at the rising edge, the bus process is sensitive to the
-// falling edge" discipline), and (c) run control (run-to-exhaustion,
-// run-until-time, cooperative stop).
-//
-// Two dispatch sources feed the scheduler:
-//  * the general event queue — one-shot callbacks, arbitrary times;
-//  * periodic processes — long-lived clocked processes (sim::Clock)
-//    that re-arm themselves every activation. An armed activation is
-//    a plain (when, priority, seq) triple held inline in the kernel,
-//    so driving a clock costs no heap allocation and no priority-queue
-//    traffic on the hot path. The sequence number is allocated from
-//    the same counter as queue events at arm time, which makes the
-//    interleaving of periodic activations with ordinary events
-//    bit-identical to scheduling a fresh callback at the same instant.
+// This stands in for the SystemC 2.0 kernel used by the paper. Every
+// process the paper's models define hangs off the two edges of one
+// system clock (masters and slaves on the rising edge, the bus process
+// on the falling edge), so the scheduler is sim::Clock itself: it
+// dispatches its own edges and writes the time and the dispatch count
+// here. The Kernel only holds them, for the components that read time
+// without holding the clock, and for the checkpoint.
 #ifndef SCT_SIM_KERNEL_H
 #define SCT_SIM_KERNEL_H
 
 #include <cstdint>
-#include <functional>
-#include <queue>
-#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "ckpt/state_io.h"
 #include "obs/stats.h"
@@ -34,311 +19,42 @@
 
 namespace sct::sim {
 
-/// A clocked process driven by the kernel's periodic fast path.
-/// fire() runs the due activation; the activation is consumed before
-/// the call, so fire() must re-arm (or leave the process disarmed to
-/// let the simulation drain).
-class PeriodicProcess {
- public:
-  virtual ~PeriodicProcess() = default;
-  virtual void fire() = 0;
-};
-
-/// Discrete-event scheduler. Not thread-safe; one kernel per simulation.
+/// Time holder for one simulation; exactly one Clock drives it. Not
+/// thread-safe; one kernel per simulation.
 class Kernel {
  public:
-  using Callback = std::function<void()>;
-  using PeriodicId = std::size_t;
-
   Kernel() = default;
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
 
-  /// Current simulation time. Valid inside and outside callbacks.
+  /// Time of the edge being dispatched, or of the last one dispatched.
   Time now() const { return now_; }
 
-  /// Schedule `fn` to run `delay` picoseconds from now. `priority`
-  /// breaks ties at equal timestamps: lower priorities run first;
-  /// equal priorities run in insertion order.
-  void schedule(Time delay, Callback fn, int priority = 0) {
-    scheduleAt(now_ + delay, std::move(fn), priority);
-  }
-
-  /// Schedule `fn` at an absolute time, which must not be in the past.
-  void scheduleAt(Time when, Callback fn, int priority = 0);
-
-  /// Register a periodic process. The slot stays valid until
-  /// removePeriodic(); registration does not arm an activation.
-  PeriodicId addPeriodic(PeriodicProcess& proc);
-
-  /// Unregister; a pending activation is cancelled.
-  void removePeriodic(PeriodicId id);
-
-  /// Arm (or re-arm) the process' next activation. Allocates the
-  /// activation's tie-break sequence number immediately, exactly as if
-  /// a callback had been scheduled at this instant, so dispatch order
-  /// against ordinary events is unchanged from the pure-queue design.
-  /// Inline: a running clock calls this once per edge.
-  void armPeriodic(PeriodicId id, Time when, int priority = 0) {
-    if (when < now_) {
-      throw std::invalid_argument("Kernel::armPeriodic: time is in the past");
-    }
-    Periodic& p = periodics_[id];
-    if (p.proc == nullptr) {
-      throw std::logic_error("Kernel::armPeriodic: process was removed");
-    }
-    p.when = when;
-    p.priority = priority;
-    p.seq = seq_++;  // Same counter as queue events: exact tie order.
-    if (!p.armed) ++armedCount_;
-    p.armed = true;
-    if (eventQueueOnly_) armQueued(id, p);
-  }
-
-  /// Cancel the pending activation (no-op when disarmed).
-  void disarmPeriodic(PeriodicId id);
-
-  /// Fast-path handshake for self-driving clocked processes: when the
-  /// armed activation of `id` is the *only* dispatch candidate (no
-  /// queued event, no other armed periodic, fast path enabled), consume
-  /// it — advance now() to its armed time, exactly as dispatching it
-  /// would — and return true; the caller then runs the process body
-  /// itself. Returns false (no state change) whenever ordinary dispatch
-  /// could interleave anything else; the caller must fall back to
-  /// step()/run() in that case.
-  bool claimSoleActivation(PeriodicId id) {
-    if (eventQueueOnly_ || armedCount_ != 1 || !queue_.empty()) return false;
-    Periodic& p = periodics_[id];
-    if (!p.armed) return false;
-    now_ = p.when;
-    p.armed = false;
-    --armedCount_;
-    ++dispatched_;
-    return true;
-  }
-
-  bool periodicArmed(PeriodicId id) const {
-    return periodics_[id].armed;
-  }
-
-  /// Read-only view of an activation slot, for checkpointing: the
-  /// owning process saves the exact (when, priority, seq) triple and
-  /// replays it through restoreActivation() on load.
-  struct ActivationState {
-    Time when;
-    int priority;
-    std::uint64_t seq;
-    bool armed;
-  };
-  ActivationState activationState(PeriodicId id) const {
-    const Periodic& p = periodics_[id];
-    return ActivationState{p.when, p.priority, p.seq, p.armed};
-  }
-
-  /// Non-consuming variant of claimSoleActivation(): true when the armed
-  /// activation of `id` is the only dispatch candidate. Callers may then
-  /// reshape the activation (postponeArmed) before claiming it — the
-  /// basis of the clock's dead-cycle warp.
-  bool soleArmedActivation(PeriodicId id) const {
-    return !eventQueueOnly_ && armedCount_ == 1 && queue_.empty() &&
-           periodics_[id].armed;
-  }
-
-  /// Push the armed activation of `id` into the future by `delta`
-  /// picoseconds. Only legal while soleArmedActivation(id) holds: with
-  /// nothing else pending the move cannot reorder dispatch, so the
-  /// tie-break sequence number is kept.
-  void postponeArmed(PeriodicId id, Time delta) {
-    if (!soleArmedActivation(id)) {
-      throw std::logic_error(
-          "Kernel::postponeArmed: activation is not the sole candidate");
-    }
-    periodics_[id].when += delta;
-  }
-
-  /// Companions to claimSoleActivation() for a self-driving process
-  /// that runs many edges inline (sim::Clock's fused run loop). While
-  /// the kernel is otherwise completely idle — the process claimed its
-  /// sole activation and nothing has been scheduled since — dispatching
-  /// through the kernel would only bounce the same activation back and
-  /// forth, so the caller advances time itself and reports the edge
-  /// dispatches it performed. The moment idleForInline() turns false
-  /// the caller must fall back to arming ordinary activations.
-  bool idleForInline() const { return queue_.empty() && armedCount_ == 0; }
-  void advanceInline(Time when) { now_ = when; }
-  void noteInlineDispatches(std::uint64_t n) { dispatched_ += n; }
-
-  /// Testing hook: when set, armPeriodic() routes activations through
-  /// the general event queue instead of the inline fast path. Dispatch
-  /// order is identical by construction; this exists so the fast path
-  /// can be checked against the reference behaviour. Must be set
-  /// before any activation is armed.
-  void setEventQueueOnly(bool v) { eventQueueOnly_ = v; }
-  bool eventQueueOnly() const { return eventQueueOnly_; }
-
-  /// Dispatch events until the queue is empty or stop() was requested.
-  /// Returns the number of events dispatched.
-  std::uint64_t run();
-
-  /// Dispatch all events with timestamp <= `t`, then set now() = t
-  /// (unless stopped earlier). Returns the number of events dispatched.
-  std::uint64_t runUntil(Time t);
-
-  /// Dispatch at most `maxEvents` events. Returns the number dispatched.
-  std::uint64_t step(std::uint64_t maxEvents = 1);
-
-  /// Request that the current run()/runUntil() returns after the
-  /// currently executing callback. Cleared by the next run call.
-  void stop() { stopRequested_ = true; }
-
-  bool stopRequested() const { return stopRequested_; }
-
-  /// True when nothing is pending: no queued events and no armed
-  /// periodic activation.
-  bool empty() const { return queue_.empty() && armedCount_ == 0; }
-
-  /// Queued events plus armed periodic activations.
-  std::size_t pendingEvents() const { return queue_.size() + armedCount_; }
-
+  /// Clock edges dispatched so far, two per dispatched cycle.
   std::uint64_t dispatchedEvents() const { return dispatched_; }
 
-  /// Tie-break sequence numbers handed out so far, i.e. events scheduled
-  /// plus periodic activations armed.
-  std::uint64_t scheduledEvents() const { return seq_; }
-
   /// Publish the kernel's counters into `reg` under `prefix`. The
-  /// kernel keeps these counts anyway, so observability costs nothing
+  /// clock keeps these counts anyway, so observability costs nothing
   /// on the dispatch path — this just copies them out at snapshot time.
   void publishObs(obs::StatsRegistry& reg,
                   const std::string& prefix = "kernel") const {
     reg.counter(prefix + ".dispatched_events").add(dispatched_);
-    reg.counter(prefix + ".scheduled_events").add(seq_);
     reg.gauge(prefix + ".now_ps").set(static_cast<double>(now_));
   }
 
-  /// Reset to time zero with an empty queue and all periodic
-  /// activations disarmed. Registered periodic processes stay
-  /// registered; modules holding a kernel reference stay valid.
-  void reset();
-
   /// -- Checkpoint (see ckpt/checkpoint.h) ------------------------------
-  /// The kernel section carries the scheduler's monotonic state: time,
-  /// the tie-break sequence counter and the dispatch count. Checkpoints
-  /// are only legal when the event queue is empty (quiesce point —
-  /// armed periodic activations are saved by their owning Clock, which
-  /// re-arms them on load via restoreActivation()).
-  static constexpr std::uint32_t kCkptVersion = 1;
-
-  void saveState(ckpt::StateWriter& w) const {
-    if (!queue_.empty() || eventQueueOnly_) {
-      throw ckpt::CheckpointError(
-          "Kernel::saveState: checkpoint requires an empty event queue "
-          "and the periodic fast path (quiesce point)");
-    }
-    w.u64(static_cast<std::uint64_t>(now_));
-    w.u64(seq_);
-    w.u64(dispatched_);
-    w.u64(static_cast<std::uint64_t>(periodics_.size()));
-  }
-
-  void loadState(ckpt::StateReader& r) {
-    if (!queue_.empty() || eventQueueOnly_) {
-      throw ckpt::CheckpointError(
-          "Kernel::loadState: restore target must have an empty event "
-          "queue and use the periodic fast path");
-    }
-    // A freshly constructed system has each clock's first activation
-    // armed; those are stale (the owning Clock re-arms the saved one
-    // via restoreActivation() when its own section loads).
-    for (Periodic& p : periodics_) p.armed = false;
-    armedCount_ = 0;
-    now_ = static_cast<Time>(r.u64());
-    seq_ = r.u64();
-    dispatched_ = r.u64();
-    const std::uint64_t periodicCount = r.u64();
-    if (periodicCount != periodics_.size()) {
-      throw ckpt::CheckpointError(
-          "Kernel::loadState: periodic-process count mismatch (snapshot " +
-          std::to_string(periodicCount) + ", this system " +
-          std::to_string(periodics_.size()) +
-          ") — construction order differs from the saved system");
-    }
-  }
-
-  /// Re-arm an activation with the exact (when, priority, seq) triple it
-  /// had when saved — unlike armPeriodic() this does NOT allocate a new
-  /// sequence number, so tie-break order against everything scheduled
-  /// after the restore continues bit-identically. Load the Kernel
-  /// section first: the saved seq must predate the restored counter.
-  void restoreActivation(PeriodicId id, Time when, int priority,
-                         std::uint64_t seq) {
-    Periodic& p = periodics_[id];
-    if (p.proc == nullptr) {
-      throw std::logic_error(
-          "Kernel::restoreActivation: process was removed");
-    }
-    if (p.armed || seq >= seq_ || when < now_) {
-      throw ckpt::CheckpointError(
-          "Kernel::restoreActivation: activation inconsistent with the "
-          "restored scheduler state");
-    }
-    p.when = when;
-    p.priority = priority;
-    p.seq = seq;
-    p.armed = true;
-    ++armedCount_;
-  }
+  /// The kernel section carries the dispatch count. Time follows from
+  /// the clock's cycle, so the clock's section restores it.
+  static constexpr std::uint32_t kCkptVersion = 2;
+  void saveState(ckpt::StateWriter& w) const { w.u64(dispatched_); }
+  void loadState(ckpt::StateReader& r) { dispatched_ = r.u64(); }
 
  private:
-  struct Event {
-    Time when;
-    int priority;
-    std::uint64_t seq;
-    Callback fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      if (a.priority != b.priority) return a.priority > b.priority;
-      return a.seq > b.seq;
-    }
-  };
-  struct Periodic {
-    PeriodicProcess* proc = nullptr;
-    Time when = 0;
-    int priority = 0;
-    std::uint64_t seq = 0;
-    bool armed = false;
-  };
+  friend class Clock;
 
-  /// Index of the earliest armed periodic activation, or npos. With the
-  /// handful of clocks a simulation owns this linear scan is cheaper
-  /// than any ordered structure.
-  std::size_t earliestPeriodic() const;
-
-  /// True when activation `p` dispatches before queue event `e`.
-  static bool activationBefore(const Periodic& p, const Event& e) {
-    if (p.when != e.when) return p.when < e.when;
-    if (p.priority != e.priority) return p.priority < e.priority;
-    return p.seq < e.seq;
-  }
-
-  void firePeriodic(std::size_t idx);
-  void fireQueuedActivation(PeriodicId id, std::uint64_t seq);
-  /// Cold path of armPeriodic (eventQueueOnly mode): wrap the armed
-  /// activation in an ordinary queue event.
-  void armQueued(PeriodicId id, Periodic& p);
-  bool dispatchOne();
-  bool dispatchOneUntil(Time t);
-
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::vector<Periodic> periodics_;
-  std::size_t armedCount_ = 0;
   Time now_ = 0;
-  std::uint64_t seq_ = 0;
   std::uint64_t dispatched_ = 0;
-  bool stopRequested_ = false;
-  bool eventQueueOnly_ = false;
+  bool clocked_ = false;  ///< A Clock is bound; a second one throws.
 };
 
 } // namespace sct::sim

@@ -1,35 +1,28 @@
 // Named simulation component base.
 //
 // Mirrors (a small part of) sc_module: every model in the framework is
-// a Module that knows its hierarchical name and the kernel it runs on.
-// Processes are plain callbacks registered with a Clock; there is no
-// implicit elaboration phase.
+// a Module that knows its hierarchical name. Processes are plain
+// callbacks registered with a Clock; there is no implicit elaboration
+// phase.
 #ifndef SCT_SIM_MODULE_H
 #define SCT_SIM_MODULE_H
 
 #include <string>
 #include <utility>
 
-#include "sim/kernel.h"
-
 namespace sct::sim {
 
 class Module {
  public:
-  Module(Kernel& kernel, std::string name)
-      : kernel_(kernel), name_(std::move(name)) {}
+  explicit Module(std::string name) : name_(std::move(name)) {}
   virtual ~Module() = default;
 
   Module(const Module&) = delete;
   Module& operator=(const Module&) = delete;
 
   const std::string& name() const { return name_; }
-  Kernel& kernel() { return kernel_; }
-  const Kernel& kernel() const { return kernel_; }
-  Time now() const { return kernel_.now(); }
 
  private:
-  Kernel& kernel_;
   std::string name_;
 };
 

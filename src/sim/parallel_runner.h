@@ -1,7 +1,7 @@
 // Worker pool for independent simulations.
 //
-// The kernel is single-threaded by design (one Kernel per simulation,
-// no locks on the hot path). Design-space exploration, ablations,
+// A simulation is single-threaded by design (one Kernel and its one
+// Clock per simulation, no locks on the hot path). Design-space exploration, ablations,
 // characterization sweeps and checkpoint fork sweeps, however, run many
 // *independent* simulations — one per interface configuration, wait-
 // state setting, supply voltage or forked variant — and those scale
@@ -17,7 +17,7 @@
 //  * read-only inputs — trace::BusTrace, power::SignalEnergyTable,
 //    jcvm::JcProgram, ckpt::Snapshot — may be shared across workers by
 //    const reference; they are plain data with no hidden mutable state.
-//  * anything attached to a Kernel must be created and used by one
+//  * anything attached to a Clock must be created and used by one
 //    worker: inside one index, or inside that worker's rig.
 #ifndef SCT_SIM_PARALLEL_RUNNER_H
 #define SCT_SIM_PARALLEL_RUNNER_H

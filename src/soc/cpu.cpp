@@ -11,7 +11,7 @@ using bus::Word;
 MipsCore::MipsCore(sim::Clock& clock, std::string name,
                    bus::EcInstrIf& instrIf, bus::EcDataIf& dataIf,
                    const CpuConfig& config)
-    : sim::Module(clock.kernel(), std::move(name)),
+    : sim::Module(std::move(name)),
       clock_(clock),
       instrIf_(instrIf),
       dataIf_(dataIf),

@@ -110,8 +110,7 @@ class SmartCardSoC {
   }
 
   /// Bind every component to `reg` in construction order. Registration
-  /// order is also load order: the Kernel must restore before the clock
-  /// re-arms its edge activation, and the clock before anything whose
+  /// order is also load order: the clock restores before anything whose
   /// park state it owns. Only instantiable for bus types with
   /// checkpoint support (bus::Tl1Bus; the ref::GlBus reference has
   /// none — don't call this on a reference platform).

@@ -53,7 +53,7 @@ bool finished(BusStatus s) {
 ReplayMaster::ReplayMaster(sim::Clock& clock, std::string name,
                            bus::EcInstrIf& instrIf, bus::EcDataIf& dataIf,
                            const BusTrace& trace, unsigned maxInFlight)
-    : sim::Module(clock.kernel(), std::move(name)),
+    : sim::Module(std::move(name)),
       clock_(clock),
       instrIf_(instrIf),
       dataIf_(dataIf),
@@ -340,7 +340,7 @@ void ReplayMaster::loadState(ckpt::StateReader& r) {
 Tl2ReplayMaster::Tl2ReplayMaster(sim::Clock& clock, std::string name,
                                  bus::Tl2MasterIf& busIf,
                                  const BusTrace& trace, unsigned maxInFlight)
-    : sim::Module(clock.kernel(), std::move(name)),
+    : sim::Module(std::move(name)),
       clock_(clock),
       busIf_(busIf),
       maxInFlight_(maxInFlight),

@@ -78,8 +78,7 @@ Reference poweredReference(const power::SignalEnergyTable& table,
   return ref;
 }
 
-void expectBitIdentical(const eh::RunResult& a, const eh::RunResult& b,
-                        bool compareCkptDigest = true) {
+void expectBitIdentical(const eh::RunResult& a, const eh::RunResult& b) {
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_EQ(a.wallCycles, b.wallCycles);
   EXPECT_EQ(a.activeCycles, b.activeCycles);
@@ -99,9 +98,7 @@ void expectBitIdentical(const eh::RunResult& a, const eh::RunResult& b,
   EXPECT_EQ(a.consumed_fJ, b.consumed_fJ);
   EXPECT_EQ(a.finalStored_fJ, b.finalStored_fJ);
   EXPECT_EQ(a.checkpointBytes, b.checkpointBytes);
-  if (compareCkptDigest) {
-    EXPECT_EQ(a.checkpointDigest, b.checkpointDigest);
-  }
+  EXPECT_EQ(a.checkpointDigest, b.checkpointDigest);
   EXPECT_EQ(a.progressWord, b.progressWord);
   EXPECT_EQ(a.digestWord, b.digestWord);
   EXPECT_EQ(a.brownoutWallCycles, b.brownoutWallCycles);
@@ -253,13 +250,7 @@ TEST(Intermittent, ChunkSizeDoesNotChangeTheRun) {
   const eh::RunResult a = r1.run(field, scheme, big);
   eh::IntermittentRunner r2(table, program);
   const eh::RunResult b = r2.run(field, scheme, small);
-  // The checkpoint digest is the one permitted chunk artifact: the
-  // kernel section records its monotonic arm/dispatch counters, and
-  // every runCycles() boundary re-arms the clock's activation, so the
-  // snapshot's bookkeeping bytes count chunk boundaries. Restores are
-  // unaffected (only the counters' relative order matters), and every
-  // behavioral field above must still match exactly.
-  expectBitIdentical(a, b, /*compareCkptDigest=*/false);
+  expectBitIdentical(a, b);
 }
 
 TEST(Intermittent, DeadFieldWithBlindDetectorIsAHardDeath) {

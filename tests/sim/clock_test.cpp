@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -95,22 +97,11 @@ TEST(ClockTest, ClockStopsWhenNoHandlersRemain) {
     ++count;
     if (count == 2) clk.removeHandler(id);
   });
-  k.run();  // Terminates: the clock stops rescheduling itself.
+  clk.runCycles(100);  // Returns once the last handler is erased.
   EXPECT_EQ(count, 2);
-}
-
-TEST(ClockTest, HaltAndResume) {
-  Kernel k;
-  Clock clk(k, "clk", 10);
-  int count = 0;
-  clk.onRising([&] { ++count; });
-  clk.runCycles(2);
-  clk.halt();
-  k.runUntil(k.now() + 100);
-  EXPECT_EQ(count, 2);
-  clk.resume();
-  clk.runCycles(2);
-  EXPECT_EQ(count, 4);
+  EXPECT_EQ(clk.cycle(), 2u);
+  EXPECT_EQ(k.now(), 25u);
+  EXPECT_EQ(k.dispatchedEvents(), 4u);
 }
 
 TEST(ClockTest, RunCyclesCountsWholeCycles) {
@@ -123,6 +114,74 @@ TEST(ClockTest, RunCyclesCountsWholeCycles) {
   clk.runCycles(5);
   EXPECT_EQ(rising, 5);
   EXPECT_EQ(falling, 5);
+}
+
+TEST(ClockTest, ChunkingDoesNotChangeTheDispatchCount) {
+  for (const std::uint64_t chunk : {1u, 7u, 100u}) {
+    Kernel k;
+    Clock clk(k, "clk", 10);
+    clk.onRising([] {});
+    clk.onFalling([] {});
+    for (std::uint64_t left = 100; left > 0;) {
+      const std::uint64_t n = std::min(chunk, left);
+      clk.runCycles(n);
+      left -= n;
+    }
+    EXPECT_EQ(clk.cycle(), 100u) << "chunk " << chunk;
+    EXPECT_EQ(k.dispatchedEvents(), 200u) << "chunk " << chunk;
+    EXPECT_EQ(k.now(), 1005u) << "chunk " << chunk;
+  }
+}
+
+TEST(ClockTest, WarpLandsOnWakeCyclesAndOnTheLastCycle) {
+  Kernel k;
+  Clock clk(k, "clk", 10);
+  obs::StatsRegistry reg;
+  clk.attachObs(reg);
+  std::vector<std::uint64_t> cycles;
+  std::vector<Time> times;
+  Clock::HandlerId id = 0;
+  id = clk.onRising([&] {
+    cycles.push_back(clk.cycle());
+    times.push_back(k.now());
+    clk.parkHandler(id, clk.cycle() + 40);
+  });
+  clk.runCycles(100);
+  EXPECT_EQ(cycles, (std::vector<std::uint64_t>{1, 41, 81}));
+  EXPECT_EQ(times, (std::vector<Time>{10, 410, 810}));
+  // The run's last cycle dispatches even with the handler parked.
+  EXPECT_EQ(clk.cycle(), 100u);
+  EXPECT_EQ(k.now(), 1005u);
+  EXPECT_EQ(k.dispatchedEvents(), 8u);
+  const obs::Snapshot snap = reg.snapshot();
+  const obs::SnapshotEntry* warps = snap.find("clk.warps");
+  ASSERT_NE(warps, nullptr);
+  EXPECT_EQ(warps->count, 3u);
+}
+
+TEST(ClockTest, BreakEndsTheRunAfterItsFallingEdge) {
+  Kernel k;
+  Clock clk(k, "clk", 10);
+  std::vector<char> order;
+  clk.onRising([&] {
+    order.push_back('R');
+    if (clk.cycle() == 3) clk.requestBreak();
+  });
+  clk.onFalling([&] { order.push_back('F'); });
+  clk.runCycles(10);
+  EXPECT_EQ(clk.cycle(), 3u);
+  EXPECT_EQ(order, (std::vector<char>{'R', 'F', 'R', 'F', 'R', 'F'}));
+  EXPECT_EQ(k.now(), 35u);
+  // Outside a run the request is a no-op: the next run clears it.
+  clk.requestBreak();
+  clk.runCycles(2);
+  EXPECT_EQ(clk.cycle(), 5u);
+}
+
+TEST(ClockTest, SecondClockOnOneKernelThrows) {
+  Kernel k;
+  Clock clk(k, "clk", 10);
+  EXPECT_THROW(Clock(k, "clk2", 10), std::logic_error);
 }
 
 } // namespace

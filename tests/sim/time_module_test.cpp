@@ -19,15 +19,11 @@ TEST(TimeTest, PeriodFromMHz) {
   EXPECT_EQ(periodFromMHz(50), 20'000u);
 }
 
-TEST(ModuleTest, NameAndKernelBinding) {
-  Kernel k;
+TEST(ModuleTest, KeepsItsName) {
   struct Dummy : Module {
     using Module::Module;
-  } m(k, "dut.bus");
+  } m("dut.bus");
   EXPECT_EQ(m.name(), "dut.bus");
-  EXPECT_EQ(&m.kernel(), &k);
-  k.runUntil(123);
-  EXPECT_EQ(m.now(), 123u);
 }
 
 } // namespace
