@@ -119,13 +119,7 @@ struct ReplayPlatform {
 
   /// Replay a trace to completion; returns elapsed cycles.
   std::uint64_t replay(const trace::BusTrace& t) {
-    if constexpr (std::is_same_v<BusT, bus::Tl2Bus>) {
-      trace::Tl2ReplayMaster master(clk, "master", ecbus, t);
-      return master.runToCompletion();
-    } else {
-      trace::ReplayMaster master(clk, "master", ecbus, ecbus, t);
-      return master.runToCompletion();
-    }
+    return trace::ReplayMaster(clk, "master", ecbus, t).runToCompletion();
   }
 
  private:

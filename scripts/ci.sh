@@ -5,27 +5,28 @@
 #
 # Pass 1 — the shipping configuration: Release (LTO) configure with
 # warnings-as-errors, build everything (libraries, tests, benches), run
-# the whole test suite, then run the 25 deterministic programs (the
-# examples other than the sct_serve daemon, and the benches that are
-# not google-benchmark harnesses) twice each, every run in a fresh
-# temporary directory with SCT_THREADS=2: their stdout and the files
-# they write must be byte-identical between the two runs, so host time
-# and scheduling stay off stdout. Last, smoke-run the Table 3 bench
-# (tiny workload, minimal timing — proves the bench binary and its JSON
-# output stay alive, measures nothing).
-# Pass 2 — the same suite under AddressSanitizer + UndefinedBehavior-
-# Sanitizer (the SCT_SANITIZE option; it disables LTO itself). UBSan
-# is fatal there (-fno-sanitize-recover=all) and includes
-# float-cast-overflow, so any report fails the test that caused it.
+# the whole test suite, then each gating label explicitly — among them
+# `golden`, which runs the 25 deterministic programs (the examples
+# other than the sct_serve daemon, and the benches that are not
+# google-benchmark harnesses), each in a fresh directory with
+# SCT_THREADS=2, against their committed stdout and the SHA-256 of
+# every file they write (tests/golden/). Last, smoke-run the Table 3
+# bench (tiny workload, minimal timing — proves the bench binary and
+# its JSON output stay alive, measures nothing).
+# Pass 2 — the same suite and labels under AddressSanitizer +
+# UndefinedBehaviorSanitizer (the SCT_SANITIZE option; it disables LTO
+# itself). UBSan is fatal there (-fno-sanitize-recover=all) and
+# includes float-cast-overflow, so any report fails the test that
+# caused it.
 # Pass 3 — ThreadSanitizer over the labels whose tests run workers with
 # threads > 1: the fork sweeps (ckpt, sca, eh, enc), whose workers share
 # one index counter and each own a recycled rig, and the serve engine
 # (serve), whose workers share one job queue and each own a card.
-# Pass 4 — the dev preset (Debug, warnings-as-errors) and the whole
-# suite: the only pass built without -DNDEBUG, so the assert()s in
-# src/bus and src/hier run — among them Tl1Bus::outstandingTotal()'s
-# check that its counters agree with its queues, which
-# power::CardRig::quiesced() relies on.
+# Pass 4 — the dev preset (Debug, warnings-as-errors), the whole suite
+# and the `golden` label: the only pass built without -DNDEBUG, so the
+# assert()s in src/bus and src/hier run — among them
+# Tl1Bus::outstandingTotal()'s check that its counters agree with its
+# queues, which power::CardRig::quiesced() relies on.
 # Pass 5 — perfbench smoke: the repository benchmark (perfbench/run.py,
 # which builds its own Release tree under .bench_build/) runs 10 s on
 # each workload untraced, plus one traced run on table3_dense. Each run
@@ -48,49 +49,15 @@ run() {
   "$@"
 }
 
-deterministic_programs="
-  examples/apdu_session examples/ckpt_fork_sweep examples/eh_sweep
-  examples/enc_sweep examples/interrupt_uart examples/jcvm_exploration
-  examples/quickstart examples/sca_attack examples/sct_report
-  examples/soc_boot examples/spa_power_trace examples/trace_to_vcd
-  bench/ablation_buscoding bench/ablation_cache bench/ablation_sw_vs_hw
-  bench/ablation_vdd bench/ablation_waitstates bench/ext_dpa_countermeasure
-  bench/ext_layer2_soc bench/ext_peripherals bench/ext_power_budget
-  bench/fig6_sampling bench/sec43_exploration bench/table1_timing
-  bench/table2_energy"
-
-# Run every deterministic program of build dir $1 twice, each run in a
-# fresh directory holding its stdout and the files it writes, and fail
-# unless the two directories are byte-identical.
-output_determinism() {
-  echo "==> output determinism ($1)"
-  runs=$(mktemp -d)
-  for prog in $deterministic_programs; do
-    name=$(basename "$prog")
-    for n in 1 2; do
-      mkdir "$runs/$name.$n"
-      (cd "$runs/$name.$n" &&
-        SCT_THREADS=2 "$repo_root/$1/$prog" > stdout 2> ../"$name.$n.err") || {
-        echo "$prog failed:" >&2
-        cat "$runs/$name.$n.err" >&2
-        exit 1
-      }
-    done
-    diff -r "$runs/$name.1" "$runs/$name.2" >&2 || {
-      echo "$prog: output differs between two runs" >&2
-      exit 1
-    }
-  done
-  rm -rf "$runs"
-}
-
 for preset in release asan-ubsan; do
   run cmake --preset "$preset" -DSCT_WERROR=ON
   run cmake --build --preset "$preset" --parallel "$jobs"
   run ctest --preset "$preset" --parallel "$jobs"
-  if [ "$preset" = release ]; then
-    output_determinism build
-  fi
+  # Every deterministic program's stdout and written files against
+  # their committed goldens: a run that moves any printed figure or
+  # written byte fails here (SCT_REGEN_GOLDEN=1 regenerates; explain the
+  # diff in the change).
+  run ctest --preset "$preset" -L golden --parallel "$jobs"
   # The `equivalence` label is the gate for the event-driven TL2 bus:
   # its event-vs-per-cycle suite pins the phase schedule, the lazy
   # observer delivery with its cycle stamps and every read of the power
@@ -143,6 +110,7 @@ done
 run cmake --preset dev
 run cmake --build --preset dev --parallel "$jobs"
 run ctest --preset dev --parallel "$jobs"
+run ctest --preset dev -L golden --parallel "$jobs"
 
 echo "==> bench smoke (tiny workload)"
 run env SCT_BENCH_TINY=1 ./build/bench/table3_simperf \

@@ -26,39 +26,19 @@ class EcInstrIf {
   /// Submit or poll an instruction fetch. Call every cycle with the same
   /// payload until Ok or Error is returned.
   ///
-  /// Stage contract (EcDataIf and Tl2MasterIf share it): every
-  /// implementation advances req.stage to Finished on its own, from its
-  /// bus process or from nextFinishCycle(), and treats polls of any
-  /// other non-Idle stage as side-effect-free Waits. Masters may
-  /// therefore skip the poll until the public stage field reads
-  /// Finished. The pickup poll of a Finished payload is exactly
+  /// Stage contract (EcDataIf and the layer-2 Tl2Bus share it): every
+  /// bus advances req.stage to Finished on its own, from its bus
+  /// process or when brought current, and treats polls of any other
+  /// non-Idle stage as side-effect-free Waits. Masters may therefore
+  /// skip the poll until the public stage field reads Finished. The
+  /// pickup poll of a Finished payload is exactly
   /// `result = req.result; req.stage = Idle; return result`, so a
   /// master may collect a published result directly from the payload
-  /// without the poll call.
+  /// without the poll call. The completion hints a master may schedule
+  /// by are plain members of the concrete buses: nextFinishCycle() on
+  /// the buses that predict completions (Tl2Bus, Tl2MasterBridge,
+  /// BridgedTl2Bus, hier::HybridBus) and Tl1Bus::finishEpoch().
   virtual BusStatus fetch(Tl1Request& req) = 0;
-  /// Static property: true if nextFinishCycle() can ever answer with a
-  /// prediction (anything but kFinishUnknown) during this object's
-  /// lifetime. When false, masters may skip the completion-prediction
-  /// and park bookkeeping entirely and poll every cycle — the behaviour
-  /// a kFinishUnknown answer mandates anyway.
-  virtual bool predictsFinish() const { return false; }
-  /// Wake-on-completion hint, mirroring Tl2MasterIf::nextFinishCycle():
-  /// the earliest bus cycle at which any accepted transaction reaches
-  /// stage Finished, kFinishNone when nothing is in flight, or
-  /// kFinishUnknown when completions cannot be predicted — masters must
-  /// then poll every cycle. Non-const on purpose: implementations
-  /// backed by a lazy event-driven bus (Tl2MasterBridge) bring their
-  /// published stages current from here.
-  virtual std::uint64_t nextFinishCycle() { return kFinishUnknown; }
-  /// Completion-epoch counter: increments every time any transaction
-  /// submitted through this interface reaches stage Finished (and also
-  /// whenever outstanding-slot occupancy can otherwise change, e.g. on
-  /// abort). While the value is unchanged, a stage-gated master may
-  /// skip both its in-flight Finished scan and the retry of an issue
-  /// the bus previously refused for a full-slots condition — neither
-  /// can make progress until a completion occurs. kEpochUnknown means
-  /// the interface keeps no epoch; masters must poll every cycle.
-  virtual std::uint64_t finishEpoch() const { return kEpochUnknown; }
 };
 
 /// Data read/write interface of the layer-1 bus (master side).
@@ -67,31 +47,6 @@ class EcDataIf {
   virtual ~EcDataIf() = default;
   virtual BusStatus read(Tl1Request& req) = 0;
   virtual BusStatus write(Tl1Request& req) = 0;
-  /// See EcInstrIf::nextFinishCycle().
-  virtual std::uint64_t nextFinishCycle() { return kFinishUnknown; }
-  /// See EcInstrIf::predictsFinish().
-  virtual bool predictsFinish() const { return false; }
-  /// See EcInstrIf::finishEpoch().
-  virtual std::uint64_t finishEpoch() const { return kEpochUnknown; }
-};
-
-/// Layer-2 master interface: one function for read access and one for
-/// write access; parameters are the data pointer, the number of bytes,
-/// the address, and an instruction bit (carried in req.kind).
-class Tl2MasterIf {
- public:
-  virtual ~Tl2MasterIf() = default;
-  /// Submit or poll a transaction. A burst is a single transaction.
-  /// The stage contract of EcInstrIf::fetch holds for Tl2Request::stage.
-  virtual BusStatus read(Tl2Request& req) = 0;
-  virtual BusStatus write(Tl2Request& req) = 0;
-  /// Wake-on-completion hint: the earliest bus cycle at which any
-  /// accepted transaction will reach stage Finished, kFinishNone when
-  /// nothing is in flight, or kFinishUnknown when the implementation
-  /// cannot predict completions — masters must then poll every cycle.
-  /// An event-driven bus answers from its phase schedule, letting
-  /// masters park their clock handlers until the finish cycle + 1.
-  virtual std::uint64_t nextFinishCycle() const { return kFinishUnknown; }
 };
 
 /// Slave-side interface shared by both bus layers.

@@ -42,16 +42,12 @@ inline constexpr unsigned kMaxBurstBeats = 4;
 /// Maximum outstanding transactions per class (EC interface limit).
 inline constexpr unsigned kMaxOutstandingPerClass = 4;
 
-/// Sentinels for Tl2MasterIf::nextFinishCycle(). Cycle 0 can never host
-/// a completion (the first dispatched bus edge belongs to cycle 1), so
-/// it doubles as "cannot predict".
+/// Sentinels for the buses' nextFinishCycle() (Tl2Bus, Tl2MasterBridge,
+/// BridgedTl2Bus, hier::HybridBus). Cycle 0 can never host a completion
+/// (the first dispatched bus edge belongs to cycle 1), so it doubles as
+/// "cannot predict".
 inline constexpr std::uint64_t kFinishUnknown = 0;
 inline constexpr std::uint64_t kFinishNone =
-    ~static_cast<std::uint64_t>(0);
-
-/// Sentinel for EcInstrIf/EcDataIf::finishEpoch(): the interface does
-/// not maintain a completion epoch, so masters must poll every cycle.
-inline constexpr std::uint64_t kEpochUnknown =
     ~static_cast<std::uint64_t>(0);
 
 constexpr bool isRead(Kind k) { return k != Kind::Write; }

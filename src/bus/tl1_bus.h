@@ -92,12 +92,12 @@ class Tl1Bus final : public sim::Module, public EcInstrIf, public EcDataIf {
   BusStatus fetch(Tl1Request& req) override;
   BusStatus read(Tl1Request& req) override;
   BusStatus write(Tl1Request& req) override;
-  /// Completion epoch (see EcInstrIf::finishEpoch): bumped by finish(),
-  /// i.e. exactly when a Finished payload becomes collectable and when
-  /// an outstanding class slot frees — the only two events a
-  /// stage-gated master waits on. One counter serves both interfaces;
-  /// masters summing the two reads still observe a monotonic value.
-  std::uint64_t finishEpoch() const override { return finishEpoch_; }
+  /// Completion epoch: bumped by finish(), i.e. exactly when a Finished
+  /// payload becomes collectable and when an outstanding class slot
+  /// frees — the only two events a stage-gated master waits on. While
+  /// it is unchanged, such a master may skip both its in-flight
+  /// Finished scan and the retry of an issue refused for full slots.
+  std::uint64_t finishEpoch() const { return finishEpoch_; }
 
   /// True when no transaction is queued or in flight.
   bool idle() const;

@@ -124,8 +124,8 @@ BusStatus Tl2MasterBridge::transport(Tl1Request& req) {
   // Poll the lower transaction. The lower bus publishes its stage
   // transitions (an event-driven Tl2Bus moves the payload to Finished
   // when it retires the boundary), so a poll before that point is a
-  // guaranteed side-effect-free Wait — skip the virtual round trip
-  // entirely; the cycle-true master above polls every cycle regardless.
+  // guaranteed side-effect-free Wait — skip the call entirely; the
+  // cycle-true master above polls every cycle regardless.
   Slot& s = it->second;
   if (s.lower.stage != Tl2Stage::Finished) {
     // An event-driven lower bus defers its completion bookkeeping;

@@ -15,12 +15,12 @@
 //    final status directly, exactly the layer-1 "poll until Ok/Error"
 //    contract.
 //  * Stage-published (stage-gating masters): the lower bus publishes
-//    its stages (the Tl2MasterIf contract), and so does the bridge —
-//    sync() (called from nextFinishCycle(), mirroring the lazy
-//    retirement of the event-driven Tl2Bus) completes every transport
-//    whose lower transaction finished and posts the upper payload as
-//    Tl1Stage::Finished for a later pickup poll. Masters may then gate
-//    on the public stage field and park until nextFinishCycle() + 1.
+//    its stages (the stage contract of EcInstrIf::fetch), and so does
+//    the bridge — sync() (called from nextFinishCycle(), mirroring the
+//    lazy retirement of the event-driven Tl2Bus) completes every
+//    transport whose lower transaction finished and posts the upper
+//    payload as Tl1Stage::Finished for a later pickup. Masters may then
+//    gate on the public stage field and park until nextFinishCycle() + 1.
 #ifndef SCT_BUS_TL2_BRIDGE_H
 #define SCT_BUS_TL2_BRIDGE_H
 
@@ -36,23 +36,20 @@ namespace sct::bus {
 
 class Tl2MasterBridge final : public EcInstrIf, public EcDataIf {
  public:
-  explicit Tl2MasterBridge(Tl2MasterIf& lower) : lower_(lower) {}
+  explicit Tl2MasterBridge(Tl2Bus& lower) : lower_(lower) {}
 
   BusStatus fetch(Tl1Request& req) override { return transport(req); }
   BusStatus read(Tl1Request& req) override { return transport(req); }
   BusStatus write(Tl1Request& req) override { return transport(req); }
 
   /// Bring published upper stages current, then forward the lower
-  /// bus's completion hint.
-  std::uint64_t nextFinishCycle() override {
+  /// bus's completion hint (see Tl2Bus::nextFinishCycle). The sync() in
+  /// here is what publishes upper stages, so a stage-gating master
+  /// calls it every cycle it has work in flight.
+  std::uint64_t nextFinishCycle() {
     sync();
     return lower_.nextFinishCycle();
   }
-
-  /// Conservatively true: the lower bus may predict, and the sync()
-  /// inside nextFinishCycle() is what publishes upper stages — masters
-  /// must keep calling it either way.
-  bool predictsFinish() const override { return true; }
 
   /// Complete every transport whose lower transaction has finished:
   /// result and read data move into the upper payload, which is posted
@@ -101,7 +98,7 @@ class Tl2MasterBridge final : public EcInstrIf, public EcDataIf {
   /// placement included). The caller decides the upper stage.
   void copyOut(Tl1Request& req, Slot& s, BusStatus status);
 
-  Tl2MasterIf& lower_;
+  Tl2Bus& lower_;
   std::unordered_map<Tl1Request*, Slot> pending_;
 };
 
@@ -120,10 +117,7 @@ class BridgedTl2Bus final : public EcInstrIf, public EcDataIf {
   BusStatus fetch(Tl1Request& req) override { return bridge_.fetch(req); }
   BusStatus read(Tl1Request& req) override { return bridge_.read(req); }
   BusStatus write(Tl1Request& req) override { return bridge_.write(req); }
-  std::uint64_t nextFinishCycle() override {
-    return bridge_.nextFinishCycle();
-  }
-  bool predictsFinish() const override { return bridge_.predictsFinish(); }
+  std::uint64_t nextFinishCycle() { return bridge_.nextFinishCycle(); }
 
   Tl2Bus& lower() { return bus_; }
   Tl2MasterBridge& bridge() { return bridge_; }

@@ -73,7 +73,7 @@ struct Tl2BusStats {
   }
 };
 
-class Tl2Bus final : public sim::Module, public Tl2MasterIf {
+class Tl2Bus final : public sim::Module {
  public:
   Tl2Bus(sim::Clock& clock, std::string name);
   ~Tl2Bus() override;
@@ -107,11 +107,21 @@ class Tl2Bus final : public sim::Module, public Tl2MasterIf {
     if (busyOpen_ && !perCycle_) retireDue();
   }
 
-  // Tl2MasterIf. Instruction fetches use read() with kind ==
-  // Kind::InstrFetch (the "instruction bit" parameter of the paper).
-  BusStatus read(Tl2Request& req) override;
-  BusStatus write(Tl2Request& req) override;
-  std::uint64_t nextFinishCycle() const override;
+  // Master interface: one function for read access and one for write
+  // access; parameters are the data pointer, the number of bytes, the
+  // address (all in the payload) and an instruction bit (req.kind ==
+  // Kind::InstrFetch, on read()). Submit or poll; a burst is a single
+  // transaction. The stage contract of EcInstrIf::fetch holds for
+  // Tl2Request::stage.
+  BusStatus read(Tl2Request& req);
+  BusStatus write(Tl2Request& req);
+  /// Wake-on-completion hint: the earliest bus cycle at which any
+  /// accepted transaction will reach stage Finished, kFinishNone when
+  /// nothing is in flight, or kFinishUnknown in per-cycle mode —
+  /// masters must then poll every cycle. Answered from the phase
+  /// schedule, after retiring every passed boundary, so masters park
+  /// their clock handlers until the finish cycle + 1.
+  std::uint64_t nextFinishCycle() const;
 
   bool idle() const;
 

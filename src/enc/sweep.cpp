@@ -118,7 +118,7 @@ struct Platform {
   bus::MemorySlave flash;
   power::Tl1PowerModel pm;
   obs::EnergyLedger ledger;
-  trace::ReplayMaster master;
+  trace::ReplayMaster<bus::Tl1Bus> master;
   ckpt::CheckpointRegistry reg;
 
   Platform(const power::SignalEnergyTable& table, const trace::BusTrace& t)
@@ -225,7 +225,7 @@ trace::BusTrace makeMemcpyTrace() {
 }
 
 /// Replay `master`'s trace on `p` and report the phase's energy delta.
-EncOutcome measure(Platform& p, trace::ReplayMaster& master,
+EncOutcome measure(Platform& p, trace::ReplayMaster<bus::Tl1Bus>& master,
                    const EncVariant& v) {
   const obs::LedgerView start = p.ledger.view();
   const std::uint64_t startTotal_aJ = p.pm.totalEnergy_aJ();

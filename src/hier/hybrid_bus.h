@@ -51,7 +51,8 @@ constexpr const char* toString(Fidelity f) {
 
 /// Drop-in replacement for Tl1Bus/BridgedTl2Bus wherever a cycle-true
 /// master expects the layer-1 interfaces: SmartCardSoC<hier::HybridBus>
-/// and the replay masters run unchanged.
+/// runs unchanged, and trace::ReplayMaster<hier::HybridBus> replays on
+/// it with layer-1 payloads.
 class HybridBus final : public bus::EcInstrIf, public bus::EcDataIf {
  public:
   /// Accepted-submission hook (the FidelityController's address
@@ -74,13 +75,11 @@ class HybridBus final : public bus::EcInstrIf, public bus::EcDataIf {
   bus::BusStatus fetch(bus::Tl1Request& req) override;
   bus::BusStatus read(bus::Tl1Request& req) override;
   bus::BusStatus write(bus::Tl1Request& req) override;
-  /// TL2 regions predict completions (so masters park and the clock
-  /// warps); TL1 regions answer kFinishUnknown — cycle-true masters
-  /// must poll every cycle there, exactly as on a plain Tl1Bus.
-  std::uint64_t nextFinishCycle() override;
-  /// True: TL2 regions predict, so masters must keep asking even while
-  /// a TL1 region answers kFinishUnknown.
-  bool predictsFinish() const override { return true; }
+  /// Completion hint (see Tl2Bus::nextFinishCycle): TL2 regions
+  /// predict completions, so masters park and the clock warps; TL1
+  /// regions answer kFinishUnknown — masters poll every cycle there,
+  /// exactly as on a plain Tl1Bus, and keep asking.
+  std::uint64_t nextFinishCycle();
 
   Fidelity active() const { return active_; }
 

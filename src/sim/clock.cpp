@@ -38,6 +38,15 @@ Clock::HandlerId Clock::insertHandler(Edge edge, Handler&& h) {
   const HandlerId id = nextId_++;
   h.id = id;
   auto& vec = (edge == Edge::Rising) ? rising_ : falling_;
+  if (&vec == dispatching_) {
+    deferred_.push_back(std::move(h));
+  } else {
+    insertSorted(vec, std::move(h));
+  }
+  return id;
+}
+
+void Clock::insertSorted(std::vector<Handler>& vec, Handler&& h) {
   // Keep handlers sorted by priority; equal priorities keep
   // registration order (stable insert at upper bound).
   auto pos = std::upper_bound(
@@ -46,7 +55,6 @@ Clock::HandlerId Clock::insertHandler(Edge edge, Handler&& h) {
   vec.insert(pos, std::move(h));
   minWakeDirty_ = true;
   parkIndexDirty_ = true;
-  return id;
 }
 
 void Clock::removeHandler(HandlerId id) {
@@ -70,15 +78,24 @@ void Clock::rebuildParkIndex() const {
   parkIndexDirty_ = false;
 }
 
-void Clock::parkHandler(HandlerId id, std::uint64_t wakeCycle) {
+Clock::Handler* Clock::findHandler(HandlerId id) {
   if (parkIndexDirty_) rebuildParkIndex();
   auto it = std::lower_bound(
       parkIndex_.begin(), parkIndex_.end(), id,
       [](const ParkSlot& s, HandlerId v) { return s.id < v; });
-  if (it == parkIndex_.end() || it->id != id) return;
-  Handler& h = it->falling ? falling_[it->idx] : rising_[it->idx];
-  if (h.wake == wakeCycle) return;
-  h.wake = wakeCycle;
+  if (it != parkIndex_.end() && it->id == id) {
+    return it->falling ? &falling_[it->idx] : &rising_[it->idx];
+  }
+  for (Handler& h : deferred_) {
+    if (h.id == id) return &h;
+  }
+  return nullptr;
+}
+
+void Clock::parkHandler(HandlerId id, std::uint64_t wakeCycle) {
+  Handler* h = findHandler(id);
+  if (h == nullptr || h->wake == wakeCycle) return;
+  h->wake = wakeCycle;
   minWakeDirty_ = true;
   if (obsParks_ != nullptr) notePark(id, wakeCycle);
 }
@@ -114,26 +131,27 @@ void Clock::eraseRemoved() {
 }
 
 void Clock::dispatch(std::vector<Handler>& handlers) {
-  // Iterate by index: handlers may register further handlers (growing
-  // the vector) during dispatch; newly added handlers first run on the
-  // next edge because insertion keeps them past the current index only
-  // if their priority sorts later — to keep semantics simple we snapshot
-  // the size and skip handlers flagged for removal. A handler call may
-  // flag removals, so the per-handler check re-arms as soon as
+  // The walk never sees the vector change: a handler registered on this
+  // edge waits in deferred_ (see insertHandler) and is inserted once the
+  // walk returns, so it first runs on the next such edge. A handler call
+  // may flag removals, so the per-handler check re-arms as soon as
   // pendingRemoval_ becomes non-empty. The wake gate is read at call
   // time: an earlier handler waking a later one takes effect on the
   // same edge, matching the order an unparked run would produce.
-  const std::size_t n = handlers.size();
-  for (std::size_t i = 0; i < n && i < handlers.size(); ++i) {
-    if (handlers[i].wake > cycle_) continue;
-    if (!pendingRemoval_.empty() && flaggedForRemoval(handlers[i].id)) {
-      continue;
-    }
-    if (handlers[i].raw != nullptr) {
-      handlers[i].raw(handlers[i].obj);
+  dispatching_ = &handlers;
+  for (Handler& h : handlers) {
+    if (h.wake > cycle_) continue;
+    if (!pendingRemoval_.empty() && flaggedForRemoval(h.id)) continue;
+    if (h.raw != nullptr) {
+      h.raw(h.obj);
     } else {
-      handlers[i].cb();
+      h.cb();
     }
+  }
+  dispatching_ = nullptr;
+  if (!deferred_.empty()) {
+    for (Handler& h : deferred_) insertSorted(handlers, std::move(h));
+    deferred_.clear();
   }
 }
 

@@ -62,7 +62,10 @@ class Clock final {
   std::uint64_t cycle() const { return cycle_; }
 
   /// Register an edge handler. Handlers run every cycle until removed.
-  /// Lower `priority` runs first within the edge.
+  /// Lower `priority` runs first within the edge. A handler registered
+  /// from inside a handler of the same edge first runs on that edge of
+  /// the next cycle; one registered for the other edge of the current
+  /// cycle (a falling handler from a rising one) runs on it.
   HandlerId onEdge(Edge edge, Callback cb, int priority = 0);
   HandlerId onRising(Callback cb, int priority = 0) {
     return onEdge(Edge::Rising, std::move(cb), priority);
@@ -147,8 +150,12 @@ class Clock final {
   };
 
   /// Shared tail of onEdge/onEdgeRaw: assign the id, insert sorted by
-  /// priority.
+  /// priority — or defer the insert while that edge is being
+  /// dispatched.
   HandlerId insertHandler(Edge edge, Handler&& h);
+  void insertSorted(std::vector<Handler>& vec, Handler&& h);
+  /// The registered or deferred handler with `id`, or null.
+  Handler* findHandler(HandlerId id);
 
   void dispatch(std::vector<Handler>& handlers);
   bool anyHandlers() const;
@@ -175,6 +182,12 @@ class Clock final {
   std::vector<Handler> rising_;
   std::vector<Handler> falling_;
   std::vector<HandlerId> pendingRemoval_;  ///< Kept sorted.
+  /// The handler vector dispatch() is walking (null between edges). A
+  /// handler registered for it waits in deferred_ until the walk
+  /// returns: inserting in place would shift the vector under the
+  /// loop, or reallocate it under the executing handler.
+  const std::vector<Handler>* dispatching_ = nullptr;
+  std::vector<Handler> deferred_;
   /// minWakeCycle() memo, invalidated whenever a wake field or the
   /// handler set changes (parkHandler, registration, erasure).
   mutable std::uint64_t minWakeCache_ = 0;

@@ -93,6 +93,10 @@ BusTrace BusTrace::load(std::istream& is) {
     if (beats == 0 || beats > bus::kMaxBurstBeats) {
       throw std::runtime_error("BusTrace: bad beat count");
     }
+    // An EC burst is word-sized: every layer must see the same request.
+    if (beats > 1 && e.size != bus::AccessSize::Word) {
+      throw std::runtime_error("BusTrace: burst of non-word size: " + line);
+    }
     e.beats = static_cast<std::uint8_t>(beats);
     if (e.kind == bus::Kind::Write) {
       for (unsigned b = 0; b < beats; ++b) {

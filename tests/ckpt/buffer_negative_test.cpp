@@ -8,8 +8,9 @@
 // length fields, trailing garbage, duplicate section tags,
 // registry-level version skew through the buffer path, pm section
 // fields that would index past the signal frame or the ledger, TL2
-// model and TL2 bus sections of their previous layouts, and hybrid-bus
-// fidelity bytes that name no layer).
+// model and TL2 bus sections of their previous layouts, hybrid-bus
+// fidelity bytes that name no layer, and replay-master payload stage
+// and result bytes that name nothing a saved payload can hold).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "../testbench.h"
 #include "bus/ec_signals.h"
 #include "bus/tl2_bus.h"
 #include "ckpt/checkpoint.h"
@@ -264,6 +266,59 @@ TEST(SnapshotBufferNegative, HybridFidelityByteNamingNoLayerIsRefused) {
                              "pending-target fidelity byte 2 names no layer");
   loadHybridWithFidelityByte(0, 0xFF,
                              "active fidelity byte 255 names no layer");
+}
+
+/// Save `saved`'s master section after its replay, set byte `offset`
+/// to `value`, and load it into `target` (a master over the same trace).
+template <typename Master>
+void loadMasterWithPatchedByte(Master& saved, Master& target,
+                               std::size_t offset, std::uint8_t value,
+                               const std::string& needle) {
+  saved.runToCompletion();
+  ckpt::StateWriter w;
+  saved.saveState(w);
+  std::vector<std::uint8_t> buf = w.take();
+  buf[offset] = value;
+  ckpt::StateReader r(buf);
+  expectRefusal([&] { target.loadState(r); }, needle);
+}
+
+/// One read; a saved master section holds three u64 counts, then the
+/// payload: 16 data bytes, the result byte (offset 40), the stage byte
+/// (41). Both layers share that prefix.
+trace::BusTrace oneRead() {
+  trace::BusTrace t;
+  trace::TraceEntry e;
+  e.address = 0x0100;
+  t.append(e);
+  return t;
+}
+
+TEST(SnapshotBufferNegative, Tl1MasterPayloadByteNamingNothingIsRefused) {
+  // saveState refuses work in flight, so every saved payload is Idle. A
+  // Requested one would stall the replay: the bus answers Wait for a
+  // non-Idle payload it does not own.
+  const trace::BusTrace t = oneRead();
+  testbench::Tl1Bench a;
+  testbench::Tl1Bench b;
+  trace::ReplayMaster saved(a.clk, "m", a.bus, a.bus, t);
+  trace::ReplayMaster target(b.clk, "m", b.bus, b.bus, t);
+  loadMasterWithPatchedByte(saved, target, 41, 1,
+                            "request 0 stage byte 1 is not idle");
+  loadMasterWithPatchedByte(saved, target, 40, 4,
+                            "request 0 result byte 4 names no bus status");
+}
+
+TEST(SnapshotBufferNegative, Tl2MasterPayloadByteNamingNothingIsRefused) {
+  const trace::BusTrace t = oneRead();
+  testbench::Tl2Bench a;
+  testbench::Tl2Bench b;
+  trace::Tl2ReplayMaster saved(a.clk, "m", a.bus, t);
+  trace::Tl2ReplayMaster target(b.clk, "m", b.bus, t);
+  loadMasterWithPatchedByte(saved, target, 41, 3,
+                            "request 0 stage byte 3 is not idle");
+  loadMasterWithPatchedByte(saved, target, 40, 0xFF,
+                            "request 0 result byte 255 names no bus status");
 }
 
 TEST(SnapshotBufferNegative, TrailingGarbageIsRejected) {

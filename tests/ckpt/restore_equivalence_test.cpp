@@ -65,7 +65,7 @@ struct Tl1Platform {
   obs::EnergyLedger ledger;
   power::PowerProfile profile{10};
   power::Tl1ProfileRecorder recorder{pm, profile};
-  trace::ReplayMaster master;
+  trace::ReplayMaster<bus::Tl1Bus> master;
 
   explicit Tl1Platform(const BusTrace& t)
       : master(clk, "master", bus, bus, t) {
@@ -492,7 +492,7 @@ struct HybridPlatform {
   obs::EnergyLedger ledger1;
   power::PowerProfile profile{10};
   power::Tl1ProfileRecorder recorder{pm1, profile};
-  trace::ReplayMaster master;
+  trace::ReplayMaster<hier::HybridBus> master;
 
   explicit HybridPlatform(const BusTrace& t)
       : master(clk, "master", hb, hb, t) {

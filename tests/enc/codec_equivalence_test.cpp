@@ -74,7 +74,7 @@ struct EncPlatform {
   bus::MemorySlave waited{"eeprom", testbench::waitedCtl()};
   power::Tl1PowerModel pm{distinctTable()};
   obs::EnergyLedger ledger;
-  trace::ReplayMaster master;
+  trace::ReplayMaster<bus::Tl1Bus> master;
 
   EncPlatform(const BusTrace& t, bus::BusCodec* codec)
       : master(clk, "master", bus, bus, t) {

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <stdexcept>
 
 #include "../testbench.h"
 #include "power/coeff_table.h"
@@ -85,6 +87,18 @@ TEST(FileIoTest, EmptyTraceFileLoadsEmptyTrace) {
   { std::ofstream os(file); }
   std::ifstream is(file);
   EXPECT_TRUE(trace::BusTrace::load(is).empty());
+}
+
+TEST(FileIoTest, BurstOfNonWordSizeIsRefused) {
+  // Every layer answers Error for such a burst but layer 2, which would
+  // build a valid 4*beats-byte transfer from it: refused at the file.
+  for (const char* line : {"0 R 0x1000 1 2", "0 I 0x1000 2 4",
+                           "0 W 0x1000 2 2 0x1 0x2"}) {
+    std::istringstream is(line);
+    EXPECT_THROW(trace::BusTrace::load(is), std::runtime_error) << line;
+  }
+  std::istringstream word("0 R 0x1000 4 2\n0 R 0x1001 1 1\n");
+  EXPECT_EQ(trace::BusTrace::load(word).size(), 2u);
 }
 
 } // namespace
