@@ -67,8 +67,11 @@ for preset in release asan-ubsan; do
   # from the pass.
   run ctest --preset "$preset" -L equivalence --parallel "$jobs"
   # The adaptive-fidelity equivalence suite is the gate for the hybrid
-  # TL1/TL2 bus: run the `hier` label explicitly so a filter or preset
-  # change can never silently drop it from the pass.
+  # TL1/TL2 bus, and the layer bridge its TL2 regions ride on is gated
+  # with it (the bridge unit tests and its replays over the per-cycle
+  # reference TL2 bus carry the `hier` label too): run the label
+  # explicitly so a filter or preset change can never silently drop it
+  # from the pass.
   run ctest --preset "$preset" -L hier --parallel "$jobs"
   # Same for the checkpoint/restore gate: restore-equivalence is what
   # makes fork-based exploration trustworthy.

@@ -1,5 +1,7 @@
 #include "bus/tl2_bridge.h"
 
+#include <cassert>
+
 namespace sct::bus {
 
 void Tl2MasterBridge::copyOut(Tl1Request& req, Slot& s, BusStatus status) {
@@ -19,31 +21,41 @@ void Tl2MasterBridge::copyOut(Tl1Request& req, Slot& s, BusStatus status) {
   req.result = status;
 }
 
-void Tl2MasterBridge::sync() {
-  if (pending_.empty()) return;
-  // An event-driven lower bus defers its completion bookkeeping; asking
-  // for the next finish brings it current (O(1) when it already is)
-  // before trusting the published stages.
-  lower_.nextFinishCycle();
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    Slot& s = it->second;
-    if (s.lower.stage != Tl2Stage::Finished) {
-      ++it;
-      continue;
-    }
-    Tl1Request& req = *it->first;
-    const BusStatus status = s.lower.kind == Kind::Write
-                                 ? lower_.write(s.lower)
-                                 : lower_.read(s.lower);
-    copyOut(req, s, status);
+unsigned Tl2MasterBridge::find(const Tl1Request& req) const {
+  for (std::uint32_t m = occupied_; m != 0; m &= m - 1) {
+    const unsigned i = static_cast<unsigned>(std::countr_zero(m));
+    if (keys_[i] == &req) return i;
+  }
+  return kSlots;
+}
+
+unsigned Tl2MasterBridge::acquire(Tl1Request& req) {
+  // Only a master that leaves finished payloads uncollected can fill
+  // the table; posting them leaves just the unfinished lower
+  // transactions, which the lower bus bounds below kSlots.
+  if (occupied_ == kAllSlots) sync();
+  assert(occupied_ != kAllSlots);
+  const unsigned i = static_cast<unsigned>(std::countr_one(occupied_));
+  occupied_ |= std::uint32_t{1} << i;
+  keys_[i] = &req;
+  return i;
+}
+
+void Tl2MasterBridge::postFinished() {
+  for (std::uint32_t m = occupied_; m != 0; m &= m - 1) {
+    const unsigned i = static_cast<unsigned>(std::countr_zero(m));
+    Slot& s = slots_[i];
+    if (s.lower.stage != Tl2Stage::Finished) continue;
+    Tl1Request& req = *keys_[i];
+    copyOut(req, s, collect(s.lower));
     req.stage = Tl1Stage::Finished;
-    it = pending_.erase(it);
+    release(i);
   }
 }
 
 BusStatus Tl2MasterBridge::transport(Tl1Request& req) {
-  auto it = pending_.find(&req);
-  if (it == pending_.end()) {
+  const unsigned i = find(req);
+  if (i == kSlots) {
     if (req.stage == Tl1Stage::Finished) {
       // sync() posted the result; this poll is the pickup.
       const BusStatus result = req.result;
@@ -62,87 +74,63 @@ BusStatus Tl2MasterBridge::transport(Tl1Request& req) {
       req.result = BusStatus::Error;
       return BusStatus::Error;
     }
-    Slot slot;
-    slot.lower.kind = req.kind;
-    slot.lower.address = req.address;
-    slot.lower.bytes = req.byteCount();
+    const unsigned slot = acquire(req);
+    Slot& s = slots_[slot];
+    s.lower = Tl2Request{};
+    s.lower.kind = req.kind;
+    s.lower.address = req.address;
+    s.lower.bytes = req.byteCount();
+    s.lower.data = s.buffer.data();
     if (req.kind == Kind::Write) {
       if (req.burst() || req.size == AccessSize::Word) {
-        std::memcpy(slot.buffer.data(), req.data.data(),
-                    slot.lower.bytes);
+        std::memcpy(s.buffer.data(), req.data.data(), s.lower.bytes);
       } else {
         // Sub-word stores arrive lane-aligned on the layer-1 write bus;
         // extract the active lanes for the byte-exact layer-2 transfer.
         const unsigned lane = static_cast<unsigned>(req.address & 0x3u);
-        std::memcpy(slot.buffer.data(),
-                    reinterpret_cast<const std::uint8_t*>(
-                        req.data.data()) +
+        std::memcpy(s.buffer.data(),
+                    reinterpret_cast<const std::uint8_t*>(req.data.data()) +
                         lane,
-                    slot.lower.bytes);
+                    s.lower.bytes);
       }
     }
-    auto [pos, inserted] = pending_.emplace(&req, std::move(slot));
-    Slot& s = pos->second;
-    s.lower.data = s.buffer.data();
     const BusStatus status = s.lower.kind == Kind::Write
                                  ? lower_.write(s.lower)
                                  : lower_.read(s.lower);
-    if (status == BusStatus::Error) {
-      pending_.erase(pos);
+    if (status != BusStatus::Request) {
+      // Rejected, or accept refused (outstanding limit): the slot goes
+      // back, and a refusal retries transparently on the next poll.
+      release(slot);
+      if (status != BusStatus::Error) return BusStatus::Wait;
       req.result = BusStatus::Error;
       return BusStatus::Error;
-    }
-    if (status != BusStatus::Request) {
-      // Accept refused (outstanding limit); retry transparently on the
-      // next poll.
-      pending_.erase(pos);
-      return BusStatus::Wait;
     }
     req.stage = Tl1Stage::Requested;
     req.result = BusStatus::Wait;
     return BusStatus::Request;
   }
 
+  // Poll the lower transaction. An event-driven lower bus defers its
+  // completion bookkeeping; asking for the next finish brings it
+  // current (O(1) when it already is) before trusting the published
+  // stage.
+  lower_.nextFinishCycle();
+  Slot& s = slots_[i];
+  if (s.lower.stage != Tl2Stage::Finished) return BusStatus::Wait;
+  const BusStatus status = collect(s.lower);
   if (req.stage == Tl1Stage::Idle) {
     // The master abandoned this payload (Tl1Request::reset()) while its
-    // previous transaction was still in flight and is now re-submitting
-    // the same object. Finish the abandoned lower transaction out
-    // before accepting the payload anew — answering from the stale slot
-    // would hand the master a result it never asked for.
-    Slot& s = it->second;
-    if (s.lower.stage != Tl2Stage::Finished) lower_.nextFinishCycle();
-    const BusStatus stale = s.lower.kind == Kind::Write
-                                ? lower_.write(s.lower)
-                                : lower_.read(s.lower);
-    if (stale != BusStatus::Ok && stale != BusStatus::Error) {
-      return BusStatus::Wait;  // Old transaction still draining.
-    }
-    pending_.erase(it);
-    return transport(req);  // Re-enter as a fresh submit.
-  }
-
-  // Poll the lower transaction. The lower bus publishes its stage
-  // transitions (an event-driven Tl2Bus moves the payload to Finished
-  // when it retires the boundary), so a poll before that point is a
-  // guaranteed side-effect-free Wait — skip the call entirely; the
-  // cycle-true master above polls every cycle regardless.
-  Slot& s = it->second;
-  if (s.lower.stage != Tl2Stage::Finished) {
-    // An event-driven lower bus defers its completion bookkeeping;
-    // asking for the next finish brings it current (O(1) when it
-    // already is) before trusting the published stage.
-    lower_.nextFinishCycle();
-    if (s.lower.stage != Tl2Stage::Finished) return BusStatus::Wait;
-  }
-  const BusStatus status = s.lower.kind == Kind::Write
-                               ? lower_.write(s.lower)
-                               : lower_.read(s.lower);
-  if (status != BusStatus::Ok && status != BusStatus::Error) {
-    return BusStatus::Wait;
+    // previous transaction was in flight, and is now re-submitting the
+    // same object. The abandoned transaction has finished out (until
+    // then this answered Wait); drop its result — answering from the
+    // stale slot would hand the master a result it never asked for —
+    // and accept the payload anew.
+    release(i);
+    return transport(req);
   }
   copyOut(req, s, status);
   req.stage = Tl1Stage::Idle;
-  pending_.erase(it);
+  release(i);
   return status;
 }
 

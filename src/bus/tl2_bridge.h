@@ -10,23 +10,35 @@
 // layer-2 timing fidelity.
 //
 // Two completion disciplines coexist:
-//  * Poll-driven (any master): each fetch/read/write call pumps the
-//    lower transaction; the call that finds it finished returns the
-//    final status directly, exactly the layer-1 "poll until Ok/Error"
-//    contract.
+//  * Poll-driven (any master): each fetch/read/write call brings the
+//    lower bus current; the call that finds the lower transaction
+//    finished returns the final status directly, exactly the layer-1
+//    "poll until Ok/Error" contract.
 //  * Stage-published (stage-gating masters): the lower bus publishes
 //    its stages (the stage contract of EcInstrIf::fetch), and so does
-//    the bridge — sync() (called from nextFinishCycle(), mirroring the
-//    lazy retirement of the event-driven Tl2Bus) completes every
-//    transport whose lower transaction finished and posts the upper
-//    payload as Tl1Stage::Finished for a later pickup. Masters may then
-//    gate on the public stage field and park until nextFinishCycle() + 1.
+//    the bridge — sync() and nextFinishCycle() bring the lower bus
+//    current once, then complete every transport whose lower
+//    transaction finished and post the upper payload as
+//    Tl1Stage::Finished for a later pickup. Masters may then gate on the
+//    public stage field and park until nextFinishCycle() + 1.
+// Either way a finished lower payload is collected by the stage
+// contract itself (`result`, then `stage = Idle`), never by a second
+// lower call.
+//
+// In-flight transports live in a fixed slot table, found through a
+// compact key array (the upper payload addresses) and an occupancy
+// mask; nothing is allocated per transaction. The lower bus bounds the
+// table: at most kMaxOutstandingPerClass unfinished transactions per
+// class, plus the slot a submit borrows before the lower bus answers
+// it. Slot addresses never change, because the lower bus holds
+// pointers to their Tl2Requests while they are in flight.
 #ifndef SCT_BUS_TL2_BRIDGE_H
 #define SCT_BUS_TL2_BRIDGE_H
 
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <cstring>
-#include <unordered_map>
 
 #include "bus/ec_interfaces.h"
 #include "bus/ec_request.h"
@@ -42,27 +54,32 @@ class Tl2MasterBridge final : public EcInstrIf, public EcDataIf {
   BusStatus read(Tl1Request& req) override { return transport(req); }
   BusStatus write(Tl1Request& req) override { return transport(req); }
 
-  /// Bring published upper stages current, then forward the lower
-  /// bus's completion hint (see Tl2Bus::nextFinishCycle). The sync() in
-  /// here is what publishes upper stages, so a stage-gating master
-  /// calls it every cycle it has work in flight.
+  /// Forward the lower bus's completion hint (see
+  /// Tl2Bus::nextFinishCycle) — the one call that brings the lower bus
+  /// current — then publish the upper stages as sync() does. A
+  /// stage-gating master calls it every cycle it has work in flight.
   std::uint64_t nextFinishCycle() {
-    sync();
-    return lower_.nextFinishCycle();
+    const std::uint64_t next = lower_.nextFinishCycle();
+    postFinished();
+    return next;
   }
 
   /// Complete every transport whose lower transaction has finished:
   /// result and read data move into the upper payload, which is posted
   /// as Tl1Stage::Finished for the master's pickup poll. O(pending).
-  void sync();
+  void sync() {
+    if (occupied_ != 0) nextFinishCycle();
+  }
 
   /// True when no transaction is in flight through the bridge
   /// (Finished payloads awaiting master pickup are no longer the
   /// bridge's — their slots are released when the result is posted).
-  bool drained() const { return pending_.empty(); }
+  bool drained() const { return occupied_ == 0; }
 
   /// Transactions currently in flight through the bridge.
-  std::size_t pendingCount() const { return pending_.size(); }
+  std::size_t pendingCount() const {
+    return static_cast<std::size_t>(std::popcount(occupied_));
+  }
 
   /// -- Checkpoint (see ckpt/checkpoint.h) ------------------------------
   /// A drained bridge holds no state beyond its construction arguments,
@@ -93,13 +110,38 @@ class Tl2MasterBridge final : public EcInstrIf, public EcDataIf {
     std::array<std::uint8_t, 16> buffer;
   };
 
+  /// Every unfinished lower transaction holds one slot, plus the one a
+  /// submit borrows until the lower bus accepts or refuses it.
+  static constexpr unsigned kSlots = 3 * kMaxOutstandingPerClass + 1;
+  static_assert(kSlots <= 32, "the occupancy mask is 32 bits wide");
+  static constexpr std::uint32_t kAllSlots = (std::uint64_t{1} << kSlots) - 1;
+
   BusStatus transport(Tl1Request& req);
+  /// The slot carrying `req`, or kSlots.
+  unsigned find(const Tl1Request& req) const;
+  /// Claim a free slot for `req`.
+  unsigned acquire(Tl1Request& req);
+  void release(unsigned i) {
+    occupied_ &= ~(std::uint32_t{1} << i);
+    keys_[i] = nullptr;
+  }
+  /// Collect every finished lower transaction and post its upper
+  /// payload as Finished (the lower bus must already be current).
+  void postFinished();
+  /// Pick up a finished lower payload by the stage contract.
+  static BusStatus collect(Tl2Request& lower) {
+    const BusStatus status = lower.result;
+    lower.stage = Tl2Stage::Idle;
+    return status;
+  }
   /// Move the finished lower result into the upper payload (lane
   /// placement included). The caller decides the upper stage.
   void copyOut(Tl1Request& req, Slot& s, BusStatus status);
 
   Tl2Bus& lower_;
-  std::unordered_map<Tl1Request*, Slot> pending_;
+  std::uint32_t occupied_ = 0;  ///< Bit i: slots_[i] is in flight.
+  std::array<Tl1Request*, kSlots> keys_{};
+  std::array<Slot, kSlots> slots_{};
 };
 
 /// A layer-2 bus packaged with its bridge: a drop-in replacement for

@@ -1,6 +1,6 @@
 #include "hier/fidelity_controller.h"
 
-#include <cassert>
+#include <stdexcept>
 
 namespace sct::hier {
 
@@ -18,12 +18,11 @@ FidelityController::FidelityController(sim::Clock& clock, HybridBus& bus,
       openFidelity_(bus.active()),
       regionStart_(clock.cycle()) {
   handlerId_ = clock_.onRising([this] { tick(); }, kControllerPriority);
-  bus_.setSubmitHook(
-      [this](const bus::Tl1Request& req) { noteSubmit(req); });
+  bus_.controller_ = this;
 }
 
 FidelityController::~FidelityController() {
-  bus_.setSubmitHook({});
+  bus_.controller_ = nullptr;
   if (recorder_) bus_.tl1().removeObserver(*recorder_);
   clock_.removeHandler(handlerId_);
 }
@@ -43,7 +42,9 @@ void FidelityController::attachPower(power::Tl1PowerModel& tl1Model,
 }
 
 void FidelityController::attachProfile(power::PowerProfile& profile) {
-  assert(pm1_ != nullptr && "attachPower() must come first");
+  if (pm1_ == nullptr) {
+    throw std::logic_error(name_ + ": attachProfile() before attachPower()");
+  }
   profile_ = &profile;
   recorder_ =
       std::make_unique<power::Tl1ProfileRecorder>(*pm1_, profile);
@@ -64,7 +65,9 @@ void FidelityController::enterRoi() {
 }
 
 void FidelityController::exitRoi() {
-  assert(scopeDepth_ > 0 && "exitRoi() without matching enterRoi()");
+  if (scopeDepth_ == 0) {
+    throw std::logic_error(name_ + ": exitRoi() without matching enterRoi()");
+  }
   --scopeDepth_;
   reactNow();
 }
@@ -180,18 +183,21 @@ void FidelityController::parkToHorizon(std::uint64_t cycle) {
     if (next < horizon) horizon = next;
   }
   // <= cycle + 1 needs no park: the handler ran this cycle, so it runs
-  // on the next one anyway. Submissions and scope changes wake a parked
-  // handler through noteSubmit()/reactNow().
+  // on the next one anyway. Scope changes and reported trigger changes
+  // wake a parked handler through reactNow()/noteSubmit().
   if (horizon > cycle + 1) clock_.parkHandler(handlerId_, horizon);
 }
 
 void FidelityController::noteSubmit(const bus::Tl1Request& req) {
   const std::uint64_t cycle = clock_.cycle();
-  for (RoiTrigger* t : triggers_) t->onSubmit(req, cycle);
-  // A submission can change a trigger's answer this very cycle; the
-  // controller runs after the masters within the edge, so waking it is
-  // enough to evaluate the hit immediately.
-  clock_.parkHandler(handlerId_, 0);
+  bool changed = false;
+  for (RoiTrigger* t : triggers_) {
+    if (t->onSubmit(req, cycle)) changed = true;  // Every trigger sees it.
+  }
+  // A reported change is decided this very cycle: the controller runs
+  // after the masters within the edge, so waking it is enough. Any
+  // other submission leaves every answer as it was at the last tick.
+  if (changed) clock_.parkHandler(handlerId_, 0);
 }
 
 std::uint64_t FidelityController::modelTotal_aJ(Fidelity f) const {

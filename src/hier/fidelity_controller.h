@@ -6,9 +6,15 @@
 // the masters (late priority): it consults the attached RoiTriggers
 // (ORed with the enterRoi()/exitRoi() scope depth), requests a switch
 // when the desired fidelity changes, and completes it at the first
-// quiesce point — retrying every cycle while the drain is in progress,
-// parked to the triggers' decision horizon otherwise, so TL2 regions
-// keep the clock's dead-cycle warp.
+// quiesce point. Wake contract: the handler ticks every cycle while a
+// drain is in progress and is otherwise parked to the earliest of the
+// triggers' decision horizons; a scope change decides at once, and a
+// submission wakes the handler only when a trigger reports that it may
+// have changed its answer (RoiTrigger::onSubmit). So a TL2 region
+// keeps the clock's dead-cycle warp and costs the controller nothing
+// per transaction. HybridBus reports each accepted submission straight
+// to the controller bound to it (the constructor binds, the destructor
+// unbinds).
 //
 // Power stitching: attachPower() marks both models' cumulative energy
 // (integer aJ) at every region boundary, so each Region carries the
@@ -75,8 +81,9 @@ class FidelityController {
                    power::Tl2PowerModel& tl2Model);
 
   /// Stitch `profile` across the whole run (see file comment). Requires
-  /// attachPower() first; call after every other Tl1 observer is
-  /// registered so the recorder sees each cycle's final energy.
+  /// attachPower() first (throws std::logic_error otherwise, binding
+  /// nothing); call after every other Tl1 observer is registered so the
+  /// recorder sees each cycle's final energy.
   void attachProfile(power::PowerProfile& profile);
 
   /// Resolve stats handles in `reg` and optionally emit a trace instant
@@ -86,6 +93,7 @@ class FidelityController {
   /// Explicit ROI scope: while the depth is positive the controller
   /// holds TL1. Callable between runCycles() calls or from a handler;
   /// the switch completes immediately when the bus is quiesced.
+  /// exitRoi() at depth 0 throws std::logic_error and changes nothing.
   void enterRoi();
   void exitRoi();
   std::uint64_t scopeDepth() const { return scopeDepth_; }
@@ -103,6 +111,8 @@ class FidelityController {
   const std::string& name() const { return name_; }
 
  private:
+  friend class HybridBus;  // Reports accepted submissions (noteSubmit).
+
   void tick();
   void evaluate(std::uint64_t cycle);
   void reactNow();

@@ -4,6 +4,8 @@
 #include <string>
 #include <utility>
 
+#include "hier/fidelity_controller.h"
+
 namespace sct::hier {
 
 namespace {
@@ -82,8 +84,8 @@ bus::BusStatus HybridBus::route(bus::Tl1Request& req, bus::Kind kind) {
              : kind == bus::Kind::Read      ? bridge_.read(req)
                                             : bridge_.write(req);
   }
-  if (fresh && status == bus::BusStatus::Request && submitHook_) {
-    submitHook_(req);
+  if (fresh && status == bus::BusStatus::Request && controller_ != nullptr) {
+    controller_->noteSubmit(req);
   }
   return status;
 }

@@ -25,11 +25,13 @@
 //    sees no callbacks, which is what keeps hybrid TL1-region energy
 //    accumulation bit-identical to a pure-TL1 run over the same
 //    transactions (idle TL1 cycles only ever add +0.0).
+//  * Every accepted submission is reported by a direct call to the
+//    FidelityController bound to the bus (it binds itself on
+//    construction), whose triggers decide whether it wakes.
 #ifndef SCT_HIER_HYBRID_BUS_H
 #define SCT_HIER_HYBRID_BUS_H
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "bus/ec_interfaces.h"
@@ -49,16 +51,14 @@ constexpr const char* toString(Fidelity f) {
   return f == Fidelity::Tl1 ? "tl1" : "tl2";
 }
 
+class FidelityController;
+
 /// Drop-in replacement for Tl1Bus/BridgedTl2Bus wherever a cycle-true
 /// master expects the layer-1 interfaces: SmartCardSoC<hier::HybridBus>
 /// runs unchanged, and trace::ReplayMaster<hier::HybridBus> replays on
 /// it with layer-1 payloads.
 class HybridBus final : public bus::EcInstrIf, public bus::EcDataIf {
  public:
-  /// Accepted-submission hook (the FidelityController's address
-  /// watchpoints listen here).
-  using SubmitHook = std::function<void(const bus::Tl1Request&)>;
-
   HybridBus(sim::Clock& clock, std::string name,
             Fidelity initial = Fidelity::Tl2);
 
@@ -110,10 +110,6 @@ class HybridBus final : public bus::EcInstrIf, public bus::EcDataIf {
   /// Wait answers handed to masters because a switch was draining.
   std::uint64_t drainWaitAnswers() const { return drainWaitAnswers_; }
 
-  /// The controller (or a test) taps accepted submissions here; pass
-  /// an empty function to detach.
-  void setSubmitHook(SubmitHook hook) { submitHook_ = std::move(hook); }
-
   // The owned layers, for observer attachment (power models, tracers)
   // and stats.
   bus::Tl1Bus& tl1() { return tl1_; }
@@ -139,6 +135,8 @@ class HybridBus final : public bus::EcInstrIf, public bus::EcDataIf {
   void loadState(ckpt::StateReader& r);
 
  private:
+  friend class FidelityController;  // Binds itself as controller_.
+
   bus::BusStatus route(bus::Tl1Request& req, bus::Kind kind);
 
   sim::Clock& clock_;
@@ -151,7 +149,9 @@ class HybridBus final : public bus::EcInstrIf, public bus::EcDataIf {
   bool switchPending_ = false;
   std::uint64_t switchCount_ = 0;
   std::uint64_t drainWaitAnswers_ = 0;
-  SubmitHook submitHook_;
+  /// Told of every accepted submission (its address watchpoints listen);
+  /// null while no controller drives this bus.
+  FidelityController* controller_ = nullptr;
 };
 
 } // namespace sct::hier

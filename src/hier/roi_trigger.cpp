@@ -6,7 +6,7 @@
 
 namespace sct::hier {
 
-void AddressWatchTrigger::onSubmit(const bus::Tl1Request& req,
+bool AddressWatchTrigger::onSubmit(const bus::Tl1Request& req,
                                    std::uint64_t cycle) {
   const bus::Address lo = req.address;
   const bus::Address hi = lo + static_cast<bus::Address>(req.byteCount());
@@ -15,9 +15,10 @@ void AddressWatchTrigger::onSubmit(const bus::Tl1Request& req,
       ++hits_;
       const std::uint64_t until = cycle + holdCycles_;
       if (until > armedUntil_) armedUntil_ = until;
-      return;
+      return true;
     }
   }
+  return false;
 }
 
 CycleWindowTrigger::CycleWindowTrigger(std::vector<Window> windows)

@@ -3,10 +3,12 @@
 // A trigger answers one question every decision cycle: does the run
 // currently need cycle-true fidelity? The FidelityController ORs all
 // attached triggers (plus the explicit enterRoi()/exitRoi() scope
-// depth) and drives HybridBus switches from the result. Triggers also
-// publish the next cycle their answer could change, so the controller
-// can park its clock handler and keep the TL2 regions' dead-cycle warp
-// intact.
+// depth) and drives HybridBus switches from the result. A trigger's
+// answer may change only at the horizon it publishes
+// (nextDecisionCycle) or on a submission it reports as a change
+// (onSubmit returns true); in between the controller's clock handler
+// stays parked, so TL2 regions keep their dead-cycle warp and pay
+// nothing per transaction.
 //
 // Shipped triggers:
 //  * AddressWatchTrigger — accesses into watched windows (e.g. the
@@ -42,21 +44,30 @@ class RoiTrigger {
   virtual bool wantsRoi(std::uint64_t cycle) = 0;
 
   /// Earliest future cycle this trigger's answer could change on its
-  /// own (sim::Clock::kNeverWake when it is purely input-driven).
-  /// Input events — submits, energy — wake the controller anyway.
+  /// own (sim::Clock::kNeverWake when only submissions can change it).
+  /// The controller sleeps until then unless a submission reports a
+  /// change, so an energy-driven answer must publish its window ends.
   virtual std::uint64_t nextDecisionCycle(std::uint64_t /*cycle*/) const {
     return sim::Clock::kNeverWake;
   }
 
-  /// An accepted submission on the hybrid bus.
-  virtual void onSubmit(const bus::Tl1Request& /*req*/,
-                        std::uint64_t /*cycle*/) {}
+  /// An accepted submission on the hybrid bus. Returns whether it may
+  /// have changed this trigger's answer: true makes the controller
+  /// decide again this very cycle, false lets it sleep on.
+  virtual bool onSubmit(const bus::Tl1Request& /*req*/,
+                        std::uint64_t /*cycle*/) {
+    return false;
+  }
 
-  /// Energy accrued by the bus power models since the last feed (aJ).
+  /// Energy accrued by the bus power models since the last feed (aJ),
+  /// fed on every controller tick. The deltas telescope: a window's
+  /// total at its closing tick is the same however many ticks fell
+  /// inside it.
   virtual void onEnergy(std::uint64_t /*aJ*/, std::uint64_t /*cycle*/) {}
 };
 
-/// ROI on accesses into address windows; re-arms on every hit.
+/// ROI on accesses into address windows; re-arms on every hit (the
+/// only submissions it reports as a change).
 class AddressWatchTrigger final : public RoiTrigger {
  public:
   struct Window {
@@ -73,7 +84,7 @@ class AddressWatchTrigger final : public RoiTrigger {
   std::uint64_t nextDecisionCycle(std::uint64_t cycle) const override {
     return cycle < armedUntil_ ? armedUntil_ : sim::Clock::kNeverWake;
   }
-  void onSubmit(const bus::Tl1Request& req, std::uint64_t cycle) override;
+  bool onSubmit(const bus::Tl1Request& req, std::uint64_t cycle) override;
 
   bool armed(std::uint64_t cycle) const { return cycle < armedUntil_; }
   std::uint64_t hits() const { return hits_; }
