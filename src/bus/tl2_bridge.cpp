@@ -47,8 +47,14 @@ void Tl2MasterBridge::postFinished() {
     Slot& s = slots_[i];
     if (s.lower.stage != Tl2Stage::Finished) continue;
     Tl1Request& req = *keys_[i];
-    copyOut(req, s, collect(s.lower));
-    req.stage = Tl1Stage::Finished;
+    const BusStatus status = collect(s.lower);
+    // A payload the master abandoned in flight (Tl1Request::reset())
+    // waits for no result: drop it, so that a re-submit of the object
+    // opens a new transaction instead of picking this one up.
+    if (req.stage != Tl1Stage::Idle) {
+      copyOut(req, s, status);
+      req.stage = Tl1Stage::Finished;
+    }
     release(i);
   }
 }

@@ -66,7 +66,8 @@ class Tl2MasterBridge final : public EcInstrIf, public EcDataIf {
 
   /// Complete every transport whose lower transaction has finished:
   /// result and read data move into the upper payload, which is posted
-  /// as Tl1Stage::Finished for the master's pickup poll. O(pending).
+  /// as Tl1Stage::Finished for the master's pickup poll; a payload the
+  /// master reset() while in flight is left Idle. O(pending).
   void sync() {
     if (occupied_ != 0) nextFinishCycle();
   }

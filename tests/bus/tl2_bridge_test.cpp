@@ -196,6 +196,45 @@ TEST_F(BridgeFixture, AbandonedPayloadSlotIsNotAnsweredStale) {
   EXPECT_EQ(bus.pendingCount(), 0u);
 }
 
+TEST_F(BridgeFixture, AbandonedPayloadIsNotPostedBySync) {
+  // The same abandonment, but the bridge syncs (as a stage-gating master
+  // or a hybrid quiesce check does) until the abandoned transaction has
+  // finished out before the object is re-submitted: the sync must drop
+  // that result, not post it for a pickup the master never asked for.
+  ram.pokeWord(0x200, 0x0DDF00D5);
+  waited.pokeWord(0x8040, 0x0BADF00D);
+
+  Tl1Request req;
+  req.kind = Kind::Read;
+  req.address = 0x8040;
+  BusStatus st = BusStatus::Wait;
+  int phase = 0;
+  const auto id = clk.onRising([&] {
+    if (phase == 0) {
+      ASSERT_EQ(bus.read(req), BusStatus::Request);
+      req.reset();
+      phase = 1;
+      return;
+    }
+    if (phase == 1) {
+      bus.bridge().sync();
+      if (!bus.bridge().drained()) return;
+      EXPECT_EQ(req.stage, Tl1Stage::Idle);
+      req.address = 0x200;
+      phase = 2;
+    }
+    st = bus.read(req);
+    if (st == BusStatus::Ok || st == BusStatus::Error) clk.requestBreak();
+  });
+  clk.runCycles(200);
+  clk.removeHandler(id);
+
+  EXPECT_EQ(phase, 2);
+  EXPECT_EQ(st, BusStatus::Ok);
+  EXPECT_EQ(req.data[0], 0x0DDF00D5u) << "must not see the stale 0x8040 data";
+  EXPECT_EQ(bus.pendingCount(), 0u);
+}
+
 TEST_F(BridgeFixture, DecodeErrorsMatchDirectTl2BusAcrossAllClasses) {
   // Unmapped addresses must error identically whether the master sits
   // on the bridged Tl1 interface or drives the Tl2 bus directly.
