@@ -12,9 +12,11 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "../testbench.h"
 #include "bus/ec_signals.h"
+#include "enc/codecs.h"
 #include "power/tl1_power_model.h"
 #include "trace/workloads.h"
 
@@ -118,11 +120,8 @@ TEST_P(PowerEquivalenceSeedTest, FastPathEnergyBitIdenticalToNaive) {
 
   Tl1Bench bench;
   power::Tl1PowerModel fast(table);
-  power::Tl1PowerModel scalar(table);
-  scalar.setPackedCounting(false);  // Force the scalar dirty-walk.
   NaiveTl1Energy naive(table);
   bench.bus.addObserver(fast);
-  bench.bus.addObserver(scalar);
   bench.bus.addObserver(naive);
   bench.run(workload);
 
@@ -130,20 +129,9 @@ TEST_P(PowerEquivalenceSeedTest, FastPathEnergyBitIdenticalToNaive) {
   // transitions and price them with the same coefficients.
   EXPECT_EQ(fast.totalEnergy_aJ(), naive.total_aJ) << "seed " << GetParam();
   EXPECT_GT(fast.totalEnergy_aJ(), 0u);
-  // The packed-lane counting (wide XOR over the whole frame on busy
-  // cycles) and the per-bundle scalar walk must agree term for term.
-  EXPECT_EQ(fast.totalEnergy_aJ(), scalar.totalEnergy_aJ())
-      << "seed " << GetParam();
-  // Whether any cycle of a given random mix crosses kPackedLaneThreshold
-  // is workload-dependent; PackedPathExercised below guarantees coverage
-  // on a mix dense enough to take the wide pass.
-  EXPECT_EQ(scalar.packedLaneCycles(), 0u);
   for (std::size_t i = 0; i < bus::kSignalCount; ++i) {
     EXPECT_EQ(fast.transitions(static_cast<SignalId>(i)),
               naive.transitions[i])
-        << "signal " << bus::signalName(static_cast<SignalId>(i));
-    EXPECT_EQ(fast.transitions(static_cast<SignalId>(i)),
-              scalar.transitions(static_cast<SignalId>(i)))
         << "signal " << bus::signalName(static_cast<SignalId>(i));
   }
 }
@@ -151,41 +139,218 @@ TEST_P(PowerEquivalenceSeedTest, FastPathEnergyBitIdenticalToNaive) {
 INSTANTIATE_TEST_SUITE_P(RandomMixes, PowerEquivalenceSeedTest,
                          ::testing::Values(3u, 17u, 99u, 2024u));
 
-// Coverage guarantee for the packed-lane pass: a back-to-back mix of
-// every transaction kind keeps flipping the address-phase control
-// bundles (EB_Instr/EB_Write/EB_Burst/EB_BE) on top of the
-// address/data traffic, so busy cycles dirty enough of the frame to
-// cross kPackedLaneThreshold — and the wide pass must still price
-// exactly the scalar walk's term sequence. (A single-kind workload
-// does not qualify: its control bundles hold steady and busy cycles
-// stay under the threshold, which is why the per-seed test above
-// makes no packed-coverage claim.)
-TEST(PowerEquivalenceTest, PackedPathExercised) {
-  const auto table = distinctTable();
-  trace::MixRatios mix;
-  mix.instrFetch = 1;
-  const trace::BusTrace workload =
-      trace::randomMix(3u, 400, testbench::bothRegions(), mix,
-                       /*issueGapMax=*/0);
+/// NaiveTl1Energy plus the EB_Inv sideband, for runs with a codec
+/// installed. The naive oracle never drives EB_Inv, so this wrapper
+/// forwards every event to it and prices the two invert lines itself:
+/// level signals that each data channel re-drives on its Ok beats.
+struct NaiveTl1EnergyWithInv final : bus::Tl1Observer {
+  explicit NaiveTl1EnergyWithInv(const power::SignalEnergyTable& table)
+      : base(table) {}
 
+  void busCycleBegin(std::uint64_t c) override { base.busCycleBegin(c); }
+  void addressPhase(const bus::AddressPhaseInfo& info) override {
+    base.addressPhase(info);
+  }
+  void readBeat(const bus::DataBeatInfo& info) override {
+    base.readBeat(info);
+    if (!info.error) drive(bus::kInvReadBit, info.invert);
+  }
+  void writeBeat(const bus::DataBeatInfo& info) override {
+    base.writeBeat(info);
+    if (!info.error) drive(bus::kInvWriteBit, info.invert);
+  }
+  void busCycleEnd(std::uint64_t c) override {
+    base.busCycleEnd(c);
+    const unsigned n = bus::hammingDistance(SignalId::EB_Inv, prevInv, inv);
+    invTransitions += n;
+    invTotal_aJ += base.table.coeff_aJ(SignalId::EB_Inv) * n;
+    prevInv = inv;
+    transitions = base.transitions;
+    transitions[static_cast<std::size_t>(SignalId::EB_Inv)] += invTransitions;
+    total_aJ = base.total_aJ + invTotal_aJ;
+  }
+
+  void drive(std::uint64_t bit, bool level) {
+    inv = (inv & ~bit) | (level ? bit : 0);
+  }
+
+  NaiveTl1Energy base;
+  std::uint64_t inv = 0;
+  std::uint64_t prevInv = 0;
+  std::uint64_t invTransitions = 0;
+  std::uint64_t invTotal_aJ = 0;
+  std::array<std::uint64_t, bus::kSignalCount> transitions{};
+  std::uint64_t total_aJ = 0;
+};
+
+/// Registered after the models: reads the fused model's frame at every
+/// cycle end and counts the situations the cases below claim to cover.
+struct CoverageProbe final : bus::Tl1Observer {
+  explicit CoverageProbe(const power::Tl1PowerModel& pm) : pm(pm) {}
+
+  void busCycleBegin(std::uint64_t) override {
+    events = 0;
+    missThisCycle = false;
+  }
+  void addressPhase(const bus::AddressPhaseInfo& info) override {
+    ++events;
+    missThisCycle = missThisCycle || info.slave < 0;
+  }
+  void readBeat(const bus::DataBeatInfo&) override { ++events; }
+  void writeBeat(const bus::DataBeatInfo&) override { ++events; }
+  void busCycleEnd(std::uint64_t) override {
+    const bus::SignalFrame& f = pm.frame();
+    for (std::size_t k = 0; k < kHeld.size(); ++k) {
+      held[k] += prev.get(kHeld[k]) != 0 && f.get(kHeld[k]) != 0;
+    }
+    if (missThisCycle && f.get(SignalId::EB_Sel) == 0 &&
+        f.get(SignalId::EB_Last) != 0 &&
+        (f.get(SignalId::EB_RBErr) | f.get(SignalId::EB_WBErr)) != 0) {
+      ++misses;
+    }
+    if (events != 0) {
+      quiet = 0;
+      strobesLeftHigh = false;
+      for (const SignalId s : kStrobes) {
+        strobesLeftHigh = strobesLeftHigh || f.get(s) != 0;
+      }
+    } else if (++quiet == 2 && strobesLeftHigh) {
+      ++gapsAfterHeldStrobes;
+    }
+    prev = f;
+  }
+
+  static constexpr std::array<SignalId, 4> kHeld{
+      SignalId::EB_AValid, SignalId::EB_ARdy, SignalId::EB_RdVal,
+      SignalId::EB_WDRdy};
+  static constexpr std::array<SignalId, 7> kStrobes{
+      SignalId::EB_AValid, SignalId::EB_ARdy,  SignalId::EB_RdVal,
+      SignalId::EB_RBErr,  SignalId::EB_WDRdy, SignalId::EB_WBErr,
+      SignalId::EB_Last};
+
+  const power::Tl1PowerModel& pm;
+  bus::SignalFrame prev;
+  unsigned events = 0;
+  bool missThisCycle = false;
+  unsigned quiet = 0;
+  bool strobesLeftHigh = false;
+  /// Cycles a strobe of kHeld stayed high across a boundary.
+  std::array<std::uint64_t, kHeld.size()> held{};
+  /// Decode-miss cycles with Sel low and the error strobes and Last up.
+  std::uint64_t misses = 0;
+  /// Runs of at least two cycles without events after strobes were
+  /// left high: the first drops them, the second is fully idle.
+  std::uint64_t gapsAfterHeldStrobes = 0;
+};
+
+/// Replays `workload` with the fused model (the first Tl1PowerModel a
+/// Tl1Bus sees is driven directly from its phases), a second model on
+/// the virtual observer path, `oracle` and a coverage probe, then
+/// requires both models to match the oracle's total and every bundle's
+/// transition count. Returns the probe's counts.
+template <typename Oracle>
+CoverageProbe runBothPathsAgainst(Oracle& oracle,
+                                  const trace::BusTrace& workload,
+                                  bus::BusCodec* codec = nullptr) {
+  const auto table = distinctTable();
   Tl1Bench bench;
-  power::Tl1PowerModel fast(table);
-  power::Tl1PowerModel scalar(table);
-  scalar.setPackedCounting(false);
-  NaiveTl1Energy naive(table);
-  bench.bus.addObserver(fast);
-  bench.bus.addObserver(scalar);
-  bench.bus.addObserver(naive);
+  bench.bus.setCodec(codec);
+  power::Tl1PowerModel fused(table);
+  power::Tl1PowerModel virtualPath(table);
+  CoverageProbe probe(fused);
+  bench.bus.addObserver(fused);
+  bench.bus.addObserver(virtualPath);
+  bench.bus.addObserver(oracle);
+  bench.bus.addObserver(probe);
   bench.run(workload);
 
-  EXPECT_GT(fast.packedLaneCycles(), 0u);
-  EXPECT_EQ(scalar.packedLaneCycles(), 0u);
-  EXPECT_EQ(fast.totalEnergy_aJ(), naive.total_aJ);
-  EXPECT_EQ(fast.totalEnergy_aJ(), scalar.totalEnergy_aJ());
+  EXPECT_GT(fused.totalEnergy_aJ(), 0u);
+  EXPECT_EQ(fused.totalEnergy_aJ(), oracle.total_aJ);
+  EXPECT_EQ(virtualPath.totalEnergy_aJ(), oracle.total_aJ);
   for (std::size_t i = 0; i < bus::kSignalCount; ++i) {
-    EXPECT_EQ(fast.transitions(static_cast<SignalId>(i)),
-              naive.transitions[i])
-        << "signal " << bus::signalName(static_cast<SignalId>(i));
+    const SignalId id = static_cast<SignalId>(i);
+    EXPECT_EQ(fused.transitions(id), oracle.transitions[i])
+        << "signal " << bus::signalName(id);
+    EXPECT_EQ(virtualPath.transitions(id), oracle.transitions[i])
+        << "signal " << bus::signalName(id);
+  }
+  return probe;
+}
+
+trace::MixRatios allKinds() {
+  trace::MixRatios mix;
+  mix.instrFetch = 1;
+  return mix;
+}
+
+TEST(PowerEquivalenceTest, DecodeMissesInLiveTraffic) {
+  // Every fourth transaction is followed by a copy aimed at 0x4000, a
+  // hole between the two slaves: the address phase fails at once with
+  // Sel low, and the error strobe and Last rise on the data bus of the
+  // transaction's class while live traffic keeps the other lanes busy.
+  for (const std::uint64_t seed : {5u, 41u}) {
+    SCOPED_TRACE(seed);
+    const trace::BusTrace live = trace::randomMix(
+        seed, 300, testbench::bothRegions(), allKinds(), /*issueGapMax=*/2);
+    trace::BusTrace workload;
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      workload.append(live[i]);
+      if (i % 4 == 0) {
+        trace::TraceEntry miss = live[i];
+        miss.address = 0x4000 + (live[i].address & 0x0FF0);
+        workload.append(miss);
+      }
+    }
+    NaiveTl1Energy naive(distinctTable());
+    const CoverageProbe probe = runBothPathsAgainst(naive, workload);
+    EXPECT_GT(probe.misses, 0u);
+  }
+}
+
+TEST(PowerEquivalenceTest, IdleGapsAfterHeldStrobes) {
+  // Issue gaps of up to 24 cycles leave the bus quiet for several
+  // cycles after a transaction's last strobes: the first quiet cycle
+  // prices their fall, the ones after it have nothing to price.
+  for (const std::uint64_t seed : {6u, 77u}) {
+    SCOPED_TRACE(seed);
+    const trace::BusTrace workload = trace::randomMix(
+        seed, 300, testbench::bothRegions(), allKinds(), /*issueGapMax=*/24);
+    NaiveTl1Energy naive(distinctTable());
+    const CoverageProbe probe = runBothPathsAgainst(naive, workload);
+    EXPECT_GT(probe.gapsAfterHeldStrobes, 0u);
+  }
+}
+
+TEST(PowerEquivalenceTest, BackToBackBeatsHoldStrobesHigh) {
+  // Back-to-back traffic on the zero-wait slave: consecutive address
+  // phases keep AValid and ARdy high, and burst beats keep RdVal and
+  // WDRdy high, across cycle boundaries.
+  for (const std::uint64_t seed : {8u, 123u}) {
+    SCOPED_TRACE(seed);
+    const std::vector<trace::TargetRegion> fastOnly{testbench::fastRegion()};
+    const trace::BusTrace workload = trace::randomMix(
+        seed, 400, fastOnly, allKinds(), /*issueGapMax=*/0);
+    NaiveTl1Energy naive(distinctTable());
+    const CoverageProbe probe = runBothPathsAgainst(naive, workload);
+    for (std::size_t k = 0; k < probe.held.size(); ++k) {
+      EXPECT_GT(probe.held[k], 0u)
+          << bus::signalName(CoverageProbe::kHeld[k]) << " never held high";
+    }
+  }
+}
+
+TEST(PowerEquivalenceTest, CodecInstalledMatchesOracleDrivingInv) {
+  // Bus-invert coding on both data buses: the wires carry encoded words
+  // and the EB_Inv sideband toggles, both priced like any other lane.
+  for (const std::uint64_t seed : {9u, 2025u}) {
+    SCOPED_TRACE(seed);
+    const trace::BusTrace workload = trace::randomMix(
+        seed, 400, testbench::bothRegions(), allKinds(), /*issueGapMax=*/3);
+    enc::BusInvertCodec codec;
+    NaiveTl1EnergyWithInv naive(distinctTable());
+    runBothPathsAgainst(naive, workload, &codec);
+    EXPECT_GT(naive.transitions[static_cast<std::size_t>(SignalId::EB_Inv)],
+              0u);
   }
 }
 
