@@ -165,7 +165,6 @@ int main(int argc, char** argv) {
   master.runToCompletion();
   master.publishObs(reg);
   kernel.publishObs(reg);
-  pm.publishObs(reg);  // power.packed_lane_cycles
 
   // --- ISS dispatch-loop counters ------------------------------------
   // A short firmware run on the full SoC so the decoded-block cache

@@ -129,8 +129,8 @@ class SignalFrame {
 
   constexpr bool operator==(const SignalFrame&) const = default;
 
-  /// Raw lane storage in bundle-index order. The layer-1 packed-lane
-  /// transition counter XORs whole frames through this view — one
+  /// Raw lane storage in bundle-index order. The layer-1 engine's
+  /// cycle-end pass XORs whole frames through this view — one
   /// contiguous 64-bit lane per bundle, no per-signal accessor calls.
   constexpr const std::uint64_t* raw() const { return values_.data(); }
 

@@ -11,20 +11,29 @@
 // per-signal coefficients as a plain array of whole attojoules, so bus/
 // stays independent of power/.
 //
-// Energy is an integer: each changed bundle costs its coefficient times
-// its popcount, in aJ, summed in std::uint64_t. Integer addition is
-// associative, so the scalar dirty-walk, the packed-lane pass and the
-// ledger's splits all agree exactly with the total whatever order they
-// add in. At the characterized table a cycle with every wire toggling
-// costs about 8.1e7 aJ, so the total cannot overflow before 2.2e11
-// cycles (1.4e8 cycles for a table with every coefficient at
-// power::SignalEnergyTable::kMaxCoeff_fJ).
+// One fixed pass per cycle, as a hardware bit-transition counter does
+// it. The phase hooks only store: a bus, qualifier or select lane takes
+// its new masked value, and a handshake strobe ORs its bit into this
+// cycle's strobe mask — no hook compares a value or picks a path per
+// signal. busCycleEnd sets the strobe lanes from the mask and runs one
+// XOR / popcount / multiply loop over all 16 lanes. Every hook raises a
+// strobe, so a cycle with an empty mask and no strobe left high from
+// the cycle before cannot move a wire: it returns before the loop.
+//
+// Energy is an integer: each bundle costs its coefficient times its
+// popcount, in aJ, summed in std::uint64_t. Integer addition is
+// associative, so the total and the ledger's splits agree exactly
+// whatever order they add in. At the characterized table a cycle with
+// every wire toggling costs about 8.1e7 aJ, so the total cannot
+// overflow before 2.2e11 cycles (1.4e8 cycles for a table with every
+// coefficient at power::SignalEnergyTable::kMaxCoeff_fJ).
 #ifndef SCT_BUS_TL1_FRAME_ENERGY_H
 #define SCT_BUS_TL1_FRAME_ENERGY_H
 
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <string>
 
 #include "bus/decoder.h"
 #include "bus/ec_interfaces.h"
@@ -43,10 +52,8 @@ class Tl1FrameEnergy {
 
   void busCycleBegin(std::uint64_t /*cycle*/) {
     // Open the cycle: buses, qualifiers and select lines hold their
-    // values; handshake strobes return to the inactive level. The
-    // strobe deassertion is handled lazily — strobe() cancels it for
-    // bundles re-driven this cycle, busCycleEnd applies it to the rest
-    // — so opening a cycle costs nothing.
+    // values and every strobe starts low — the strobe mask is empty
+    // here, and busCycleEnd derives the strobe lanes from it.
   }
 
   // The event hooks are forced inline: they exist precisely so the bus
@@ -55,96 +62,66 @@ class Tl1FrameEnergy {
   // measurably hot on the Table 3 benchmark.
   [[gnu::always_inline]] inline void addressPhase(
       const AddressPhaseInfo& info) {
-    if (ledger_ != nullptr) noteAddressOwners(info);
-    touch(SignalId::EB_A, info.address);
-    touch(SignalId::EB_Instr, info.kind == Kind::InstrFetch);
-    touch(SignalId::EB_Write, info.kind == Kind::Write);
-    touch(SignalId::EB_Burst, info.beats > 1);
-    touch(SignalId::EB_BE, info.byteEnables);
-    strobe(SignalId::EB_AValid);
-    touch(SignalId::EB_Sel,
-          info.error ? 0 : AddressDecoder::selectMask(info.slave));
-    if (info.accepted && !info.error) strobe(SignalId::EB_ARdy);
+    if (ledger_ != nullptr) owners_[kAddressGroup] = ownerOf(info);
+    frame_.set(SignalId::EB_A, info.address);
+    frame_.set(SignalId::EB_Instr, info.kind == Kind::InstrFetch);
+    frame_.set(SignalId::EB_Write, info.kind == Kind::Write);
+    frame_.set(SignalId::EB_Burst, info.beats > 1);
+    frame_.set(SignalId::EB_BE, info.byteEnables);
+    frame_.set(SignalId::EB_Sel,
+               info.error ? 0 : AddressDecoder::selectMask(info.slave));
+    strobes_ |= bitIf(SignalId::EB_AValid, true) |
+                bitIf(SignalId::EB_ARdy, info.accepted && !info.error);
   }
 
   [[gnu::always_inline]] inline void readBeat(const DataBeatInfo& info) {
-    if (ledger_ != nullptr) noteBeatOwners(info, /*isWrite=*/false);
-    if (info.error) {
-      strobe(SignalId::EB_RBErr);
-      strobe(SignalId::EB_Last);
-      return;
+    if (ledger_ != nullptr) {
+      owners_[kReadGroup] = owners_[kLastGroup] = ownerOf(info);
     }
-    touch(SignalId::EB_RData, info.data);
-    // Invert sideband of the read-data bus: level signal, so only the
-    // read channel's bit is re-driven — the write bit holds.
-    touch(SignalId::EB_Inv,
-          (frame_.get(SignalId::EB_Inv) & ~kInvReadBit) |
-              (info.invert ? kInvReadBit : 0));
-    strobe(SignalId::EB_RdVal);
-    if (info.last) strobe(SignalId::EB_Last);
+    dataBeat(info, SignalId::EB_RData, kInvReadBit, SignalId::EB_RdVal,
+             SignalId::EB_RBErr);
   }
 
   [[gnu::always_inline]] inline void writeBeat(const DataBeatInfo& info) {
-    if (ledger_ != nullptr) noteBeatOwners(info, /*isWrite=*/true);
-    if (info.error) {
-      strobe(SignalId::EB_WBErr);
-      strobe(SignalId::EB_Last);
-      return;
+    if (ledger_ != nullptr) {
+      owners_[kWriteGroup] = owners_[kLastGroup] = ownerOf(info);
     }
-    touch(SignalId::EB_WData, info.data);
-    touch(SignalId::EB_Inv,
-          (frame_.get(SignalId::EB_Inv) & ~kInvWriteBit) |
-              (info.invert ? kInvWriteBit : 0));
-    strobe(SignalId::EB_WDRdy);
-    if (info.last) strobe(SignalId::EB_Last);
+    dataBeat(info, SignalId::EB_WData, kInvWriteBit, SignalId::EB_WDRdy,
+             SignalId::EB_WBErr);
   }
 
   [[gnu::always_inline]] inline void busCycleEnd(std::uint64_t /*cycle*/) {
     // Standard RTL power estimation on the reconstructed signals: count
     // the transitions of each bundle and weight them with the
     // characterized average energy per transition.
-    //
-    // Hot-path shape: only bundles touched this cycle can differ from
-    // their shadow (previous-cycle) value — everything else holds by
-    // construction — so near-idle cycles walk the dirty mask with a
-    // bare XOR + popcount per bundle, while busy cycles take the
-    // packed-lane pass (one wide XOR over the whole frame). Frame
-    // values are stored masked. Both paths produce the same integer
-    // energy as the naive all-signals loop — the equivalence test pins
-    // that down.
-    //
-    // Deferred strobe deassertion: strobes driven high last cycle and
-    // not re-driven this cycle drop back to the inactive level now,
-    // exactly as if every strobe were cleared eagerly at busCycleBegin.
-    std::uint32_t drop = pendingLow_;
-    pendingLow_ = strobeSetMask_;
-    strobeSetMask_ = 0;
-    dirty_ |= drop;
-    while (drop != 0) {
-      const unsigned i = static_cast<unsigned>(std::countr_zero(drop));
-      drop &= drop - 1;
-      // shadow_[i] still holds the high level from the last boundary.
-      frame_.set(static_cast<SignalId>(i), 0);
+    if ((strobes_ | strobesHigh_) == 0) {
+      lastCycle_aJ_ = 0;  // Nothing driven, nothing left to fall.
+      return;
     }
+    const std::uint32_t strobes = strobes_;
+    strobesHigh_ = strobes;
+    strobes_ = 0;
+    const std::uint64_t* cur = frame_.raw();
+    std::array<std::uint64_t, kSignalCount> lane_aJ;
     std::uint64_t e = 0;
-    std::uint32_t m = dirty_;
-    dirty_ = 0;
-    if (m != 0 && packed_ && std::popcount(m) >= kPackedLaneThreshold) {
-      e = packedCycleEnergy();
-    } else {
-      while (m != 0) {
-        const unsigned i = static_cast<unsigned>(std::countr_zero(m));
-        m &= m - 1;
-        const std::uint64_t cur = frame_.get(static_cast<SignalId>(i));
-        const std::uint64_t diff = shadow_[i] ^ cur;
-        if (diff != 0) {
-          shadow_[i] = cur;
-          e += price(i, static_cast<unsigned>(std::popcount(diff)));
-        }
-      }
+    for (std::size_t i = 0; i < kSignalCount; ++i) {
+      // A strobe lane is its mask bit: high iff driven this cycle.
+      const std::uint64_t v =
+          (kStrobeMask >> i) & 1u ? (strobes >> i) & 1u : cur[i];
+      const auto n = static_cast<std::uint64_t>(std::popcount(shadow_[i] ^ v));
+      transitions_[i] += n;
+      lane_aJ[i] = coeff_[i] * n;
+      e += lane_aJ[i];
+      shadow_[i] = v;
+    }
+    // Stored after the pass, so the pass reads the strobe lanes from
+    // registers rather than from stores still in flight.
+    for (const SignalId s : kStrobes) {
+      frame_.set(s, strobes >> static_cast<unsigned>(s));
     }
     lastCycle_aJ_ = e;
     total_aJ_ += e;
+    if (ledger_ != nullptr) bill(lane_aJ);
   }
 
   // -- Results ---------------------------------------------------------
@@ -168,162 +145,200 @@ class Tl1FrameEnergy {
 
   void attachLedger(obs::EnergyLedger& ledger) { ledger_ = &ledger; }
 
-  void setPackedCounting(bool on) { packed_ = on; }
-  std::uint64_t packedLaneCycles() const { return packedLaneCycles_; }
-
   /// -- Checkpoint section body (layout and version owned by
-  /// Tl1PowerModel).
+  /// Tl1PowerModel). The layout is that of the earlier dirty-walk
+  /// engine, whose between-cycles state this engine's fills exactly:
+  /// the shadow lanes equal the frame, the dirty and strobe-set masks
+  /// are empty, the pending-low mask names the strobes left high, and
+  /// each lane carries its owner group's class and slave.
   void saveState(ckpt::StateWriter& w) const {
-    for (std::size_t i = 0; i < kSignalCount; ++i) {
-      w.u64(frame_.get(static_cast<SignalId>(i)));
-    }
-    // At any quiesce point shadow_ == frame_ (busCycleEnd restores the
-    // invariant every cycle); the slot layout matches the pre-packed
-    // format, which stored one u64 per bundle here as well.
+    for (const std::uint64_t v : shadow_) w.u64(v);  // Frame.
     for (const std::uint64_t v : shadow_) w.u64(v);
-    w.u32(dirty_);
-    w.u32(strobeSetMask_);
-    w.u32(pendingLow_);
+    w.u32(0);  // Dirty mask.
+    w.u32(0);  // Strobe-set mask.
+    w.u32(strobesHigh_);
     for (const std::uint64_t v : transitions_) w.u64(v);
     w.u64(lastCycle_aJ_);
     w.u64(total_aJ_);
     w.u64(intervalMarker_aJ_);
-    for (const std::uint8_t v : ownerClass_) w.u8(v);
-    for (const std::int8_t v : ownerSlave_) {
-      w.u8(static_cast<std::uint8_t>(v));
+    for (const std::uint8_t g : kGroupOf) w.u8(owners_[g].cls);
+    for (const std::uint8_t g : kGroupOf) {
+      w.u8(static_cast<std::uint8_t>(owners_[g].slave));
     }
   }
 
-  /// Throws ckpt::CheckpointError for a signal mask naming a bundle at
-  /// or above kSignalCount or an owner class at or above kTxClassCount:
-  /// either would index past the frame or the ledger's class axis.
+  /// Throws ckpt::CheckpointError, naming the field, for any section
+  /// no engine writes between cycles: a mask bit at or above
+  /// kSignalCount, a frame value wider than its bundle, a shadow lane
+  /// apart from the frame, a dirty or strobe-set bit, a pending-low
+  /// mask other than the frame's high strobes, a last-cycle energy or
+  /// interval marker above the total, an owner class outside the
+  /// ledger's class axis, an owner slave below -1 (a decode miss; the
+  /// ledger folds indices past its last slot into that slot, so any
+  /// index from 0 up is one a platform can decode), or owners that
+  /// differ within an owner group.
   void loadState(ckpt::StateReader& r) {
     for (std::size_t i = 0; i < kSignalCount; ++i) {
-      frame_.set(static_cast<SignalId>(i), r.u64());
+      const auto id = static_cast<SignalId>(i);
+      const std::uint64_t v = r.u64();
+      refuseIf((v & ~signalMask(id)) != 0, "frame lane wider than its bundle");
+      frame_.set(id, v);
     }
-    for (std::uint64_t& v : shadow_) v = r.u64();
-    dirty_ = signalMaskFrom(r);
-    strobeSetMask_ = signalMaskFrom(r);
-    pendingLow_ = signalMaskFrom(r);
+    for (std::size_t i = 0; i < kSignalCount; ++i) {
+      shadow_[i] = r.u64();
+      refuseIf(shadow_[i] != frame_.raw()[i],
+               "shadow lane differs from the frame");
+    }
+    refuseIf(signalMaskFrom(r) != 0, "dirty mask set between cycles");
+    refuseIf(signalMaskFrom(r) != 0, "strobe-set mask set between cycles");
+    strobesHigh_ = signalMaskFrom(r);
+    refuseIf((strobesHigh_ & ~kStrobeMask) != 0,
+             "pending-low mask names a bundle that is no strobe");
+    std::uint32_t high = 0;
+    for (const SignalId s : kStrobes) {
+      high |= static_cast<std::uint32_t>(frame_.get(s))
+              << static_cast<unsigned>(s);
+    }
+    refuseIf(strobesHigh_ != high,
+             "pending-low mask disagrees with the strobe lanes");
+    strobes_ = 0;
     for (std::uint64_t& v : transitions_) v = r.u64();
     lastCycle_aJ_ = r.u64();
     total_aJ_ = r.u64();
     intervalMarker_aJ_ = r.u64();
-    for (std::uint8_t& v : ownerClass_) {
-      v = r.u8();
-      if (v >= obs::kTxClassCount) {
-        throw ckpt::CheckpointError(
-            "Tl1FrameEnergy::loadState: owner class out of range");
-      }
+    refuseIf(lastCycle_aJ_ > total_aJ_, "last-cycle energy above the total");
+    refuseIf(intervalMarker_aJ_ > total_aJ_,
+             "interval marker above the total");
+    std::array<Owner, kSignalCount> lane;
+    for (Owner& o : lane) {
+      o.cls = r.u8();
+      refuseIf(o.cls >= obs::kTxClassCount, "owner class out of range");
     }
-    for (std::int8_t& v : ownerSlave_) v = static_cast<std::int8_t>(r.u8());
+    for (Owner& o : lane) {
+      o.slave = static_cast<std::int8_t>(r.u8());
+      refuseIf(o.slave < -1, "owner slave out of range");
+    }
+    // Each group takes the owner of its first lane (the backward walk
+    // writes that one last); every other lane must agree with it.
+    for (std::size_t i = kSignalCount; i-- > 0;) owners_[kGroupOf[i]] = lane[i];
+    for (std::size_t i = 0; i < kSignalCount; ++i) {
+      const Owner& o = owners_[kGroupOf[i]];
+      refuseIf(lane[i].cls != o.cls, "owner class differs within its group");
+      refuseIf(lane[i].slave != o.slave,
+               "owner slave differs within its group");
+    }
   }
 
  private:
-  /// Record a new value for a bundle. The pre-cycle value lives in the
-  /// shadow frame (shadow_ == frame_ at every cycle boundary), so a
-  /// touch only marks the bundle dirty and writes the new value; a
-  /// write that leaves the value as-is is dropped outright (it cannot
-  /// produce a transition), so busCycleEnd inspects just the signals
-  /// that really moved — every other signal holds by construction.
-  /// Handshake strobes must go through strobe() instead: their frame
-  /// value is only valid once pending deassertions are accounted for.
-  [[gnu::always_inline]] inline void touch(SignalId id, std::uint64_t value) {
-    const auto i = static_cast<std::size_t>(id);
-    const std::uint64_t masked = value & signalMask(id);
-    if (frame_.get(id) == masked) return;  // Holds: no transition.
-    dirty_ |= std::uint32_t{1} << i;
-    frame_.set(id, masked);
+  /// Attribution owner of a group of lanes (see kGroupOf).
+  struct Owner {
+    std::uint8_t cls = 0;  ///< obs::TxClass.
+    std::int8_t slave = 0;
+  };
+
+  /// The engine stamps owners per group of lanes that one hook always
+  /// drives together, never per lane: the address phase's eight lanes,
+  /// each data channel's bus and strobes, and EB_Last with EB_Inv,
+  /// which the latest beat of either channel owns. A strobe that falls
+  /// on a later cycle still bills its group's last driver.
+  enum OwnerGroup : std::uint8_t {
+    kAddressGroup,
+    kReadGroup,
+    kWriteGroup,
+    kLastGroup,
+    kOwnerGroups
+  };
+  static constexpr std::array<std::uint8_t, kSignalCount> kGroupOf{
+      kAddressGroup, kAddressGroup, kAddressGroup, kAddressGroup,  // A..BE
+      kAddressGroup, kAddressGroup, kAddressGroup,  // AValid, ARdy
+      kReadGroup,    kReadGroup,    kReadGroup,     // RData, RdVal, RBErr
+      kWriteGroup,   kWriteGroup,   kWriteGroup,    // WData, WDRdy, WBErr
+      kLastGroup,    kAddressGroup, kLastGroup};    // Last, Sel, Inv
+
+  /// The one-bit handshake strobes: high on a cycle that drives them,
+  /// low otherwise.
+  static constexpr std::array<SignalId, 7> kStrobes{
+      SignalId::EB_AValid, SignalId::EB_ARdy,  SignalId::EB_RdVal,
+      SignalId::EB_RBErr,  SignalId::EB_WDRdy, SignalId::EB_WBErr,
+      SignalId::EB_Last};
+  static constexpr std::uint32_t bitIf(SignalId id, bool on) {
+    return static_cast<std::uint32_t>(on) << static_cast<unsigned>(id);
+  }
+  static constexpr std::uint32_t kStrobeMask = [] {
+    std::uint32_t m = 0;
+    for (const SignalId s : kStrobes) m |= 1u << static_cast<unsigned>(s);
+    return m;
+  }();
+
+  template <typename Info>
+  static Owner ownerOf(const Info& info) {
+    return {static_cast<std::uint8_t>(obs::txClassOf(info.kind)),
+            static_cast<std::int8_t>(info.slave)};
   }
 
-  /// Drive a one-bit handshake strobe to its active level. Strobes are
-  /// low at cycle open (busCycleBegin semantics), so the first drive of
-  /// a cycle is a 0 -> 1 edge — unless the previous cycle left the
-  /// strobe high and its lazy deassertion is still pending, in which
-  /// case the strobe simply holds and the deassertion is cancelled.
-  [[gnu::always_inline]] inline void strobe(SignalId id) {
-    const auto i = static_cast<std::size_t>(id);
-    const std::uint32_t bit = std::uint32_t{1} << i;
-    if (strobeSetMask_ & bit) return;  // Already high this cycle.
-    strobeSetMask_ |= bit;
-    if (pendingLow_ & bit) {
-      pendingLow_ &= ~bit;  // Held high across the boundary: no edge.
-      return;
+  /// One beat on a data channel. An Ok beat drives the data bus and the
+  /// channel's EB_Inv line and raises the valid strobe; an error beat
+  /// leaves both holding and raises the error strobe. EB_Last rises on
+  /// the last beat, and an error beat always ends the transfer.
+  [[gnu::always_inline]] inline void dataBeat(const DataBeatInfo& info,
+                                              SignalId data,
+                                              std::uint64_t invBit,
+                                              SignalId valid,
+                                              SignalId error) {
+    const bool ok = !info.error;
+    const std::uint64_t inv = frame_.get(SignalId::EB_Inv);
+    frame_.set(data, ok ? info.data : frame_.get(data));
+    frame_.set(SignalId::EB_Inv,
+               ok ? (inv & ~invBit) | (info.invert ? invBit : 0) : inv);
+    strobes_ |= bitIf(valid, ok) | bitIf(error, !ok) |
+                bitIf(SignalId::EB_Last, info.last || !ok);
+  }
+
+  /// Bill one cycle: every lane on the bundle axis in one bulk add, and
+  /// each owner group's sum once on the class and slave axes. Lanes
+  /// that did not toggle add 0, so no lane needs a test.
+  void bill(const std::array<std::uint64_t, kSignalCount>& lane_aJ) {
+    ledger_->addBundles(lane_aJ);
+    std::array<std::uint64_t, kOwnerGroups> group_aJ{};
+    for (std::size_t i = 0; i < kSignalCount; ++i) {
+      group_aJ[kGroupOf[i]] += lane_aJ[i];
     }
-    // The strobe was low at the last cycle boundary, so shadow_[i] is
-    // already 0 — only the new level needs recording.
-    dirty_ |= bit;
-    frame_.set(id, 1);
-  }
-
-  /// Stamp `id`'s attribution owner (used when the ledger is attached;
-  /// a strobe deasserting on a later cycle still bills its last
-  /// driver).
-  void setOwner(SignalId id, obs::TxClass cls, int slave) {
-    const auto i = static_cast<std::size_t>(id);
-    ownerClass_[i] = static_cast<std::uint8_t>(cls);
-    ownerSlave_[i] = static_cast<std::int8_t>(slave);
-  }
-  void noteAddressOwners(const AddressPhaseInfo& info);
-  void noteBeatOwners(const DataBeatInfo& info, bool isWrite);
-
-  /// Count `n` transitions on bundle `i` and return their energy (aJ),
-  /// billing it to the bundle's owner when a ledger is attached.
-  [[gnu::always_inline]] inline std::uint64_t price(unsigned i, unsigned n) {
-    transitions_[i] += n;
-    const std::uint64_t e = coeff_[i] * n;
-    if (ledger_ != nullptr) {
-      ledger_->add(static_cast<SignalId>(i),
-                   static_cast<obs::TxClass>(ownerClass_[i]), ownerSlave_[i],
-                   e);
+    for (std::size_t g = 0; g < kOwnerGroups; ++g) {
+      ledger_->addOwned(static_cast<obs::TxClass>(owners_[g].cls),
+                        owners_[g].slave, group_aJ[g]);
     }
-    return e;
   }
 
-  /// Price the changed lanes of a busy cycle with one wide XOR pass
-  /// over the whole packed frame (see tl1_frame_energy.cpp).
-  std::uint64_t packedCycleEnergy();
+  static void refuseIf(bool bad, const char* what) {
+    if (bad) {
+      throw ckpt::CheckpointError(std::string("Tl1FrameEnergy::loadState: ") +
+                                  what);
+    }
+  }
 
   static std::uint32_t signalMaskFrom(ckpt::StateReader& r) {
     const std::uint32_t m = r.u32();
-    if ((m >> kSignalCount) != 0) {
-      throw ckpt::CheckpointError(
-          "Tl1FrameEnergy::loadState: signal mask names no bundle");
-    }
+    refuseIf((m >> kSignalCount) != 0, "signal mask names no bundle");
     return m;
   }
 
-  /// Minimum dirty-bundle count before the packed-lane pass beats the
-  /// scalar dirty-walk on this 16-bundle frame. Idle cycles and near-idle
-  /// cycles (a few strobes deasserting) stay on the scalar fast path.
-  /// Measured on the Table 3 replay: even with AVX-512 VPOPCNTQ strips
-  /// the outlined packed call only wins once most of the frame changed
-  /// (lowering this to 4 on an AVX-512 host cost ~5%), so the threshold
-  /// is the same with and without the vector path.
-  static constexpr int kPackedLaneThreshold = 10;
-
   std::array<std::uint64_t, kSignalCount> coeff_;  ///< aJ per transition.
   SignalFrame frame_;  ///< Wire values of the cycle in progress.
-  /// Complete frame of the previous cycle, stored as raw lanes so the
-  /// packed path can XOR it against frame_.raw() in bulk. Invariant:
-  /// shadow_ == frame_ at every cycle boundary.
+  /// Frame of the previous cycle. Invariant: shadow_ == frame_ at every
+  /// cycle boundary.
   std::array<std::uint64_t, kSignalCount> shadow_{};
-  std::uint32_t dirty_ = 0;
-  std::uint32_t strobeSetMask_ = 0;  ///< Strobes driven high this cycle.
-  std::uint32_t pendingLow_ = 0;  ///< Strobes awaiting lazy deassertion.
+  std::uint32_t strobes_ = 0;      ///< Strobes driven this cycle.
+  std::uint32_t strobesHigh_ = 0;  ///< Strobes the last cycle left high.
   std::array<std::uint64_t, kSignalCount> transitions_{};
   std::uint64_t lastCycle_aJ_ = 0;
   std::uint64_t total_aJ_ = 0;
   std::uint64_t intervalMarker_aJ_ = 0;
-  bool packed_ = true;  ///< Packed-lane counting enabled (test hook).
-  std::uint64_t packedLaneCycles_ = 0;  ///< Diagnostics, not serialized.
 
   // Energy attribution (null = detached).
   obs::EnergyLedger* ledger_ = nullptr;
-  std::array<std::uint8_t, kSignalCount> ownerClass_{};
-  std::array<std::int8_t, kSignalCount> ownerSlave_{};
+  std::array<Owner, kOwnerGroups> owners_{};
 };
-static_assert(kSignalCount < 32, "dirty_ mask is 32 bits wide");
+static_assert(kSignalCount < 32, "strobe masks are 32 bits wide");
 
 } // namespace sct::bus
 

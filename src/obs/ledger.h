@@ -113,11 +113,22 @@ class EnergyLedger {
   static constexpr std::size_t kSlaveSlots = kLedgerSlaveSlots;
 
   /// Record one contribution (aJ). Out of line: the caller is the
-  /// models' per-signal hot path, which should carry only the
+  /// layer-2 model's per-signal hot path, which should carry only the
   /// ledger-attached pointer test.
   SCT_OBS_COLD void add(bus::SignalId bundle, TxClass cls, int slave,
                         std::uint64_t aJ) {
     acc_.byBundle[static_cast<std::size_t>(bundle)] += aJ;
+    addOwned(cls, slave, aJ);
+  }
+
+  /// The layer-1 engine's per-cycle bill, in two parts. addBundles adds
+  /// every bundle's energy of the cycle in one bulk pass (a bundle that
+  /// did not toggle adds 0); addOwned then adds the same energy once
+  /// more, split by owner group, on the class and slave axes.
+  void addBundles(const std::array<std::uint64_t, bus::kSignalCount>& aJ) {
+    for (std::size_t i = 0; i < aJ.size(); ++i) acc_.byBundle[i] += aJ[i];
+  }
+  void addOwned(TxClass cls, int slave, std::uint64_t aJ) {
     acc_.byClass[static_cast<std::size_t>(cls)] += aJ;
     acc_.bySlave[slaveSlot(slave)] += aJ;
   }

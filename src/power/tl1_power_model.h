@@ -38,7 +38,6 @@
 #include "bus/tl1_frame_energy.h"
 #include "ckpt/state_io.h"
 #include "obs/ledger.h"
-#include "obs/stats.h"
 #include "power/coeff_table.h"
 #include "power/power_if.h"
 
@@ -97,33 +96,22 @@ class Tl1PowerModel final : public bus::Tl1Observer,
   /// from an observer registered after the power model).
   const bus::SignalFrame& frame() const { return engine_.frame(); }
 
-  /// Attach an energy-attribution ledger. Every priced bundle of the
-  /// busCycleEnd walk is forwarded, so each ledger axis sums exactly to
-  /// the energy accrued since attaching. Detached: one null-check per
-  /// phase callback.
+  /// Attach an energy-attribution ledger. Every cycle the engine
+  /// prices bills it once: each bundle's energy on the bundle axis, and
+  /// each owner group's sum on the class and slave axes, so each ledger
+  /// axis sums exactly to the energy accrued since attaching. Detached:
+  /// one null test per phase callback and per priced cycle.
   void attachLedger(obs::EnergyLedger& ledger) { engine_.attachLedger(ledger); }
 
-  /// Force the scalar dirty-walk even on busy cycles (test hook: the
-  /// equivalence suite runs packed and scalar models side by side and
-  /// requires identical energy from both).
-  void setPackedCounting(bool on) { engine_.setPackedCounting(on); }
-
-  /// Cycles whose transition count went through the packed-lane wide
-  /// XOR path (diagnostics, not serialized — resets with the object).
-  std::uint64_t packedLaneCycles() const { return engine_.packedLaneCycles(); }
-
-  /// Publish power.packed_lane_cycles into `reg`.
-  void publishObs(obs::StatsRegistry& reg) const {
-    reg.counter("power.packed_lane_cycles").add(engine_.packedLaneCycles());
-  }
-
   /// -- Checkpoint (see ckpt/checkpoint.h): the full signal state —
-  /// frame, pre-cycle values, strobe masks, transition counts and the
-  /// attojoule accumulators, so a restored model continues exactly where
-  /// the saved run stood. The byte layout is owned here and implemented
-  /// by the engine. Version 2: the EB_Inv codec sideband joined the
-  /// signal inventory. Version 3: the energy accumulators are u64 aJ,
-  /// no longer f64 fJ.
+  /// frame, pre-cycle values, strobe masks, transition counts, the
+  /// attojoule accumulators and the attribution owners, so a restored
+  /// model continues exactly where the saved run stood. The byte layout
+  /// is owned here and implemented by the engine. Version 2: the EB_Inv
+  /// codec sideband joined the signal inventory. Version 3: the energy
+  /// accumulators are u64 aJ, no longer f64 fJ. The single-pass engine
+  /// kept version 3 byte for byte: its dirty and strobe-set masks read
+  /// 0, as the earlier engine's always did between cycles.
   static constexpr std::uint32_t kCkptVersion = 3;
 
   void saveState(ckpt::StateWriter& w) const { engine_.saveState(w); }

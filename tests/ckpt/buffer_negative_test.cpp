@@ -7,7 +7,8 @@
 // version, truncation at every prefix, oversized/undersized section
 // length fields, trailing garbage, duplicate section tags,
 // registry-level version skew through the buffer path, pm section
-// fields that would index past the signal frame or the ledger, TL2
+// fields that would index past the signal frame or the ledger or that
+// hold values no engine writes between cycles, TL2
 // model and TL2 bus sections of their previous layouts, hybrid-bus
 // fidelity bytes that name no layer, and replay-master payload stage
 // and result bytes that name nothing a saved payload can hold).
@@ -154,7 +155,8 @@ TEST(SnapshotBufferNegative, LedgerSectionWithoutAccumulatorsIsRejected) {
 /// A real Tl1PowerModel section with one field overwritten, loaded back.
 /// Byte offsets follow its section layout: the frame and shadow lanes,
 /// then the dirty, strobe-set and pending-low masks, the transition
-/// counts, three energy accumulators, and the owner classes.
+/// counts, three energy accumulators (last cycle, total, interval
+/// marker), the owner classes and the owner slaves.
 void loadPatchedPm(std::size_t offset, const std::vector<std::uint8_t>& bytes,
                    const std::string& needle) {
   const power::Tl1PowerModel saved{power::SignalEnergyTable{}};
@@ -168,9 +170,18 @@ void loadPatchedPm(std::size_t offset, const std::vector<std::uint8_t>& bytes,
   expectRefusal([&] { restored.loadState(r); }, needle);
 }
 
+constexpr std::size_t kPmShadowAt = 8 * bus::kSignalCount;
 constexpr std::size_t kPmMasksAt = 2 * 8 * bus::kSignalCount;
-constexpr std::size_t kPmOwnerClassAt =
-    kPmMasksAt + 3 * 4 + 8 * bus::kSignalCount + 3 * 8;
+constexpr std::size_t kPmEnergyAt = kPmMasksAt + 3 * 4 + 8 * bus::kSignalCount;
+constexpr std::size_t kPmOwnerClassAt = kPmEnergyAt + 3 * 8;
+constexpr std::size_t kPmOwnerSlaveAt = kPmOwnerClassAt + bus::kSignalCount;
+
+/// Byte offset of `id`'s slot in a per-bundle array of `width`-byte
+/// fields starting at `base`.
+constexpr std::size_t pmLane(std::size_t base, bus::SignalId id,
+                             std::size_t width) {
+  return base + width * static_cast<std::size_t>(id);
+}
 
 TEST(SnapshotBufferNegative, PmDirtyBitBeyondTheFrameIsRejected) {
   loadPatchedPm(kPmMasksAt, {0, 0, 0x10, 0}, "signal mask names no bundle");
@@ -188,6 +199,73 @@ TEST(SnapshotBufferNegative, PmPendingLowBitBeyondTheFrameIsRejected) {
 
 TEST(SnapshotBufferNegative, PmOwnerClassOutOfRangeIsRejected) {
   loadPatchedPm(kPmOwnerClassAt, {200}, "owner class out of range");
+}
+
+// The fields below are in range but hold values no engine writes
+// between cycles. Each would be read back silently and then priced as
+// transitions that never happened, or wrap an energy difference.
+
+TEST(SnapshotBufferNegative, PmDirtyMaskBetweenCyclesIsRejected) {
+  loadPatchedPm(kPmMasksAt, {0x01, 0, 0, 0}, "dirty mask set between cycles");
+}
+
+TEST(SnapshotBufferNegative, PmStrobeSetMaskBetweenCyclesIsRejected) {
+  // EB_AValid (bit 5): a strobe, so only the between-cycles rule fails.
+  loadPatchedPm(kPmMasksAt + 4, {0x20, 0, 0, 0},
+                "strobe-set mask set between cycles");
+}
+
+TEST(SnapshotBufferNegative, PmShadowLaneDifferentFromTheFrameIsRejected) {
+  loadPatchedPm(pmLane(kPmShadowAt, bus::SignalId::EB_A, 8), {0x01},
+                "shadow lane differs from the frame");
+}
+
+TEST(SnapshotBufferNegative, PmPendingLowOnANonStrobeBundleIsRejected) {
+  // EB_A (bit 0): a pending deassertion there would zero the address
+  // bus at the next cycle end and price 0 -> nothing transitions.
+  loadPatchedPm(kPmMasksAt + 8, {0x01, 0, 0, 0},
+                "pending-low mask names a bundle that is no strobe");
+}
+
+TEST(SnapshotBufferNegative, PmPendingLowDisagreeingWithTheFrameIsRejected) {
+  // EB_AValid pending low while its frame lane reads 0.
+  loadPatchedPm(kPmMasksAt + 8, {0x20, 0, 0, 0},
+                "pending-low mask disagrees with the strobe lanes");
+}
+
+TEST(SnapshotBufferNegative, PmFrameValueWiderThanItsBundleIsRejected) {
+  // EB_Instr is one wire wide.
+  loadPatchedPm(pmLane(0, bus::SignalId::EB_Instr, 8), {0x02},
+                "frame lane wider than its bundle");
+}
+
+TEST(SnapshotBufferNegative, PmOwnerSlaveOutOfRangeIsRejected) {
+  // -1 is a decode miss; no decoder index is more negative. Indices
+  // past the ledger's last slave slot are legal: a platform with more
+  // than eight slaves decodes them, and the ledger folds them.
+  loadPatchedPm(kPmOwnerSlaveAt, {0xFE}, "owner slave out of range");
+  loadPatchedPm(kPmOwnerSlaveAt, {0x80}, "owner slave out of range");
+}
+
+TEST(SnapshotBufferNegative, PmLastCycleEnergyAboveTheTotalIsRejected) {
+  loadPatchedPm(kPmEnergyAt, {0x01}, "last-cycle energy above the total");
+}
+
+TEST(SnapshotBufferNegative, PmIntervalMarkerAboveTheTotalIsRejected) {
+  // energySinceLastCall() would wrap to nearly 2^64 aJ.
+  loadPatchedPm(kPmEnergyAt + 16, {0x01}, "interval marker above the total");
+}
+
+TEST(SnapshotBufferNegative, PmOwnerClassDifferingWithinAGroupIsRejected) {
+  // EB_A and EB_Instr are stamped together by every address phase.
+  loadPatchedPm(pmLane(kPmOwnerClassAt, bus::SignalId::EB_Instr, 1), {1},
+                "owner class differs within its group");
+}
+
+TEST(SnapshotBufferNegative, PmOwnerSlaveDifferingWithinAGroupIsRejected) {
+  // EB_Last and EB_Inv are stamped together by every last beat.
+  loadPatchedPm(pmLane(kPmOwnerSlaveAt, bus::SignalId::EB_Inv, 1), {3},
+                "owner slave differs within its group");
 }
 
 TEST(SnapshotBufferNegative, Tl2PmVersion2SectionIsRefused) {
