@@ -26,7 +26,10 @@
 # and the `golden` label: the only pass built without -DNDEBUG, so the
 # assert()s in src/bus and src/hier run — among them
 # Tl1Bus::outstandingTotal()'s check that its counters agree with its
-# queues, which power::CardRig::quiesced() relies on.
+# queues, which power::CardRig::quiesced() relies on. It is also the
+# only pass built with SCT_NATIVE=OFF (baseline x86-64 plus -mpopcnt,
+# no -march=native), so the goldens check that the portable build
+# prints exactly what the host-tuned ones do.
 # Pass 5 — perfbench smoke: the repository benchmark (perfbench/run.py,
 # which builds its own Release tree under .bench_build/) runs 10 s on
 # each workload untraced, plus one traced run on table3_dense. Each run

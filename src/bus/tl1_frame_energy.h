@@ -6,7 +6,7 @@
 // header-visible calls: when an observer offering a fused engine
 // (Tl1Observer::fusedFrameEnergy) attaches to Tl1Bus, the bus invokes
 // the engine directly from its phases and the per-event info structs
-// and touch chains inline away. The engine is deliberately
+// inline away. The engine is deliberately
 // power-agnostic at the interface level — it takes the characterized
 // per-signal coefficients as a plain array of whole attojoules, so bus/
 // stays independent of power/.
@@ -152,7 +152,7 @@ class Tl1FrameEnergy {
   /// are empty, the pending-low mask names the strobes left high, and
   /// each lane carries its owner group's class and slave.
   void saveState(ckpt::StateWriter& w) const {
-    for (const std::uint64_t v : shadow_) w.u64(v);  // Frame.
+    for (std::size_t i = 0; i < kSignalCount; ++i) w.u64(frame_.raw()[i]);
     for (const std::uint64_t v : shadow_) w.u64(v);
     w.u32(0);  // Dirty mask.
     w.u32(0);  // Strobe-set mask.
@@ -300,6 +300,7 @@ class Tl1FrameEnergy {
   void bill(const std::array<std::uint64_t, kSignalCount>& lane_aJ) {
     ledger_->addBundles(lane_aJ);
     std::array<std::uint64_t, kOwnerGroups> group_aJ{};
+#pragma GCC unroll 16
     for (std::size_t i = 0; i < kSignalCount; ++i) {
       group_aJ[kGroupOf[i]] += lane_aJ[i];
     }

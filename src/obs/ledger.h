@@ -9,6 +9,11 @@
 // report, and the actionable form for power-aware firmware decisions
 // ("which interface, talking to which slave, costs what").
 //
+// The layer-1 engine bills once per priced cycle: all bundles in one
+// bulk add (addBundles), then each of its four owner groups once on the
+// class and slave axes (addOwned). The layer-2 model adds one signal of
+// one phase at a time (add).
+//
 // Reconciliation contract (enforced by tests/obs/ledger_reconcile_test):
 // every contribution is a whole number of attojoules and lands once on
 // each axis, so each axis sums EXACTLY to total_aJ(), and total_aJ()

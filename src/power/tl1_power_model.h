@@ -12,7 +12,9 @@
 // handshake strobes deassert); the address-phase and beat events drive
 // the new values; at busCycleEnd it counts bit transitions between the
 // old and new frames and converts them to energy with the characterized
-// per-signal coefficients. The reconstructed frames are bit-identical
+// per-signal coefficients — one fixed pass over every signal on each
+// cycle that was driven or still has a strobe to fall, nothing at all
+// on an idle one. The reconstructed frames are bit-identical
 // to the layer-0 reference model's frames on the same workload (a
 // property enforced by tests), so the only estimation error left is the
 // coefficient abstraction itself — slope, coupling, hazard and baseline
