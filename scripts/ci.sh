@@ -29,7 +29,10 @@
 # queues, which power::CardRig::quiesced() relies on. It is also the
 # only pass built with SCT_NATIVE=OFF (baseline x86-64 plus -mpopcnt,
 # no -march=native), so the goldens check that the portable build
-# prints exactly what the host-tuned ones do.
+# prints exactly what the host-tuned ones do, and the only one built
+# with -D_GLIBCXX_ASSERTIONS, so every std::array, std::vector and
+# std::span index is range-checked: an out-of-bounds index that stays
+# inside its object, which ASan cannot see, aborts here.
 # Pass 5 — perfbench smoke: the repository benchmark (perfbench/run.py,
 # which builds its own Release tree under .bench_build/) runs 10 s on
 # each workload untraced, plus one traced run on table3_dense. Each run

@@ -109,11 +109,13 @@ struct DataBeatInfo {
   bool invert = false;  ///< EB_Inv level driven for this channel.
 };
 
-class Tl1FrameEnergy;
-
-/// Observer hook of the layer-1 bus. The layer-1 power model and the
-/// transaction tracer attach here; callbacks fire from within the bus
-/// process (falling clock edge), in phase order.
+/// Observer hook of the layer-1 bus: the transaction tracer, the power
+/// profile recorders and the test oracles attach here. Callbacks fire
+/// from within the bus process (falling clock edge), in phase order.
+/// The layer-1 energy model is no observer: Tl1Bus drives its
+/// bus::Tl1FrameEnergy engine directly, with each phase event before
+/// the observers, so a busCycleEnd callback reads the cycle's frame and
+/// energy.
 class Tl1Observer {
  public:
   virtual ~Tl1Observer() = default;
@@ -123,18 +125,6 @@ class Tl1Observer {
   virtual void readBeat(const DataBeatInfo& /*info*/) {}
   virtual void writeBeat(const DataBeatInfo& /*info*/) {}
   virtual void busCycleEnd(std::uint64_t /*cycle*/) {}
-
-  /// Fused drive path: an observer that is a thin shell around a
-  /// bus::Tl1FrameEnergy engine can return it here. A bus that
-  /// understands fusing (Tl1Bus) then drives the engine directly —
-  /// non-virtually, with the engine's inline bodies visible at the
-  /// call sites — instead of routing events through the virtual
-  /// callbacks above, and MUST NOT also deliver those callbacks (the
-  /// events would be double-counted). Publishers that do not know
-  /// about fusing simply use the observer interface; both paths run
-  /// the same engine code in the same order, so the results are
-  /// bit-identical. Returning nullptr (the default) opts out.
-  virtual Tl1FrameEnergy* fusedFrameEnergy() { return nullptr; }
 };
 
 /// Summary of a finished layer-2 phase. The layer-2 power model consumes

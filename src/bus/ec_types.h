@@ -83,15 +83,17 @@ constexpr std::string_view toString(AccessSize s) {
 /// Byte-enable mask (bit i = byte lane i active) for an access of the
 /// given size at the given address, following the EC merge patterns:
 /// byte accesses drive one lane, half-word accesses two aligned lanes,
-/// word accesses all four. The address supplies the lane offset.
+/// word accesses all four. The size is the lane count, so the mask is
+/// `size` ones shifted to the lane offset, which the address supplies
+/// down to the size's alignment — no branch on the size. Every shift
+/// stays below 32 for any byte an AccessSize can hold; callers pass
+/// only the three enumerators (Tl1Bus and GlBus refuse other sizes in
+/// isAligned at submission, MipsCore's sizeOf and Tl2PowerModel's
+/// byteEnablesOf pick one of them).
 constexpr std::uint8_t byteEnables(AccessSize size, Address addr) {
-  const unsigned lane = static_cast<unsigned>(addr & 0x3u);
-  switch (size) {
-    case AccessSize::Byte: return static_cast<std::uint8_t>(1u << lane);
-    case AccessSize::Half: return static_cast<std::uint8_t>(0x3u << (lane & ~1u));
-    case AccessSize::Word: return 0xFu;
-  }
-  return 0;
+  const unsigned lanes = static_cast<unsigned>(size) & 7u;
+  const unsigned offset = static_cast<unsigned>(addr) & (4u - lanes) & 3u;
+  return static_cast<std::uint8_t>(((1u << lanes) - 1u) << offset);
 }
 
 /// True when `addr` is correctly aligned for `size`.

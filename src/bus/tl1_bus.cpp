@@ -33,30 +33,23 @@ int Tl1Bus::attach(EcSlave& slave) {
 }
 
 void Tl1Bus::addObserver(Tl1Observer& obs) {
-  // One fused engine per bus: the first observer that offers one is
-  // driven directly (and must NOT also sit in observers_, or its
-  // events would be double-counted); everyone else takes the virtual
-  // path. The engine always runs before the observer list, matching
-  // the convention that frame readers register after the power model.
-  if (Tl1FrameEnergy* fe = obs.fusedFrameEnergy();
-      fe != nullptr && fe_ == nullptr) {
-    fe_ = fe;
-    feOwner_ = &obs;
-  } else {
-    observers_.push_back(&obs);
-  }
+  observers_.push_back(&obs);
   publish_ = true;
 }
 
 void Tl1Bus::removeObserver(Tl1Observer& obs) {
-  if (feOwner_ == &obs) {
-    fe_ = nullptr;
-    feOwner_ = nullptr;
-  } else {
-    observers_.erase(std::remove(observers_.begin(), observers_.end(), &obs),
-                     observers_.end());
-  }
+  observers_.erase(std::remove(observers_.begin(), observers_.end(), &obs),
+                   observers_.end());
   publish_ = fe_ != nullptr || !observers_.empty();
+}
+
+void Tl1Bus::addObserver(Tl1FrameEnergy& engine) {
+  if (fe_ != nullptr) {
+    throw std::logic_error(name() +
+                           ": a frame-energy engine is already attached");
+  }
+  fe_ = &engine;
+  publish_ = true;
 }
 
 void Tl1Bus::setCodec(BusCodec* codec) {
@@ -220,7 +213,6 @@ void Tl1Bus::busProcess() {
   cycleNow_ = clock_.cycle();
   anyActivityThisCycle_ = false;
   ++stats_.cycles;
-  if (fe_ != nullptr) fe_->busCycleBegin(cycleNow_);
   for (Tl1Observer* obs : observers_) obs->busCycleBegin(cycleNow_);
 
   // getSlaveState(): the paper's first phase samples every slave's
@@ -237,20 +229,23 @@ void Tl1Bus::busProcess() {
   for (Tl1Observer* obs : observers_) obs->busCycleEnd(cycleNow_);
 }
 
-// The fused engine is driven inline at the call sites (before these
-// run); publishAddressPhase/publishBeat only walk the virtual-path
-// observer list and are only called when it is non-empty.
-void Tl1Bus::publishAddressPhase(const AddressPhaseInfo& info) {
+// The one drive path of a phase event: the energy engine first, then
+// the observers. Forced inline, so the engine's hooks inline into the
+// phases and the info structs they read never reach memory.
+[[gnu::always_inline]] inline void Tl1Bus::publishAddressPhase(
+    const AddressPhaseInfo& info) {
+  if (fe_ != nullptr) fe_->addressPhase(info);
   for (Tl1Observer* obs : observers_) obs->addressPhase(info);
 }
 
-void Tl1Bus::publishBeat(const DataBeatInfo& info, bool isWrite) {
-  for (Tl1Observer* obs : observers_) {
-    if (isWrite) {
-      obs->writeBeat(info);
-    } else {
-      obs->readBeat(info);
-    }
+[[gnu::always_inline]] inline void Tl1Bus::publishBeat(
+    const DataBeatInfo& info, bool isWrite) {
+  if (isWrite) {
+    if (fe_ != nullptr) fe_->writeBeat(info);
+    for (Tl1Observer* obs : observers_) obs->writeBeat(info);
+  } else {
+    if (fe_ != nullptr) fe_->readBeat(info);
+    for (Tl1Observer* obs : observers_) obs->readBeat(info);
   }
 }
 
@@ -338,22 +333,14 @@ void Tl1Bus::addressPhase() {
             req.kind, req.size, req.beats,
             byteEnables(req.size, req.address), req.slave,
             /*accepted=*/true, /*error=*/true, &req};
-        if (fe_ != nullptr) fe_->addressPhase(info);
-        if (!observers_.empty()) publishAddressPhase(info);
+        publishAddressPhase(info);
         DataBeatInfo beat;
         beat.address = req.address;
         beat.kind = req.kind;
         beat.error = true;
         beat.last = true;
         beat.slave = req.slave;
-        if (fe_ != nullptr) {
-          if (req.kind == Kind::Write) {
-            fe_->writeBeat(beat);
-          } else {
-            fe_->readBeat(beat);
-          }
-        }
-        if (!observers_.empty()) publishBeat(beat, req.kind == Kind::Write);
+        publishBeat(beat, req.kind == Kind::Write);
       }
       finish(req, BusStatus::Error);
       addrCurrent_ = nullptr;
@@ -375,8 +362,7 @@ void Tl1Bus::addressPhase() {
         codec_ == nullptr ? req.address : codec_->encodeAddress(req.address),
         req.kind, req.size, req.beats, byteEnables(req.size, req.address),
         req.slave, accepted, /*error=*/false, &req};
-    if (fe_ != nullptr) fe_->addressPhase(info);
-    if (!observers_.empty()) publishAddressPhase(info);
+    publishAddressPhase(info);
   }
   if (!accepted) {
     --req.waitCount;
@@ -479,14 +465,7 @@ void Tl1Bus::dataPhase(Tl1Request*& current, RequestRing& queue) {
     beat.last = (s == BusStatus::Error) || (req.beatsDone + 1u == req.beats);
     beat.error = s == BusStatus::Error;
     beat.slave = req.slave;
-    if (fe_ != nullptr) {
-      if (isWrite) {
-        fe_->writeBeat(beat);
-      } else {
-        fe_->readBeat(beat);
-      }
-    }
-    if (!observers_.empty()) publishBeat(beat, isWrite);
+    publishBeat(beat, isWrite);
   }
 
   if (isWrite) {

@@ -17,6 +17,12 @@
 // {Request, Wait, Ok, Error}; by polling, a master can keep several
 // transactions in flight (up to four outstanding burst instruction
 // reads, four burst data reads and four burst writes — the 4KSc limit).
+//
+// The layer-1 energy model is the paper's dedicated module whose signal
+// values the phases set and whose energy calculation the bus process
+// calls after the write phase: one attached bus::Tl1FrameEnergy engine
+// (power::Tl1PowerModel), driven by direct calls. Each phase publishes
+// its event to that engine first and then to the Tl1Observer list.
 #ifndef SCT_BUS_TL1_BUS_H
 #define SCT_BUS_TL1_BUS_H
 
@@ -39,6 +45,7 @@ namespace sct::bus {
 
 class BusCodec;
 class MemorySlave;
+class Tl1FrameEnergy;
 
 /// Aggregate counters kept by the layer-1 bus.
 struct Tl1BusStats {
@@ -70,12 +77,14 @@ class Tl1Bus final : public sim::Module, public EcInstrIf, public EcDataIf {
   /// Returns the slave index (select line).
   int attach(EcSlave& slave);
 
-  /// Register an observer. An observer advertising a fused frame-energy
-  /// engine (Tl1Observer::fusedFrameEnergy) is captured into the direct
-  /// drive slot instead of the observer list — one engine per bus; any
-  /// further fusing observers fall back to the virtual path.
+  /// Register an observer. Observers run in registration order.
   void addObserver(Tl1Observer& obs);
   void removeObserver(Tl1Observer& obs);
+  /// Attach the layer-1 energy engine (power::Tl1PowerModel). The bus
+  /// drives it directly from its phases, before every observer whatever
+  /// the registration order. One per bus: a second throws
+  /// std::logic_error.
+  void addObserver(Tl1FrameEnergy& engine);
 
   /// Install a low-power bus codec (see bus/bus_codec.h) or remove it
   /// (nullptr). The codec transforms the words driven on the wires —
@@ -189,12 +198,9 @@ class Tl1Bus final : public sim::Module, public EcInstrIf, public EcDataIf {
   /// the data-phase hot path only after a beat actually completes, so
   /// the null case costs one predictable branch per beat.
   BusCodec* codec_ = nullptr;
-  /// Fused frame-energy engine (see Tl1Observer::fusedFrameEnergy):
-  /// driven directly from the phases, before the observer list, and
-  /// never a member of it. Null when no fusing observer is attached.
+  /// The attached energy engine (null = none): driven before the
+  /// observer list, and never a member of it.
   Tl1FrameEnergy* fe_ = nullptr;
-  /// The observer that supplied fe_ (for removeObserver symmetry).
-  Tl1Observer* feOwner_ = nullptr;
   /// True iff anyone consumes phase events (fe_ or observers_): lets
   /// the phases skip building the per-event info structs entirely.
   bool publish_ = false;

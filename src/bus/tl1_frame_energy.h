@@ -1,15 +1,13 @@
-// Frame-reconstruction transition-counting engine of the layer-1
-// energy model.
-//
-// This is the hot half of power::Tl1PowerModel (paper, Section 3.3),
-// factored out so the layer-1 bus can drive it through non-virtual,
-// header-visible calls: when an observer offering a fused engine
-// (Tl1Observer::fusedFrameEnergy) attaches to Tl1Bus, the bus invokes
-// the engine directly from its phases and the per-event info structs
-// inline away. The engine is deliberately
-// power-agnostic at the interface level — it takes the characterized
-// per-signal coefficients as a plain array of whole attojoules, so bus/
-// stays independent of power/.
+// Transition-counting engine of the layer-1 energy model (paper,
+// Section 3.3): the signal frame the bus phases set, the old values it
+// is compared with, and the pricing pass the bus process runs after the
+// write phase. power::Tl1PowerModel is this engine bound to a
+// characterized coefficient table; the engine itself takes the
+// coefficients as a plain array of whole attojoules, so bus/ stays
+// independent of power/. Tl1Bus::addObserver(Tl1FrameEnergy&) attaches
+// it, and the bus drives it on one non-virtual path, ahead of every
+// Tl1Observer: the phase hooks are header-visible and forced inline, so
+// the per-event info structs inline away.
 //
 // One fixed pass per cycle, as a hardware bit-transition counter does
 // it. The phase hooks only store: a bus, qualifier or select lane takes
@@ -48,18 +46,13 @@ class Tl1FrameEnergy {
   explicit Tl1FrameEnergy(const std::array<std::uint64_t, kSignalCount>& coeff)
       : coeff_(coeff) {}
 
-  // -- Cycle event hooks (mirror bus::Tl1Observer, non-virtual) --------
-
-  void busCycleBegin(std::uint64_t /*cycle*/) {
-    // Open the cycle: buses, qualifiers and select lines hold their
-    // values and every strobe starts low — the strobe mask is empty
-    // here, and busCycleEnd derives the strobe lanes from it.
-  }
-
-  // The event hooks are forced inline: they exist precisely so the bus
-  // phases can absorb them (the fused drive path), and at -O3 the
-  // inliner's size heuristics otherwise leave them as outlined calls —
-  // measurably hot on the Table 3 benchmark.
+  // -- Cycle event hooks (the bus phases, in order) --------------------
+  //
+  // A cycle opens with every strobe low and every other lane holding
+  // its value: the strobe mask is empty between cycles, and busCycleEnd
+  // derives the strobe lanes from it. The hooks are forced inline: at
+  // -O3 the inliner's size heuristics otherwise leave them as outlined
+  // calls from the bus phases, measurably hot on the Table 3 benchmark.
   [[gnu::always_inline]] inline void addressPhase(
       const AddressPhaseInfo& info) {
     if (ledger_ != nullptr) owners_[kAddressGroup] = ownerOf(info);
@@ -143,65 +136,50 @@ class Tl1FrameEnergy {
   /// after busCycleEnd).
   const SignalFrame& frame() const { return frame_; }
 
+  /// Attach an energy-attribution ledger. Every cycle the engine
+  /// prices bills it once: each bundle's energy on the bundle axis, and
+  /// each owner group's sum on the class and slave axes, so each ledger
+  /// axis sums exactly to the energy accrued since attaching. Detached:
+  /// one null test per phase hook and per priced cycle.
   void attachLedger(obs::EnergyLedger& ledger) { ledger_ = &ledger; }
 
   /// -- Checkpoint section body (layout and version owned by
-  /// Tl1PowerModel). The layout is that of the earlier dirty-walk
-  /// engine, whose between-cycles state this engine's fills exactly:
-  /// the shadow lanes equal the frame, the dirty and strobe-set masks
-  /// are empty, the pending-low mask names the strobes left high, and
-  /// each lane carries its owner group's class and slave.
+  /// power::Tl1PowerModel): the frame lanes, the transition counts, the
+  /// three energy accumulators, then each owner group's class and slave.
+  /// The rest of the engine is derived between cycles: the old values
+  /// equal the frame, no strobe is driven yet, and the strobes left high
+  /// are the frame's high strobe lanes.
   void saveState(ckpt::StateWriter& w) const {
     for (std::size_t i = 0; i < kSignalCount; ++i) w.u64(frame_.raw()[i]);
-    for (const std::uint64_t v : shadow_) w.u64(v);
-    w.u32(0);  // Dirty mask.
-    w.u32(0);  // Strobe-set mask.
-    w.u32(strobesHigh_);
     for (const std::uint64_t v : transitions_) w.u64(v);
     w.u64(lastCycle_aJ_);
     w.u64(total_aJ_);
     w.u64(intervalMarker_aJ_);
-    for (const std::uint8_t g : kGroupOf) w.u8(owners_[g].cls);
-    for (const std::uint8_t g : kGroupOf) {
-      w.u8(static_cast<std::uint8_t>(owners_[g].slave));
+    for (const Owner& o : owners_) {
+      w.u8(o.cls);
+      w.u8(static_cast<std::uint8_t>(o.slave));
     }
   }
 
-  /// Throws ckpt::CheckpointError, naming the field, for any section
-  /// no engine writes between cycles: a mask bit at or above
-  /// kSignalCount, a frame value wider than its bundle, a shadow lane
-  /// apart from the frame, a dirty or strobe-set bit, a pending-low
-  /// mask other than the frame's high strobes, a last-cycle energy or
-  /// interval marker above the total, an owner class outside the
-  /// ledger's class axis, an owner slave below -1 (a decode miss; the
-  /// ledger folds indices past its last slot into that slot, so any
-  /// index from 0 up is one a platform can decode), or owners that
-  /// differ within an owner group.
+  /// Throws ckpt::CheckpointError, naming the field, for a frame value
+  /// wider than its bundle, a last-cycle energy or interval marker above
+  /// the total, an owner class outside the ledger's class axis, or an
+  /// owner slave below -1 (a decode miss; the ledger folds indices past
+  /// its last slot into that slot, so any index from 0 up is one a
+  /// platform can decode).
   void loadState(ckpt::StateReader& r) {
     for (std::size_t i = 0; i < kSignalCount; ++i) {
       const auto id = static_cast<SignalId>(i);
       const std::uint64_t v = r.u64();
       refuseIf((v & ~signalMask(id)) != 0, "frame lane wider than its bundle");
       frame_.set(id, v);
+      shadow_[i] = v;
     }
-    for (std::size_t i = 0; i < kSignalCount; ++i) {
-      shadow_[i] = r.u64();
-      refuseIf(shadow_[i] != frame_.raw()[i],
-               "shadow lane differs from the frame");
-    }
-    refuseIf(signalMaskFrom(r) != 0, "dirty mask set between cycles");
-    refuseIf(signalMaskFrom(r) != 0, "strobe-set mask set between cycles");
-    strobesHigh_ = signalMaskFrom(r);
-    refuseIf((strobesHigh_ & ~kStrobeMask) != 0,
-             "pending-low mask names a bundle that is no strobe");
-    std::uint32_t high = 0;
-    for (const SignalId s : kStrobes) {
-      high |= static_cast<std::uint32_t>(frame_.get(s))
-              << static_cast<unsigned>(s);
-    }
-    refuseIf(strobesHigh_ != high,
-             "pending-low mask disagrees with the strobe lanes");
     strobes_ = 0;
+    strobesHigh_ = 0;
+    for (const SignalId s : kStrobes) {
+      strobesHigh_ |= bitIf(s, frame_.get(s) != 0);
+    }
     for (std::uint64_t& v : transitions_) v = r.u64();
     lastCycle_aJ_ = r.u64();
     total_aJ_ = r.u64();
@@ -209,23 +187,11 @@ class Tl1FrameEnergy {
     refuseIf(lastCycle_aJ_ > total_aJ_, "last-cycle energy above the total");
     refuseIf(intervalMarker_aJ_ > total_aJ_,
              "interval marker above the total");
-    std::array<Owner, kSignalCount> lane;
-    for (Owner& o : lane) {
+    for (Owner& o : owners_) {
       o.cls = r.u8();
       refuseIf(o.cls >= obs::kTxClassCount, "owner class out of range");
-    }
-    for (Owner& o : lane) {
       o.slave = static_cast<std::int8_t>(r.u8());
       refuseIf(o.slave < -1, "owner slave out of range");
-    }
-    // Each group takes the owner of its first lane (the backward walk
-    // writes that one last); every other lane must agree with it.
-    for (std::size_t i = kSignalCount; i-- > 0;) owners_[kGroupOf[i]] = lane[i];
-    for (std::size_t i = 0; i < kSignalCount; ++i) {
-      const Owner& o = owners_[kGroupOf[i]];
-      refuseIf(lane[i].cls != o.cls, "owner class differs within its group");
-      refuseIf(lane[i].slave != o.slave,
-               "owner slave differs within its group");
     }
   }
 
@@ -315,12 +281,6 @@ class Tl1FrameEnergy {
       throw ckpt::CheckpointError(std::string("Tl1FrameEnergy::loadState: ") +
                                   what);
     }
-  }
-
-  static std::uint32_t signalMaskFrom(ckpt::StateReader& r) {
-    const std::uint32_t m = r.u32();
-    refuseIf((m >> kSignalCount) != 0, "signal mask names no bundle");
-    return m;
   }
 
   std::array<std::uint64_t, kSignalCount> coeff_;  ///< aJ per transition.

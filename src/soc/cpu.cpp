@@ -561,11 +561,38 @@ void saveInstr(ckpt::StateWriter& w, const DecodedInstr& d) {
   w.u32(d.target);
 }
 
-void loadInstr(ckpt::StateReader& r, DecodedInstr& d) {
-  d.op = static_cast<Op>(r.u16());
-  d.rs = r.u8();
-  d.rt = r.u8();
-  d.rd = r.u8();
+/// A snapshot is outside input: every byte that names an enumerator or
+/// indexes the register file is checked before the core acts on it.
+[[noreturn]] void refuse(const std::string& what) {
+  throw ckpt::CheckpointError("MipsCore::loadState: " + what);
+}
+
+/// The next byte as an enumerator of E, whose last enumerator is `last`.
+template <typename E>
+E enumFrom(ckpt::StateReader& r, E last, const std::string& field) {
+  const std::uint8_t v = r.u8();
+  if (v > static_cast<std::uint8_t>(last)) {
+    refuse(field + " byte " + std::to_string(v) + " names nothing");
+  }
+  return static_cast<E>(v);
+}
+
+std::uint8_t registerFrom(ckpt::StateReader& r, const std::string& field) {
+  const std::uint8_t v = r.u8();
+  if (v >= 32) refuse(field + " " + std::to_string(v) + " is no register");
+  return v;
+}
+
+void loadInstr(ckpt::StateReader& r, DecodedInstr& d,
+               const std::string& which) {
+  const std::uint16_t op = r.u16();
+  if (op > static_cast<std::uint16_t>(Op::Invalid)) {
+    refuse(which + " op " + std::to_string(op) + " names nothing");
+  }
+  d.op = static_cast<Op>(op);
+  d.rs = registerFrom(r, which + " rs");
+  d.rt = registerFrom(r, which + " rt");
+  d.rd = registerFrom(r, which + " rd");
   d.shamt = r.u8();
   d.simm = static_cast<std::int32_t>(r.i64());
   d.uimm = r.u32();
@@ -589,14 +616,19 @@ void saveReq(ckpt::StateWriter& w, const bus::Tl1Request& q) {
   w.u64(q.finishCycle);
 }
 
-void loadReq(ckpt::StateReader& r, bus::Tl1Request& q) {
-  q.kind = static_cast<Kind>(r.u8());
+void loadReq(ckpt::StateReader& r, bus::Tl1Request& q,
+             const std::string& which) {
+  q.kind = enumFrom(r, Kind::Write, which + " kind");
   q.address = r.u64();
-  q.size = static_cast<AccessSize>(r.u8());
+  const std::uint8_t size = r.u8();
+  if (size != 1 && size != 2 && size != 4) {
+    refuse(which + " size byte " + std::to_string(size) + " names nothing");
+  }
+  q.size = static_cast<AccessSize>(size);
   q.beats = r.u8();
   for (Word& v : q.data) v = r.u32();
-  q.result = static_cast<BusStatus>(r.u8());
-  q.stage = static_cast<bus::Tl1Stage>(r.u8());
+  q.result = enumFrom(r, BusStatus::Error, which + " result");
+  q.stage = enumFrom(r, bus::Tl1Stage::Finished, which + " stage");
   q.beatsDone = r.u8();
   q.slave = static_cast<int>(r.i64());
   q.waitCount = r.u32();
@@ -654,17 +686,17 @@ void MipsCore::loadState(ckpt::StateReader& r) {
   epc_ = r.u64();
   inIsr_ = r.b();
   interruptsTaken_ = r.u64();
-  state_ = static_cast<State>(r.u8());
+  state_ = enumFrom(r, State::Halted, "state");
   haltPending_ = r.b();
   faulted_ = r.b();
   icache_.loadState(r);
   dcache_.loadState(r);
-  loadReq(r, ifetchReq_);
-  loadReq(r, loadReq_);
+  loadReq(r, ifetchReq_, "ifetch request");
+  loadReq(r, loadReq_, "load request");
   loadIsCached_ = r.b();
-  loadInstr(r, loadInstr_);
+  loadInstr(r, loadInstr_, "load instruction");
   loadAddr_ = r.u64();
-  loadInstr(r, pendingStore_);
+  loadInstr(r, pendingStore_, "pending store");
   pendingStoreAddr_ = r.u64();
   stats_.cycles = r.u64();
   stats_.instructions = r.u64();

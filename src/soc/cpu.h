@@ -134,6 +134,9 @@ class MipsCore final : public sim::Module {
   /// buffer — guaranteed at a quiesce point). Architectural state,
   /// caches, the stall micro-state and the pending request payloads
   /// all travel. The restore target must share the cache geometry.
+  /// loadState throws ckpt::CheckpointError, naming the field, for a
+  /// state, request kind, size, result or stage byte or a decoded op
+  /// that names no enumerator, and for a register index past 31.
   static constexpr std::uint32_t kCkptVersion = 1;
   void saveState(ckpt::StateWriter& w) const;
   void loadState(ckpt::StateReader& r);

@@ -17,12 +17,18 @@ TEST(EcTypesTest, ByteEnablesForByteAccess) {
 }
 
 TEST(EcTypesTest, ByteEnablesForHalfAccess) {
+  // A misaligned offset keeps the aligned pair of its half-word.
   EXPECT_EQ(byteEnables(AccessSize::Half, 0x100), 0x3);
+  EXPECT_EQ(byteEnables(AccessSize::Half, 0x101), 0x3);
   EXPECT_EQ(byteEnables(AccessSize::Half, 0x102), 0xC);
+  EXPECT_EQ(byteEnables(AccessSize::Half, 0x103), 0xC);
 }
 
 TEST(EcTypesTest, ByteEnablesForWordAccess) {
   EXPECT_EQ(byteEnables(AccessSize::Word, 0x100), 0xF);
+  EXPECT_EQ(byteEnables(AccessSize::Word, 0x101), 0xF);
+  EXPECT_EQ(byteEnables(AccessSize::Word, 0x102), 0xF);
+  EXPECT_EQ(byteEnables(AccessSize::Word, 0x103), 0xF);
 }
 
 TEST(EcTypesTest, Alignment) {

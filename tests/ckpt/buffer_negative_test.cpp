@@ -7,11 +7,12 @@
 // version, truncation at every prefix, oversized/undersized section
 // length fields, trailing garbage, duplicate section tags,
 // registry-level version skew through the buffer path, pm section
-// fields that would index past the signal frame or the ledger or that
-// hold values no engine writes between cycles, TL2
-// model and TL2 bus sections of their previous layouts, hybrid-bus
-// fidelity bytes that name no layer, and replay-master payload stage
-// and result bytes that name nothing a saved payload can hold).
+// fields that would index past the ledger or that hold values no engine
+// writes between cycles, layer-1 model, TL2 model and TL2 bus sections
+// of their previous layouts, hybrid-bus fidelity bytes that name no
+// layer, replay-master payload stage and result bytes that name nothing
+// a saved payload can hold, and core sections whose enum bytes name
+// nothing or whose register indices fall outside the register file).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,6 +22,7 @@
 
 #include "../testbench.h"
 #include "bus/ec_signals.h"
+#include "bus/tl1_bus.h"
 #include "bus/tl2_bus.h"
 #include "ckpt/checkpoint.h"
 #include "hier/hybrid_bus.h"
@@ -29,6 +31,9 @@
 #include "power/tl2_power_model.h"
 #include "sim/clock.h"
 #include "sim/kernel.h"
+#include "soc/assembler.h"
+#include "soc/isa.h"
+#include "soc/smartcard.h"
 
 namespace sct {
 namespace {
@@ -153,10 +158,9 @@ TEST(SnapshotBufferNegative, LedgerSectionWithoutAccumulatorsIsRejected) {
 }
 
 /// A real Tl1PowerModel section with one field overwritten, loaded back.
-/// Byte offsets follow its section layout: the frame and shadow lanes,
-/// then the dirty, strobe-set and pending-low masks, the transition
-/// counts, three energy accumulators (last cycle, total, interval
-/// marker), the owner classes and the owner slaves.
+/// Byte offsets follow its section layout: the frame lanes, the
+/// transition counts, three energy accumulators (last cycle, total,
+/// interval marker), then each owner group's class and slave.
 void loadPatchedPm(std::size_t offset, const std::vector<std::uint8_t>& bytes,
                    const std::string& needle) {
   const power::Tl1PowerModel saved{power::SignalEnergyTable{}};
@@ -170,11 +174,8 @@ void loadPatchedPm(std::size_t offset, const std::vector<std::uint8_t>& bytes,
   expectRefusal([&] { restored.loadState(r); }, needle);
 }
 
-constexpr std::size_t kPmShadowAt = 8 * bus::kSignalCount;
-constexpr std::size_t kPmMasksAt = 2 * 8 * bus::kSignalCount;
-constexpr std::size_t kPmEnergyAt = kPmMasksAt + 3 * 4 + 8 * bus::kSignalCount;
-constexpr std::size_t kPmOwnerClassAt = kPmEnergyAt + 3 * 8;
-constexpr std::size_t kPmOwnerSlaveAt = kPmOwnerClassAt + bus::kSignalCount;
+constexpr std::size_t kPmEnergyAt = 2 * 8 * bus::kSignalCount;
+constexpr std::size_t kPmOwnersAt = kPmEnergyAt + 3 * 8;
 
 /// Byte offset of `id`'s slot in a per-bundle array of `width`-byte
 /// fields starting at `base`.
@@ -183,55 +184,13 @@ constexpr std::size_t pmLane(std::size_t base, bus::SignalId id,
   return base + width * static_cast<std::size_t>(id);
 }
 
-TEST(SnapshotBufferNegative, PmDirtyBitBeyondTheFrameIsRejected) {
-  loadPatchedPm(kPmMasksAt, {0, 0, 0x10, 0}, "signal mask names no bundle");
-}
-
-TEST(SnapshotBufferNegative, PmStrobeSetBitBeyondTheFrameIsRejected) {
-  loadPatchedPm(kPmMasksAt + 4, {0, 0, 0, 0x01},
-                "signal mask names no bundle");
-}
-
-TEST(SnapshotBufferNegative, PmPendingLowBitBeyondTheFrameIsRejected) {
-  loadPatchedPm(kPmMasksAt + 8, {0, 0, 0, 0x80},
-                "signal mask names no bundle");
-}
-
 TEST(SnapshotBufferNegative, PmOwnerClassOutOfRangeIsRejected) {
-  loadPatchedPm(kPmOwnerClassAt, {200}, "owner class out of range");
+  loadPatchedPm(kPmOwnersAt, {200}, "owner class out of range");
 }
 
 // The fields below are in range but hold values no engine writes
 // between cycles. Each would be read back silently and then priced as
 // transitions that never happened, or wrap an energy difference.
-
-TEST(SnapshotBufferNegative, PmDirtyMaskBetweenCyclesIsRejected) {
-  loadPatchedPm(kPmMasksAt, {0x01, 0, 0, 0}, "dirty mask set between cycles");
-}
-
-TEST(SnapshotBufferNegative, PmStrobeSetMaskBetweenCyclesIsRejected) {
-  // EB_AValid (bit 5): a strobe, so only the between-cycles rule fails.
-  loadPatchedPm(kPmMasksAt + 4, {0x20, 0, 0, 0},
-                "strobe-set mask set between cycles");
-}
-
-TEST(SnapshotBufferNegative, PmShadowLaneDifferentFromTheFrameIsRejected) {
-  loadPatchedPm(pmLane(kPmShadowAt, bus::SignalId::EB_A, 8), {0x01},
-                "shadow lane differs from the frame");
-}
-
-TEST(SnapshotBufferNegative, PmPendingLowOnANonStrobeBundleIsRejected) {
-  // EB_A (bit 0): a pending deassertion there would zero the address
-  // bus at the next cycle end and price 0 -> nothing transitions.
-  loadPatchedPm(kPmMasksAt + 8, {0x01, 0, 0, 0},
-                "pending-low mask names a bundle that is no strobe");
-}
-
-TEST(SnapshotBufferNegative, PmPendingLowDisagreeingWithTheFrameIsRejected) {
-  // EB_AValid pending low while its frame lane reads 0.
-  loadPatchedPm(kPmMasksAt + 8, {0x20, 0, 0, 0},
-                "pending-low mask disagrees with the strobe lanes");
-}
 
 TEST(SnapshotBufferNegative, PmFrameValueWiderThanItsBundleIsRejected) {
   // EB_Instr is one wire wide.
@@ -243,8 +202,8 @@ TEST(SnapshotBufferNegative, PmOwnerSlaveOutOfRangeIsRejected) {
   // -1 is a decode miss; no decoder index is more negative. Indices
   // past the ledger's last slave slot are legal: a platform with more
   // than eight slaves decodes them, and the ledger folds them.
-  loadPatchedPm(kPmOwnerSlaveAt, {0xFE}, "owner slave out of range");
-  loadPatchedPm(kPmOwnerSlaveAt, {0x80}, "owner slave out of range");
+  loadPatchedPm(kPmOwnersAt + 1, {0xFE}, "owner slave out of range");
+  loadPatchedPm(kPmOwnersAt + 1, {0x80}, "owner slave out of range");
 }
 
 TEST(SnapshotBufferNegative, PmLastCycleEnergyAboveTheTotalIsRejected) {
@@ -256,16 +215,28 @@ TEST(SnapshotBufferNegative, PmIntervalMarkerAboveTheTotalIsRejected) {
   loadPatchedPm(kPmEnergyAt + 16, {0x01}, "interval marker above the total");
 }
 
-TEST(SnapshotBufferNegative, PmOwnerClassDifferingWithinAGroupIsRejected) {
-  // EB_A and EB_Instr are stamped together by every address phase.
-  loadPatchedPm(pmLane(kPmOwnerClassAt, bus::SignalId::EB_Instr, 1), {1},
-                "owner class differs within its group");
-}
+TEST(SnapshotBufferNegative, PmVersion3SectionIsRefused) {
+  // Version 3 of the layer-1 model section also carried the shadow
+  // lanes, three per-cycle signal masks and an owner per lane; version
+  // 4 keeps only the state the engine keeps. A genuine version-3
+  // payload (that of a fresh model) must be refused by name, not read
+  // as a version-4 one.
+  ckpt::StateWriter w;
+  for (std::size_t i = 0; i < 2 * bus::kSignalCount; ++i) w.u64(0);
+  for (int i = 0; i < 3; ++i) w.u32(0);  // Dirty, strobe-set, pending-low.
+  for (std::size_t i = 0; i < bus::kSignalCount; ++i) w.u64(0);
+  for (int i = 0; i < 3; ++i) w.u64(0);  // Last cycle, total, marker.
+  for (std::size_t i = 0; i < 2 * bus::kSignalCount; ++i) w.u8(0);
+  ASSERT_EQ(w.size(), 452u);
+  ckpt::Snapshot older;
+  older.addSection("pm", 3, w.take());
+  const std::vector<std::uint8_t> buf = older.serialize();
 
-TEST(SnapshotBufferNegative, PmOwnerSlaveDifferingWithinAGroupIsRejected) {
-  // EB_Last and EB_Inv are stamped together by every last beat.
-  loadPatchedPm(pmLane(kPmOwnerSlaveAt, bus::SignalId::EB_Inv, 1), {3},
-                "owner slave differs within its group");
+  power::Tl1PowerModel restored{power::SignalEnergyTable{}};
+  ckpt::CheckpointRegistry current;
+  current.add("pm", restored);
+  expectRefusal([&] { current.loadAll(ckpt::Snapshot::deserialize(buf)); },
+                "'pm' version skew: snapshot has v3, this build expects v4");
 }
 
 TEST(SnapshotBufferNegative, Tl2PmVersion2SectionIsRefused) {
@@ -397,6 +368,133 @@ TEST(SnapshotBufferNegative, Tl2MasterPayloadByteNamingNothingIsRefused) {
                             "request 0 stage byte 3 is not idle");
   loadMasterWithPatchedByte(saved, target, 40, 0xFF,
                             "request 0 result byte 255 names no bus status");
+}
+
+using Tl1Soc = soc::SmartCardSoC<bus::Tl1Bus>;
+
+/// The `cpu` section of a card booted to halt.
+const std::vector<std::uint8_t>& haltedCpuSection() {
+  static const std::vector<std::uint8_t> section = [] {
+    Tl1Soc card{soc::SocConfig{}};
+    card.loadProgram(soc::assemble("break", soc::memmap::kRomBase));
+    EXPECT_TRUE(card.run());
+    return card.checkpoint().find("cpu")->payload;
+  }();
+  return section;
+}
+
+// Offsets in a cpu section. The state byte follows the 32 registers,
+// hi, lo, pc, epc, the ISR flag and the interrupt count. The caches
+// come next; after them, at fixed distances from the section's end, the
+// ifetch and load requests (kind at +0, size at +9, result at +27,
+// stage at +28), the load-cached flag, the load instruction and its
+// address, the pending store and its address (op u16 at +0, rs at +2,
+// rt at +3, rd at +4), and five u64 stall counters.
+constexpr std::size_t kCpuStateAt = 32 * 4 + 2 * 4 + 2 * 8 + 1 + 8;
+constexpr std::size_t kCpuRequestBytes = 1 + 8 + 1 + 1 + 4 * 4 + 3 + 8 + 4 + 16;
+constexpr std::size_t kCpuInstrBytes = 2 + 4 + 8 + 4 + 4;
+constexpr std::size_t kCpuPendingStoreFromEnd = 5 * 8 + 8 + kCpuInstrBytes;
+constexpr std::size_t kCpuLoadInstrFromEnd =
+    kCpuPendingStoreFromEnd + 8 + kCpuInstrBytes;
+constexpr std::size_t kCpuLoadRequestFromEnd =
+    kCpuLoadInstrFromEnd + 1 + kCpuRequestBytes;
+constexpr std::size_t kCpuIfetchRequestFromEnd =
+    kCpuLoadRequestFromEnd + kCpuRequestBytes;
+
+/// Offset of the record that starts `fromEnd` bytes before the end of
+/// the halted section.
+std::size_t cpuRecordAt(std::size_t fromEnd) {
+  return haltedCpuSection().size() - fromEnd;
+}
+
+/// The halted section with `bytes` written at `offset`, loaded into a
+/// fresh card's core.
+void loadPatchedCpu(std::size_t offset, const std::vector<std::uint8_t>& bytes,
+                    const std::string& needle) {
+  std::vector<std::uint8_t> buf = haltedCpuSection();
+  ASSERT_LE(offset + bytes.size(), buf.size());
+  std::memcpy(buf.data() + offset, bytes.data(), bytes.size());
+  Tl1Soc target{soc::SocConfig{}};
+  ckpt::StateReader r(buf);
+  expectRefusal([&] { target.cpu().loadState(r); }, needle);
+}
+
+TEST(SnapshotBufferNegative, CpuSectionOffsetsNameTheirFields) {
+  // Pins the offsets above on the unpatched section, which loads.
+  const std::vector<std::uint8_t>& buf = haltedCpuSection();
+  EXPECT_EQ(buf[kCpuStateAt], 4u);  // Halted.
+  const std::size_t ifetch = cpuRecordAt(kCpuIfetchRequestFromEnd);
+  EXPECT_EQ(buf[ifetch], static_cast<std::uint8_t>(bus::Kind::InstrFetch));
+  EXPECT_EQ(buf[ifetch + 9], 4u);  // Word.
+  EXPECT_EQ(buf[cpuRecordAt(kCpuLoadRequestFromEnd)],
+            static_cast<std::uint8_t>(bus::Kind::Read));
+  EXPECT_EQ(buf[cpuRecordAt(kCpuLoadInstrFromEnd)],
+            static_cast<std::uint8_t>(soc::Op::Invalid));
+  EXPECT_EQ(buf[cpuRecordAt(kCpuPendingStoreFromEnd)],
+            static_cast<std::uint8_t>(soc::Op::Invalid));
+  Tl1Soc target{soc::SocConfig{}};
+  ckpt::StateReader r(buf);
+  EXPECT_NO_THROW(target.cpu().loadState(r));
+}
+
+TEST(SnapshotBufferNegative, CpuStateByteNamingNoStateIsRefused) {
+  // 3 (WaitStoreSlot) is a state; past 4 (Halted) the core would run a
+  // state no handler names.
+  loadPatchedCpu(kCpuStateAt, {5}, "state byte 5 names nothing");
+  loadPatchedCpu(kCpuStateAt, {9}, "state byte 9 names nothing");
+}
+
+TEST(SnapshotBufferNegative, CpuRequestKindByteNamingNothingIsRefused) {
+  loadPatchedCpu(cpuRecordAt(kCpuIfetchRequestFromEnd), {3},
+                 "ifetch request kind byte 3 names nothing");
+  loadPatchedCpu(cpuRecordAt(kCpuLoadRequestFromEnd), {0xFF},
+                 "load request kind byte 255 names nothing");
+}
+
+TEST(SnapshotBufferNegative, CpuRequestSizeByteNamingNothingIsRefused) {
+  // Sizes are lane counts: 1, 2 or 4.
+  loadPatchedCpu(cpuRecordAt(kCpuIfetchRequestFromEnd) + 9, {3},
+                 "ifetch request size byte 3 names nothing");
+  loadPatchedCpu(cpuRecordAt(kCpuLoadRequestFromEnd) + 9, {0},
+                 "load request size byte 0 names nothing");
+}
+
+TEST(SnapshotBufferNegative, CpuRequestResultByteNamingNothingIsRefused) {
+  loadPatchedCpu(cpuRecordAt(kCpuLoadRequestFromEnd) + 27, {4},
+                 "load request result byte 4 names nothing");
+}
+
+TEST(SnapshotBufferNegative, CpuRequestStageByteNamingNothingIsRefused) {
+  loadPatchedCpu(cpuRecordAt(kCpuIfetchRequestFromEnd) + 28, {6},
+                 "ifetch request stage byte 6 names nothing");
+}
+
+TEST(SnapshotBufferNegative, CpuDecodedOpPastInvalidIsRefused) {
+  const auto past = static_cast<std::uint8_t>(
+      static_cast<unsigned>(soc::Op::Invalid) + 1);
+  loadPatchedCpu(cpuRecordAt(kCpuLoadInstrFromEnd), {past, 0},
+                 "load instruction op " + std::to_string(past) +
+                     " names nothing");
+  loadPatchedCpu(cpuRecordAt(kCpuPendingStoreFromEnd), {0, 1},
+                 "pending store op 256 names nothing");
+}
+
+// A register index indexes the 32-entry register file unchecked: a
+// pending store with rt 200 would read past it on the next edge.
+
+TEST(SnapshotBufferNegative, CpuRsIndexPastTheRegisterFileIsRefused) {
+  loadPatchedCpu(cpuRecordAt(kCpuLoadInstrFromEnd) + 2, {32},
+                 "load instruction rs 32 is no register");
+}
+
+TEST(SnapshotBufferNegative, CpuRtIndexPastTheRegisterFileIsRefused) {
+  loadPatchedCpu(cpuRecordAt(kCpuPendingStoreFromEnd) + 3, {200},
+                 "pending store rt 200 is no register");
+}
+
+TEST(SnapshotBufferNegative, CpuRdIndexPastTheRegisterFileIsRefused) {
+  loadPatchedCpu(cpuRecordAt(kCpuLoadInstrFromEnd) + 4, {0xFF},
+                 "load instruction rd 255 is no register");
 }
 
 TEST(SnapshotBufferNegative, TrailingGarbageIsRejected) {

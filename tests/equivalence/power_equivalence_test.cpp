@@ -12,11 +12,15 @@
 
 #include <array>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "../testbench.h"
 #include "bus/ec_signals.h"
+#include "ckpt/state_io.h"
 #include "enc/codecs.h"
+#include "obs/ledger.h"
 #include "power/tl1_power_model.h"
 #include "trace/workloads.h"
 
@@ -183,8 +187,8 @@ struct NaiveTl1EnergyWithInv final : bus::Tl1Observer {
   std::uint64_t total_aJ = 0;
 };
 
-/// Registered after the models: reads the fused model's frame at every
-/// cycle end and counts the situations the cases below claim to cover.
+/// Registered after the model: reads its frame at every cycle end and
+/// counts the situations the cases below claim to cover.
 struct CoverageProbe final : bus::Tl1Observer {
   explicit CoverageProbe(const power::Tl1PowerModel& pm) : pm(pm) {}
 
@@ -243,35 +247,28 @@ struct CoverageProbe final : bus::Tl1Observer {
   std::uint64_t gapsAfterHeldStrobes = 0;
 };
 
-/// Replays `workload` with the fused model (the first Tl1PowerModel a
-/// Tl1Bus sees is driven directly from its phases), a second model on
-/// the virtual observer path, `oracle` and a coverage probe, then
-/// requires both models to match the oracle's total and every bundle's
-/// transition count. Returns the probe's counts.
+/// Replays `workload` with the model (driven directly from the bus
+/// phases), `oracle` and a coverage probe, then requires the model to
+/// match the oracle's total and every bundle's transition count.
+/// Returns the probe's counts.
 template <typename Oracle>
-CoverageProbe runBothPathsAgainst(Oracle& oracle,
-                                  const trace::BusTrace& workload,
-                                  bus::BusCodec* codec = nullptr) {
+CoverageProbe runAgainst(Oracle& oracle, const trace::BusTrace& workload,
+                         bus::BusCodec* codec = nullptr) {
   const auto table = distinctTable();
   Tl1Bench bench;
   bench.bus.setCodec(codec);
-  power::Tl1PowerModel fused(table);
-  power::Tl1PowerModel virtualPath(table);
-  CoverageProbe probe(fused);
-  bench.bus.addObserver(fused);
-  bench.bus.addObserver(virtualPath);
+  power::Tl1PowerModel model(table);
+  CoverageProbe probe(model);
+  bench.bus.addObserver(model);
   bench.bus.addObserver(oracle);
   bench.bus.addObserver(probe);
   bench.run(workload);
 
-  EXPECT_GT(fused.totalEnergy_aJ(), 0u);
-  EXPECT_EQ(fused.totalEnergy_aJ(), oracle.total_aJ);
-  EXPECT_EQ(virtualPath.totalEnergy_aJ(), oracle.total_aJ);
+  EXPECT_GT(model.totalEnergy_aJ(), 0u);
+  EXPECT_EQ(model.totalEnergy_aJ(), oracle.total_aJ);
   for (std::size_t i = 0; i < bus::kSignalCount; ++i) {
     const SignalId id = static_cast<SignalId>(i);
-    EXPECT_EQ(fused.transitions(id), oracle.transitions[i])
-        << "signal " << bus::signalName(id);
-    EXPECT_EQ(virtualPath.transitions(id), oracle.transitions[i])
+    EXPECT_EQ(model.transitions(id), oracle.transitions[i])
         << "signal " << bus::signalName(id);
   }
   return probe;
@@ -302,7 +299,7 @@ TEST(PowerEquivalenceTest, DecodeMissesInLiveTraffic) {
       }
     }
     NaiveTl1Energy naive(distinctTable());
-    const CoverageProbe probe = runBothPathsAgainst(naive, workload);
+    const CoverageProbe probe = runAgainst(naive, workload);
     EXPECT_GT(probe.misses, 0u);
   }
 }
@@ -316,7 +313,7 @@ TEST(PowerEquivalenceTest, IdleGapsAfterHeldStrobes) {
     const trace::BusTrace workload = trace::randomMix(
         seed, 300, testbench::bothRegions(), allKinds(), /*issueGapMax=*/24);
     NaiveTl1Energy naive(distinctTable());
-    const CoverageProbe probe = runBothPathsAgainst(naive, workload);
+    const CoverageProbe probe = runAgainst(naive, workload);
     EXPECT_GT(probe.gapsAfterHeldStrobes, 0u);
   }
 }
@@ -331,7 +328,7 @@ TEST(PowerEquivalenceTest, BackToBackBeatsHoldStrobesHigh) {
     const trace::BusTrace workload = trace::randomMix(
         seed, 400, fastOnly, allKinds(), /*issueGapMax=*/0);
     NaiveTl1Energy naive(distinctTable());
-    const CoverageProbe probe = runBothPathsAgainst(naive, workload);
+    const CoverageProbe probe = runAgainst(naive, workload);
     for (std::size_t k = 0; k < probe.held.size(); ++k) {
       EXPECT_GT(probe.held[k], 0u)
           << bus::signalName(CoverageProbe::kHeld[k]) << " never held high";
@@ -348,10 +345,160 @@ TEST(PowerEquivalenceTest, CodecInstalledMatchesOracleDrivingInv) {
         seed, 400, testbench::bothRegions(), allKinds(), /*issueGapMax=*/3);
     enc::BusInvertCodec codec;
     NaiveTl1EnergyWithInv naive(distinctTable());
-    runBothPathsAgainst(naive, workload, &codec);
+    runAgainst(naive, workload, &codec);
     EXPECT_GT(naive.transitions[static_cast<std::size_t>(SignalId::EB_Inv)],
               0u);
   }
+}
+
+TEST(PowerEquivalenceTest, SecondModelOnOneBusThrows) {
+  // A bus drives one model; a second would price every wire twice.
+  const auto table = distinctTable();
+  Tl1Bench bench;
+  power::Tl1PowerModel first(table);
+  power::Tl1PowerModel second(table);
+  bench.bus.addObserver(first);
+  try {
+    bench.bus.addObserver(second);
+    FAIL() << "a second model attached silently";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("ecbus"), std::string::npos)
+        << e.what();
+  }
+}
+
+/// Registered before the model: at every cycle end, checks that the
+/// model has already priced the cycle, by its EB_AValid lane.
+struct EarlyObserver final : bus::Tl1Observer {
+  explicit EarlyObserver(const power::Tl1PowerModel& pm) : pm(pm) {}
+
+  void busCycleBegin(std::uint64_t) override { addressed = false; }
+  void addressPhase(const bus::AddressPhaseInfo&) override {
+    addressed = true;
+  }
+  void busCycleEnd(std::uint64_t) override {
+    addressCycles += addressed;
+    staleCycles += (pm.frame().get(SignalId::EB_AValid) != 0) != addressed;
+  }
+
+  const power::Tl1PowerModel& pm;
+  bool addressed = false;
+  std::uint64_t addressCycles = 0;
+  std::uint64_t staleCycles = 0;
+};
+
+TEST(PowerEquivalenceTest, ModelAttachedAfterAnObserverRunsBeforeIt) {
+  const trace::BusTrace workload = trace::randomMix(
+      12, 200, testbench::bothRegions(), allKinds(), /*issueGapMax=*/3);
+  Tl1Bench bench;
+  power::Tl1PowerModel model(distinctTable());
+  EarlyObserver early(model);
+  NaiveTl1Energy naive(distinctTable());
+  bench.bus.addObserver(early);
+  bench.bus.addObserver(naive);
+  bench.bus.addObserver(model);
+  bench.run(workload);
+
+  EXPECT_GT(early.addressCycles, 0u);
+  EXPECT_EQ(early.staleCycles, 0u);
+  EXPECT_EQ(model.totalEnergy_aJ(), naive.total_aJ);
+}
+
+std::vector<std::uint8_t> sectionOf(const power::Tl1PowerModel& pm) {
+  ckpt::StateWriter w;
+  pm.saveState(w);
+  return w.take();
+}
+
+/// Registered after the model: logs the energy of every cycle. With
+/// `ledger` set (the model's own), it then restores the model at every
+/// cycle end, as restoring into a model that priced other traffic does:
+/// it saves the model's section, prices a stray cycle on the model
+/// (billed to a scratch ledger), so that every lane, old value, strobe
+/// mask and owner holds other state, and loads the saved bytes back.
+/// It counts the idle cycles after a restore with a strobe high, whose
+/// fall only the restored state can price.
+struct CycleLog final : bus::Tl1Observer {
+  CycleLog(power::Tl1PowerModel& pm, obs::EnergyLedger* ledger)
+      : pm(pm), ledger(ledger) {}
+
+  void busCycleBegin(std::uint64_t) override { events = 0; }
+  void addressPhase(const bus::AddressPhaseInfo&) override { ++events; }
+  void readBeat(const bus::DataBeatInfo&) override { ++events; }
+  void writeBeat(const bus::DataBeatInfo&) override { ++events; }
+  void busCycleEnd(std::uint64_t) override {
+    energies.push_back(pm.energyLastCycle_aJ());
+    fallsAfterRestore += events == 0 && strobeHigh;
+    if (ledger == nullptr) return;
+    const std::vector<std::uint8_t> saved = sectionOf(pm);
+    obs::EnergyLedger scratch;
+    pm.attachLedger(scratch);
+    pm.addressPhase({0xABCDE, bus::Kind::Write, bus::AccessSize::Word, 4,
+                     0x5, /*slave=*/3, /*accepted=*/true, /*error=*/false,
+                     nullptr});
+    bus::DataBeatInfo beat;
+    beat.kind = bus::Kind::Read;
+    beat.data = 0x5A5A5A5A;
+    beat.invert = true;
+    beat.slave = 2;
+    pm.readBeat(beat);
+    beat.kind = bus::Kind::Write;
+    beat.error = true;
+    pm.writeBeat(beat);
+    pm.busCycleEnd(0);
+    pm.attachLedger(*ledger);
+    ckpt::StateReader restore(saved);
+    pm.loadState(restore);
+    strobeHigh = false;
+    for (const SignalId s : CoverageProbe::kStrobes) {
+      strobeHigh = strobeHigh || pm.frame().get(s) != 0;
+    }
+  }
+
+  power::Tl1PowerModel& pm;
+  obs::EnergyLedger* ledger;
+  unsigned events = 0;
+  bool strobeHigh = false;
+  std::vector<std::uint64_t> energies;
+  std::uint64_t fallsAfterRestore = 0;
+};
+
+TEST(PowerEquivalenceTest, RestoreWithStrobesHighPricesTheirFall) {
+  // A section saved the cycle a beat ends still has that beat's strobes
+  // high; the restored model must price their fall on the next cycle,
+  // exactly as the uninterrupted run does, and bill the same owners.
+  const auto table = distinctTable();
+  const trace::BusTrace workload = trace::randomMix(
+      14, 300, testbench::bothRegions(), allKinds(), /*issueGapMax=*/6);
+
+  Tl1Bench plainBench;
+  power::Tl1PowerModel plain(table);
+  obs::EnergyLedger plainLedger;
+  plain.attachLedger(plainLedger);
+  CycleLog plainLog(plain, nullptr);
+  plainBench.bus.addObserver(plain);
+  plainBench.bus.addObserver(plainLog);
+  plainBench.run(workload);
+
+  Tl1Bench restoredBench;
+  power::Tl1PowerModel restored(table);
+  obs::EnergyLedger restoredLedger;
+  restored.attachLedger(restoredLedger);
+  CycleLog restoredLog(restored, &restoredLedger);
+  restoredBench.bus.addObserver(restored);
+  restoredBench.bus.addObserver(restoredLog);
+  restoredBench.run(workload);
+
+  EXPECT_GT(restoredLog.fallsAfterRestore, 0u);
+  EXPECT_EQ(restoredLog.energies, plainLog.energies);
+  EXPECT_EQ(restored.totalEnergy_aJ(), plain.totalEnergy_aJ());
+  for (std::size_t i = 0; i < bus::kSignalCount; ++i) {
+    const SignalId id = static_cast<SignalId>(i);
+    EXPECT_EQ(restored.transitions(id), plain.transitions(id))
+        << "signal " << bus::signalName(id);
+  }
+  EXPECT_EQ(restoredLedger.view(), plainLedger.view());
+  EXPECT_EQ(sectionOf(restored), sectionOf(plain));
 }
 
 } // namespace
