@@ -563,36 +563,41 @@ void saveInstr(ckpt::StateWriter& w, const DecodedInstr& d) {
 
 /// A snapshot is outside input: every byte that names an enumerator or
 /// indexes the register file is checked before the core acts on it.
-[[noreturn]] void refuse(const std::string& what) {
-  throw ckpt::CheckpointError("MipsCore::loadState: " + what);
+/// `which` and `field` name the byte in the error ("load request",
+/// " kind byte"); nothing is built unless the byte is refused.
+[[noreturn]] void refuse(const char* which, const char* field,
+                         unsigned value, const char* problem) {
+  throw ckpt::CheckpointError(std::string("MipsCore::loadState: ") + which +
+                              field + " " + std::to_string(value) + problem);
 }
 
 /// The next byte as an enumerator of E, whose last enumerator is `last`.
 template <typename E>
-E enumFrom(ckpt::StateReader& r, E last, const std::string& field) {
+E enumFrom(ckpt::StateReader& r, E last, const char* which,
+           const char* field) {
   const std::uint8_t v = r.u8();
   if (v > static_cast<std::uint8_t>(last)) {
-    refuse(field + " byte " + std::to_string(v) + " names nothing");
+    refuse(which, field, v, " names nothing");
   }
   return static_cast<E>(v);
 }
 
-std::uint8_t registerFrom(ckpt::StateReader& r, const std::string& field) {
+std::uint8_t registerFrom(ckpt::StateReader& r, const char* which,
+                          const char* field) {
   const std::uint8_t v = r.u8();
-  if (v >= 32) refuse(field + " " + std::to_string(v) + " is no register");
+  if (v >= 32) refuse(which, field, v, " is no register");
   return v;
 }
 
-void loadInstr(ckpt::StateReader& r, DecodedInstr& d,
-               const std::string& which) {
+void loadInstr(ckpt::StateReader& r, DecodedInstr& d, const char* which) {
   const std::uint16_t op = r.u16();
   if (op > static_cast<std::uint16_t>(Op::Invalid)) {
-    refuse(which + " op " + std::to_string(op) + " names nothing");
+    refuse(which, " op", op, " names nothing");
   }
   d.op = static_cast<Op>(op);
-  d.rs = registerFrom(r, which + " rs");
-  d.rt = registerFrom(r, which + " rt");
-  d.rd = registerFrom(r, which + " rd");
+  d.rs = registerFrom(r, which, " rs");
+  d.rt = registerFrom(r, which, " rt");
+  d.rd = registerFrom(r, which, " rd");
   d.shamt = r.u8();
   d.simm = static_cast<std::int32_t>(r.i64());
   d.uimm = r.u32();
@@ -616,19 +621,18 @@ void saveReq(ckpt::StateWriter& w, const bus::Tl1Request& q) {
   w.u64(q.finishCycle);
 }
 
-void loadReq(ckpt::StateReader& r, bus::Tl1Request& q,
-             const std::string& which) {
-  q.kind = enumFrom(r, Kind::Write, which + " kind");
+void loadReq(ckpt::StateReader& r, bus::Tl1Request& q, const char* which) {
+  q.kind = enumFrom(r, Kind::Write, which, " kind byte");
   q.address = r.u64();
   const std::uint8_t size = r.u8();
   if (size != 1 && size != 2 && size != 4) {
-    refuse(which + " size byte " + std::to_string(size) + " names nothing");
+    refuse(which, " size byte", size, " names nothing");
   }
   q.size = static_cast<AccessSize>(size);
   q.beats = r.u8();
   for (Word& v : q.data) v = r.u32();
-  q.result = enumFrom(r, BusStatus::Error, which + " result");
-  q.stage = enumFrom(r, bus::Tl1Stage::Finished, which + " stage");
+  q.result = enumFrom(r, BusStatus::Error, which, " result byte");
+  q.stage = enumFrom(r, bus::Tl1Stage::Finished, which, " stage byte");
   q.beatsDone = r.u8();
   q.slave = static_cast<int>(r.i64());
   q.waitCount = r.u32();
@@ -686,7 +690,7 @@ void MipsCore::loadState(ckpt::StateReader& r) {
   epc_ = r.u64();
   inIsr_ = r.b();
   interruptsTaken_ = r.u64();
-  state_ = enumFrom(r, State::Halted, "state");
+  state_ = enumFrom(r, State::Halted, "", "state byte");
   haltPending_ = r.b();
   faulted_ = r.b();
   icache_.loadState(r);
