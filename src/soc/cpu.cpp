@@ -566,7 +566,7 @@ void saveInstr(ckpt::StateWriter& w, const DecodedInstr& d) {
 /// `which` and `field` name the byte in the error ("load request",
 /// " kind byte"); nothing is built unless the byte is refused.
 [[noreturn]] void refuse(const char* which, const char* field,
-                         unsigned value, const char* problem) {
+                         std::uint64_t value, const char* problem) {
   throw ckpt::CheckpointError(std::string("MipsCore::loadState: ") + which +
                               field + " " + std::to_string(value) + problem);
 }
@@ -700,6 +700,14 @@ void MipsCore::loadState(ckpt::StateReader& r) {
   loadIsCached_ = r.b();
   loadInstr(r, loadInstr_, "load instruction");
   loadAddr_ = r.u64();
+  // A waiting line fill's loaded word is read back at this index by
+  // finishLoad. (A load that hit leaves an older fill's payload behind,
+  // so the payload and the address agree only while the load waits.)
+  if (state_ == State::WaitLoad && loadIsCached_ && loadReq_.beats > 1 &&
+      (loadAddr_ < loadReq_.address ||
+       (loadAddr_ - loadReq_.address) / 4 >= loadReq_.data.size())) {
+    refuse("", "load address", loadAddr_, " lies outside its line fill");
+  }
   loadInstr(r, pendingStore_, "pending store");
   pendingStoreAddr_ = r.u64();
   stats_.cycles = r.u64();

@@ -136,7 +136,8 @@ class MipsCore final : public sim::Module {
   /// all travel. The restore target must share the cache geometry.
   /// loadState throws ckpt::CheckpointError, naming the field, for a
   /// state, request kind, size, result or stage byte or a decoded op
-  /// that names no enumerator, and for a register index past 31.
+  /// that names no enumerator, for a register index past 31, and for a
+  /// waiting line-fill load whose address lies outside the filled words.
   static constexpr std::uint32_t kCkptVersion = 1;
   void saveState(ckpt::StateWriter& w) const;
   void loadState(ckpt::StateReader& r);

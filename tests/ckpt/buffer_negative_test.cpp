@@ -408,6 +408,14 @@ std::size_t cpuRecordAt(std::size_t fromEnd) {
   return haltedCpuSection().size() - fromEnd;
 }
 
+/// `section` loaded into a fresh card's core.
+void loadCpu(const std::vector<std::uint8_t>& section,
+             const std::string& needle) {
+  Tl1Soc target{soc::SocConfig{}};
+  ckpt::StateReader r(section);
+  expectRefusal([&] { target.cpu().loadState(r); }, needle);
+}
+
 /// The halted section with `bytes` written at `offset`, loaded into a
 /// fresh card's core.
 void loadPatchedCpu(std::size_t offset, const std::vector<std::uint8_t>& bytes,
@@ -415,9 +423,7 @@ void loadPatchedCpu(std::size_t offset, const std::vector<std::uint8_t>& bytes,
   std::vector<std::uint8_t> buf = haltedCpuSection();
   ASSERT_LE(offset + bytes.size(), buf.size());
   std::memcpy(buf.data() + offset, bytes.data(), bytes.size());
-  Tl1Soc target{soc::SocConfig{}};
-  ckpt::StateReader r(buf);
-  expectRefusal([&] { target.cpu().loadState(r); }, needle);
+  loadCpu(buf, needle);
 }
 
 TEST(SnapshotBufferNegative, CpuStateByteNamingNoStateIsRefused) {
@@ -478,6 +484,24 @@ TEST(SnapshotBufferNegative, CpuRtIndexPastTheRegisterFileIsRefused) {
 TEST(SnapshotBufferNegative, CpuRdIndexPastTheRegisterFileIsRefused) {
   loadPatchedCpu(cpuRecordAt(kCpuLoadInstrFromEnd) + 4, {0xFF},
                  "load instruction rd 255 is no register");
+}
+
+TEST(SnapshotBufferNegative, CpuLoadAddressOutsideItsLineFillIsRefused) {
+  // A core waiting on a line fill (cached flag set, four beats) from
+  // line 0 whose load address is 0x4000: the loaded word would be read
+  // at index 4096 of the four-word payload.
+  std::vector<std::uint8_t> buf = haltedCpuSection();
+  const std::size_t instr = cpuRecordAt(kCpuLoadInstrFromEnd);
+  buf[kCpuStateAt] = 2;  // WaitLoad.
+  buf[instr - 1] = 1;
+  buf[cpuRecordAt(kCpuLoadRequestFromEnd) + 10] = 4;
+  buf[instr + kCpuInstrBytes + 1] = 0x40;
+  loadCpu(buf, "load address 16384 lies outside its line fill");
+  // Running, the same bytes are the stale fill a cache hit leaves.
+  buf[kCpuStateAt] = 0;
+  Tl1Soc target{soc::SocConfig{}};
+  ckpt::StateReader r(buf);
+  EXPECT_NO_THROW(target.cpu().loadState(r));
 }
 
 TEST(SnapshotBufferNegative, TrailingGarbageIsRejected) {
