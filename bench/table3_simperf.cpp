@@ -170,8 +170,8 @@ void TL2_WithoutEstimation_IdleGaps(benchmark::State& state) {
                           static_cast<std::int64_t>(workload.size()));
 }
 
-// Pure layer-1 baseline over the SPA workload: the cycle-true bus
-// grinds through every idle cycle between the bursts.
+// Pure layer-1 baseline over the SPA workload: the cycle-true bus and
+// the master park between the bursts, so the clock warps there too.
 void TL1_SpaDpa(benchmark::State& state) {
   const auto& workload = spaWorkload();
   const auto& table = bench::characterizedTable();

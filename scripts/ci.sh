@@ -35,7 +35,7 @@
 # inside its object, which ASan cannot see, aborts here.
 # Pass 5 — perfbench smoke: the repository benchmark (perfbench/run.py,
 # which builds its own Release tree under .bench_build/) runs 10 s on
-# each workload untraced, plus one traced run on table3_dense. Each run
+# each workload, untraced and traced. Each run
 # must end in a result line with "correct": true and "failed": 0, so a
 # deleted API or a broken benchmark check fails here, not first in a
 # benchmark run. It measures nothing.
@@ -68,10 +68,15 @@ for preset in release asan-ubsan; do
   # its event-vs-per-cycle suite pins the phase schedule, the lazy
   # observer delivery with its cycle stamps and every read of the power
   # model against the per-cycle reference (the label also carries the
-  # layer and power equivalence suites and the ledger reconciliation). Run it
-  # explicitly so a filter or preset change can never silently drop it
-  # from the pass.
+  # layer and power equivalence suites, the layer-1 idle park against
+  # the ticking bus, and the ledger reconciliation). Run it explicitly
+  # so a filter or preset change can never silently drop it from the
+  # pass.
   run ctest --preset "$preset" -L equivalence --parallel "$jobs"
+  # The bus unit suites, among them the misuse that must throw in every
+  # build (a suspend or codec swap on a busy bus, a submit to a
+  # suspended one).
+  run ctest --preset "$preset" -L bus --parallel "$jobs"
   # The adaptive-fidelity equivalence suite is the gate for the hybrid
   # TL1/TL2 bus, and the layer bridge its TL2 regions ride on is gated
   # with it (the bridge unit tests and its replays over the per-cycle
@@ -149,5 +154,10 @@ sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
 perfbench_smoke --workload table3_dense --trace 0
 perfbench_smoke --workload spa_idle --trace 0
 perfbench_smoke --workload table3_dense --trace 1
+# The traced spa ladder replays every TL1 rung (ledger and codec
+# included) and the hybrid over the idle-heavy trace on which the idle
+# bus and master park, and checks that cycles and energy repeat and
+# match the bare layer.
+perfbench_smoke --workload spa_idle --trace 1
 
 echo "CI: all five passes green"

@@ -35,6 +35,7 @@ int Tl1Bus::attach(EcSlave& slave) {
 void Tl1Bus::addObserver(Tl1Observer& obs) {
   observers_.push_back(&obs);
   publish_ = true;
+  if (parked_ && !suspended_) wakeProcess();  // Observers see every cycle.
 }
 
 void Tl1Bus::removeObserver(Tl1Observer& obs) {
@@ -50,10 +51,14 @@ void Tl1Bus::addObserver(Tl1FrameEnergy& engine) {
   }
   fe_ = &engine;
   publish_ = true;
+  if (parked_ && !suspended_) wakeProcess();  // It parks once quiet.
 }
 
 void Tl1Bus::setCodec(BusCodec* codec) {
-  assert(idle() && "setCodec() requires an idle bus");
+  if (!idle()) {
+    throw std::logic_error(name() + ": setCodec() on a busy bus would split "
+                                    "a burst across encodings");
+  }
   codec_ = codec;
 }
 
@@ -112,6 +117,13 @@ BusStatus Tl1Bus::submitOrPoll(Tl1Request& req, Kind expectedKind) {
       if (outstanding(req.kind) >= kMaxOutstandingPerClass) {
         return BusStatus::Wait;  // Not accepted; the master retries.
       }
+      if (parked_) {
+        if (suspended_) {
+          throw std::logic_error(name() + ": submit to a suspended bus would "
+                                          "never be served");
+        }
+        wakeProcess();
+      }
       req.stage = Tl1Stage::Requested;
       req.result = BusStatus::Wait;
       req.beatsDone = 0;
@@ -152,14 +164,36 @@ std::uint64_t Tl1Bus::outstandingTotal() const {
 }
 
 void Tl1Bus::suspendProcess() {
-  assert(idle() && "suspendProcess() requires an idle bus");
+  if (!idle()) {
+    throw std::logic_error(name() + ": suspendProcess() on a busy bus would "
+                                    "strand its queued requests");
+  }
+  syncParkedCycles();  // An idle park counts up to here.
   suspended_ = true;
+  parked_ = true;
   clock_.parkHandler(processId_, sim::Clock::kNeverWake);
 }
 
 void Tl1Bus::resumeProcess() {
+  if (!suspended_) return;
+  // Counting restarts at the next edge the process runs on; it parks
+  // again once idle and quiet.
   suspended_ = false;
+  parked_ = false;
   clock_.parkHandler(processId_, 0);
+}
+
+void Tl1Bus::wakeProcess() {
+  syncParkedCycles();
+  parked_ = false;
+  clock_.parkHandler(processId_, 0);
+}
+
+void Tl1Bus::syncParkedCycles() const {
+  if (!parked_ || suspended_) return;
+  const std::uint64_t edge = clock_.lastFallingEdge();
+  stats_.cycles += edge - cycleNow_;
+  cycleNow_ = edge;
 }
 
 void Tl1Bus::saveState(ckpt::StateWriter& w) const {
@@ -167,6 +201,7 @@ void Tl1Bus::saveState(ckpt::StateWriter& w) const {
     throw ckpt::CheckpointError(
         "Tl1Bus::saveState: bus is not idle (not a quiesce point)");
   }
+  syncParkedCycles();
   w.u64(stats_.cycles);
   w.u64(stats_.busyCycles);
   w.u64(stats_.addrCycles);
@@ -203,6 +238,9 @@ void Tl1Bus::loadState(ckpt::StateReader& r) {
   cycleNow_ = r.u64();
   suspended_ = r.b();
   anyActivityThisCycle_ = false;
+  // The clock section, restored first, holds the process's park state.
+  parked_ = clock_.wakeCycle(processId_) > clock_.cycle();
+  if (parked_ && !suspended_ && !observers_.empty()) wakeProcess();
 }
 
 // ---------------------------------------------------------------------------
@@ -227,6 +265,14 @@ void Tl1Bus::busProcess() {
   if (anyActivityThisCycle_) ++stats_.busyCycles;
   if (fe_ != nullptr) fe_->busCycleEnd(cycleNow_);
   for (Tl1Observer* obs : observers_) obs->busCycleEnd(cycleNow_);
+
+  // Idle park: an idle bus with a quiet engine and no observer would
+  // tick through identical cycles until the next submit wakes it.
+  if (!anyActivityThisCycle_ && observers_.empty() &&
+      (fe_ == nullptr || fe_->quiet())) {
+    parked_ = true;
+    clock_.parkHandler(processId_, sim::Clock::kNeverWake);
+  }
 }
 
 // The one drive path of a phase event: the energy engine first, then

@@ -23,6 +23,16 @@
 // calls after the write phase: one attached bus::Tl1FrameEnergy engine
 // (power::Tl1PowerModel), driven by direct calls. Each phase publishes
 // its event to that engine first and then to the Tl1Observer list.
+//
+// Idle park. The bus process parks its clock handler at the end of a
+// cycle in which the bus is idle(), has no Tl1Observer, and its engine
+// is quiet (Tl1FrameEnergy::quiet(): no strobe driven or left high,
+// nothing priced). A ticked cycle in that state changes nothing but the
+// cycle count, so the clock warps over the parked process when nothing
+// else runs. The first submit into the parked bus wakes it, and
+// stats().cycles adds the skipped cycles from the distance to the last
+// counted edge. Any Tl1Observer keeps the process ticking every cycle:
+// observers see every busCycleBegin/busCycleEnd.
 #ifndef SCT_BUS_TL1_BUS_H
 #define SCT_BUS_TL1_BUS_H
 
@@ -91,9 +101,10 @@ class Tl1Bus final : public sim::Module, public EcInstrIf, public EcDataIf {
   /// the power model prices the encoded values plus the EB_Inv
   /// sideband — while the functional side keeps seeing decoded
   /// payloads. Only legal while idle(): swapping codecs mid-transfer
-  /// would split a burst across encodings. The codec is exploration
-  /// configuration, not bus state: it is NOT part of the bus's
-  /// checkpoint section (register stateful codecs separately).
+  /// would split a burst across encodings, so a busy bus throws
+  /// std::logic_error. The codec is exploration configuration, not bus
+  /// state: it is NOT part of the bus's checkpoint section (register
+  /// stateful codecs separately).
   void setCodec(BusCodec* codec);
   BusCodec* codec() const { return codec_; }
 
@@ -119,18 +130,23 @@ class Tl1Bus final : public sim::Module, public EcInstrIf, public EcDataIf {
   /// on either view.
   std::uint64_t outstandingTotal() const;
 
-  /// Park the falling-edge bus process indefinitely. Legal only while
-  /// idle(): a suspended bus accepts no work (masters must stop
-  /// submitting first), runs no observer callbacks, and counts no
-  /// cycles, so the clock may warp over it. Finished payloads can still
-  /// be picked up — submitOrPoll() runs in the caller's context.
+  /// The idle park with counting stopped: the process stays parked
+  /// until resumeProcess(), runs no observer callbacks and counts no
+  /// cycles. Throws std::logic_error unless idle(). A suspended bus
+  /// accepts no work: a submit to it throws std::logic_error. Finished
+  /// payloads can still be picked up — submitOrPoll() runs in the
+  /// caller's context.
   void suspendProcess();
-  /// Re-arm the bus process; it runs again from the next falling edge
-  /// not yet dispatched.
+  /// Resume counting and wake the bus process; it runs again from the
+  /// next falling edge not yet dispatched, and parks once idle.
   void resumeProcess();
   bool suspended() const { return suspended_; }
 
-  const Tl1BusStats& stats() const { return stats_; }
+  /// Counters, with the cycles a parked process skipped added in.
+  const Tl1BusStats& stats() const {
+    syncParkedCycles();
+    return stats_;
+  }
   const AddressDecoder& decoder() const { return decoder_; }
   std::uint64_t cycle() const { return clock_.cycle(); }
 
@@ -142,8 +158,10 @@ class Tl1Bus final : public sim::Module, public EcInstrIf, public EcDataIf {
   /// -- Checkpoint (see ckpt/checkpoint.h) ------------------------------
   /// Only legal while idle(): at a quiesce point every queue is empty
   /// and no request pointer is held, so the section is just the stats
-  /// block plus the cycle/suspend bookkeeping. The process handler's
-  /// park state is owned (and restored) by the Clock section.
+  /// block plus the cycle/suspend bookkeeping, the counts a ticking
+  /// process would hold. The process handler's park state is owned (and
+  /// restored) by the Clock section, so the clock must be restored
+  /// first; a bus with observers keeps ticking whatever it restores.
   static constexpr std::uint32_t kCkptVersion = 1;
   void saveState(ckpt::StateWriter& w) const;
   void loadState(ckpt::StateReader& r);
@@ -182,6 +200,13 @@ class Tl1Bus final : public sim::Module, public EcInstrIf, public EcDataIf {
   unsigned outstanding(Kind k) const;
 
   void busProcess();
+  /// Wake a parked process (the first submit into a parked bus):
+  /// throws std::logic_error on a suspended bus, whose process stays
+  /// parked until resumeProcess().
+  void wakeProcess();
+  /// Count the cycles an idle-parked process skipped, through the last
+  /// falling edge a ticking one would have run on.
+  void syncParkedCycles() const;
   void addressPhase();
   void readPhase();
   void writePhase();
@@ -227,10 +252,16 @@ class Tl1Bus final : public sim::Module, public EcInstrIf, public EcDataIf {
   std::uint64_t finishEpoch_ = 0;  ///< Bumped by finish(); not persisted
                                    ///  (masters resync on restore).
 
-  std::uint64_t cycleNow_ = 0;
+  /// The cycle the process last ran on; while it is idle-parked, the
+  /// last edge counted into stats_.cycles.
+  mutable std::uint64_t cycleNow_ = 0;
+  /// The process handler is parked: idle (parked_ alone) or suspended
+  /// (both). Mirrors the clock's wake word, which the clk checkpoint
+  /// section carries.
+  bool parked_ = false;
   bool suspended_ = false;
   bool anyActivityThisCycle_ = false;
-  Tl1BusStats stats_;
+  mutable Tl1BusStats stats_;
 
   // Observability handles, resolved once by attachObs (null = detached;
   // obsLatency_ doubles as the attached flag).

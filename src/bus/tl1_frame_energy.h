@@ -122,6 +122,13 @@ class Tl1FrameEnergy {
   std::uint64_t energyLastCycle_aJ() const { return lastCycle_aJ_; }
   std::uint64_t totalEnergy_aJ() const { return total_aJ_; }
 
+  /// No strobe driven, none left high, and nothing priced in the last
+  /// cycle: a cycle without a phase event changes no state and no read
+  /// of the engine, so Tl1Bus may park its process over such cycles.
+  bool quiet() const {
+    return (strobes_ | strobesHigh_) == 0 && lastCycle_aJ_ == 0;
+  }
+
   std::uint64_t energySinceLastCall_aJ() {
     const std::uint64_t delta = total_aJ_ - intervalMarker_aJ_;
     intervalMarker_aJ_ = total_aJ_;

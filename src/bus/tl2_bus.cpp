@@ -32,7 +32,7 @@ void Tl2Bus::setPerCycleProcess(bool v) {
     clock_.parkHandler(processId_, 0);
   } else {
     // Re-base the lazy counters so they extend the ticked ones.
-    firstEdge_ = lastVirtualEdge() + 1 - stats_.cycles;
+    firstEdge_ = clock_.lastFallingEdge() + 1 - stats_.cycles;
     closedBusyCycles_ = stats_.busyCycles;
     busyOpen_ = false;
     addrFree_ = readFree_ = writeFree_ = 0;
@@ -241,7 +241,7 @@ const Tl2BusStats& Tl2Bus::stats() const {
 }
 
 void Tl2Bus::retireDue() const {
-  const std::uint64_t e = lastVirtualEdge();
+  const std::uint64_t e = clock_.lastFallingEdge();
   if (e == lastRetireEdge_) return;
   lastRetireEdge_ = e;
   // Logically const: everything retired here is determined by the
@@ -285,17 +285,8 @@ void Tl2Bus::retireThrough(std::uint64_t through) {
   }
 }
 
-std::uint64_t Tl2Bus::lastVirtualEdge() const {
-  // Last falling edge the per-cycle process would have seen by now.
-  const std::uint64_t c = clock_.cycle();
-  if (clock_.midCycle() && !clock_.inFallingDispatch()) {
-    return c == 0 ? 0 : c - 1;
-  }
-  return c;
-}
-
 void Tl2Bus::syncLazyStats() const {
-  const std::uint64_t e = lastVirtualEdge();
+  const std::uint64_t e = clock_.lastFallingEdge();
   stats_.cycles = (e >= firstEdge_) ? e - firstEdge_ + 1 : 0;
   stats_.busyCycles = closedBusyCycles_;
   if (busyOpen_) {

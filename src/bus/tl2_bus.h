@@ -181,12 +181,11 @@ class Tl2Bus final : public sim::Module {
   void completeAddressPhase(Tl2Request& req);
   void completeDataPhase(RequestRing& queue);
   std::uint64_t nextEventCycle() const;
-  std::uint64_t lastVirtualEdge() const;
   void syncLazyStats() const;
   /// All phase timing is resolved at accept, so the bus process never
-  /// needs to wake. Boundaries that have already passed (cycle <=
-  /// lastVirtualEdge()) are retired in bulk from the interface entry
-  /// points instead — every cycle, stage transition, statistic and
+  /// needs to wake. Boundaries that have already passed (cycle <= the
+  /// clock's lastFallingEdge()) are retired in bulk from the interface
+  /// entry points instead — every cycle, stage transition, statistic and
   /// callback comes out of the recorded schedule, bit-identical to
   /// processing each boundary on its own edge. O(1) when current. Marks
   /// the edge current before retiring, so a re-entrant call from a

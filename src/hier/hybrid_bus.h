@@ -20,11 +20,12 @@
 //  * Finished payloads awaiting master pickup never block a switch —
 //    the pickup is served here, layer-independently, exactly like
 //    Tl1Bus::submitOrPoll's Finished branch.
-//  * The inactive TL1 process is parked (Tl1Bus::suspendProcess), so
-//    TL2 regions keep the event-driven clock warp; its power model
-//    sees no callbacks, which is what keeps hybrid TL1-region energy
-//    accumulation bit-identical to a pure-TL1 run over the same
-//    transactions (idle TL1 cycles only ever add +0.0).
+//  * The inactive TL1 process is suspended (Tl1Bus::suspendProcess:
+//    its idle park with counting stopped), so TL2 regions keep the
+//    event-driven clock warp; its power model sees no callbacks, which
+//    is what keeps hybrid TL1-region energy accumulation bit-identical
+//    to a pure-TL1 run over the same transactions (idle TL1 cycles
+//    only ever add 0).
 //  * Every accepted submission is reported by a direct call to the
 //    FidelityController bound to the bus (it binds itself on
 //    construction), whose triggers decide whether it wakes.
@@ -77,8 +78,9 @@ class HybridBus final : public bus::EcInstrIf, public bus::EcDataIf {
   bus::BusStatus write(bus::Tl1Request& req) override;
   /// Completion hint (see Tl2Bus::nextFinishCycle): TL2 regions
   /// predict completions, so masters park and the clock warps; TL1
-  /// regions answer kFinishUnknown — masters poll every cycle there,
-  /// exactly as on a plain Tl1Bus, and keep asking.
+  /// regions answer kFinishUnknown — masters with work in flight poll
+  /// every cycle there and keep asking, and idle ones park until their
+  /// next issue (trace::ReplayMaster's idle rule).
   std::uint64_t nextFinishCycle();
 
   Fidelity active() const { return active_; }

@@ -95,9 +95,23 @@ Clock::Handler* Clock::findHandler(HandlerId id) {
 void Clock::parkHandler(HandlerId id, std::uint64_t wakeCycle) {
   Handler* h = findHandler(id);
   if (h == nullptr || h->wake == wakeCycle) return;
+  // Keep the minWakeCycle() memo where the change cannot invalidate it:
+  // a wake at or below the memo becomes the memo, and a handler above
+  // it stays above it. Only raising the handler at the memo rescans —
+  // so a handler that parks and wakes while others run every cycle
+  // costs one short rescan per park.
+  if (wakeCycle <= minWakeCache_) {
+    minWakeCache_ = wakeCycle;
+  } else if (h->wake <= minWakeCache_) {
+    minWakeDirty_ = true;
+  }
   h->wake = wakeCycle;
-  minWakeDirty_ = true;
   if (obsParks_ != nullptr) notePark(id, wakeCycle);
+}
+
+std::uint64_t Clock::wakeCycle(HandlerId id) const {
+  const Handler* h = const_cast<Clock*>(this)->findHandler(id);
+  return h == nullptr ? kNeverWake : h->wake;
 }
 
 void Clock::notePark(HandlerId id, std::uint64_t wakeCycle) {
@@ -157,9 +171,17 @@ void Clock::dispatch(std::vector<Handler>& handlers) {
 
 std::uint64_t Clock::minWakeCycle() const {
   if (!minWakeDirty_) return minWakeCache_;
+  // A wake at or before the next cycle rules the warp out, and keeps
+  // ruling it out until some wake changes: stop scanning there.
+  const std::uint64_t next = cycle_ + 1;
   std::uint64_t m = kNeverWake;
-  for (const Handler& h : rising_) m = std::min(m, h.wake);
-  for (const Handler& h : falling_) m = std::min(m, h.wake);
+  for (const std::vector<Handler>* edge : {&rising_, &falling_}) {
+    for (const Handler& h : *edge) {
+      m = std::min(m, h.wake);
+      if (m <= next) break;
+    }
+    if (m <= next) break;
+  }
   minWakeCache_ = m;
   minWakeDirty_ = false;
   return m;

@@ -102,6 +102,12 @@ class Clock final {
   /// call from inside any handler.
   void parkHandler(HandlerId id, std::uint64_t wakeCycle);
 
+  /// The wake cycle last set for `id` by parkHandler() or a restore: 0
+  /// for a handler never parked, kNeverWake for one parked for good.
+  /// Lets a component whose park state the clock's checkpoint section
+  /// carries read it back after a restore.
+  std::uint64_t wakeCycle(HandlerId id) const;
+
   /// Run exactly `n` clock cycles (both edges). Cycles in which every
   /// handler is parked are warped over; a warp never skips a cycle that
   /// would dispatch a handler or erase a removed one, and the final
@@ -118,6 +124,14 @@ class Clock final {
   /// True while the edges of cycle() are being dispatched, i.e. from
   /// its rising dispatch to the end of its falling dispatch.
   bool midCycle() const { return inHighPhase_; }
+
+  /// The last cycle whose falling edge has been reached: cycle() between
+  /// cycles and during its falling dispatch, cycle() - 1 during its
+  /// rising one. A parked falling-edge process derives the cycles it
+  /// skipped from this.
+  std::uint64_t lastFallingEdge() const {
+    return inHighPhase_ && !inFallingDispatch_ ? cycle_ - 1 : cycle_;
+  }
 
   /// True while the falling-edge handlers of the current cycle are
   /// being dispatched.
@@ -162,10 +176,11 @@ class Clock final {
   bool flaggedForRemoval(HandlerId id) const;
   /// Drop the handlers flagged by removeHandler().
   void eraseRemoved();
-  /// Earliest wake cycle over all handlers (0 when any is unparked).
-  /// Cached: the run loop probes this every cycle, and a simulation
-  /// whose handlers never park must not pay a handler scan per cycle
-  /// for a warp that can never trigger.
+  /// Earliest wake cycle over all handlers, or, when some handler
+  /// wakes at or before the cycle after the scan, that handler's wake:
+  /// either way no warp goes past it. Cached: the run loop probes this
+  /// every cycle, and a simulation whose handlers never park must not
+  /// pay a handler scan per cycle for a warp that can never trigger.
   std::uint64_t minWakeCycle() const;
   /// Record one dead-cycle warp of `skip` cycles starting after
   /// `fromCycle` (only called with obs attached).
@@ -188,8 +203,10 @@ class Clock final {
   /// loop, or reallocate it under the executing handler.
   const std::vector<Handler>* dispatching_ = nullptr;
   std::vector<Handler> deferred_;
-  /// minWakeCycle() memo, invalidated whenever a wake field or the
-  /// handler set changes (parkHandler, registration, erasure).
+  /// minWakeCycle() memo: never below the earliest wake, and equal to
+  /// it whenever it lies past the next cycle. Invalidated when the
+  /// handler set changes (registration, erasure, restore) and when
+  /// parkHandler raises the handler that may hold it.
   mutable std::uint64_t minWakeCache_ = 0;
   mutable bool minWakeDirty_ = true;
   /// Compact id -> handler-slot index so parkHandler — called once per

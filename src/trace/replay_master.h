@@ -10,12 +10,17 @@
 // bus. The bus type fixes at compile time
 //  * the payload: bus::Tl2Request on bus::Tl2Bus (pointer passing, one
 //    transaction per burst), bus::Tl1Request on every other bus;
-//  * the schedule. A bus with nextFinishCycle() predicts completions,
-//    and the master parks until the next one is ready for pickup
-//    (Tl2Bus, the bridge, BridgedTl2Bus, hier::HybridBus). A bus with
-//    finishEpoch() (Tl1Bus) is epoch-gated: the in-flight scan and
-//    the retry of a refused issue run only on cycles whose completion
-//    epoch moved. Any other bus (ref::GlBus) is polled every cycle.
+//  * the schedule while transactions are in flight. A bus with
+//    nextFinishCycle() predicts completions, and the master parks until
+//    the next one is ready for pickup (Tl2Bus, the bridge,
+//    BridgedTl2Bus, hier::HybridBus in a TL2 region). A bus with
+//    finishEpoch() (Tl1Bus) is epoch-gated: the in-flight scan and the
+//    retry of a refused issue run only on cycles whose completion epoch
+//    moved. Any other bus (ref::GlBus, the hybrid in a TL1 region) is
+//    polled every cycle.
+// One idle rule holds on every bus: with nothing in flight and no issue
+// refused, the master parks until the next entry's issue cycle, and a
+// done master parks for good (restart() wakes it).
 #ifndef SCT_TRACE_REPLAY_MASTER_H
 #define SCT_TRACE_REPLAY_MASTER_H
 
@@ -221,10 +226,11 @@ class ReplayMaster final : public sim::Module {
   }
 
   void onRisingEdge();
-  /// Park the handler until the next cycle anything can change (the
-  /// earliest completion + 1, or the next issue cycle); a no-op while
-  /// the bus answers kFinishUnknown. `refused` flags that this cycle's
-  /// issue was refused by the bus.
+  /// Park the handler, with transactions in flight or a refused issue,
+  /// until the next cycle anything can change (the earliest completion
+  /// + 1, or the next issue cycle); a no-op while the bus answers
+  /// kFinishUnknown. `refused` flags that this cycle's issue was
+  /// refused by the bus.
   void parkUntilNextWork(bool refused);
   /// Credit the stall cycles a parked handler skipped, up to and
   /// including cycle `through` (the per-cycle master counts one stall
@@ -344,11 +350,14 @@ void ReplayMaster<Bus>::onRisingEdge() {
       doneNotified_ = true;
       clock_.requestBreak();
     }
-    if constexpr (kPredictive) {
-      if (bus_.nextFinishCycle() != bus::kFinishUnknown) {
-        clock_.parkHandler(handlerId_, sim::Clock::kNeverWake);
-      }
-    }
+    clock_.parkHandler(handlerId_, sim::Clock::kNeverWake);
+    return;
+  }
+  if (inFlight_.empty() && !refused) {
+    // Idle: nothing to collect, and the loop above stopped at an entry
+    // not yet due, so nothing changes for this master before it is.
+    const std::uint64_t due = trace_[nextIssue_].issueCycle;
+    if (due > cycle + 1) clock_.parkHandler(handlerId_, due);
     return;
   }
   if constexpr (kPredictive) parkUntilNextWork(refused);
@@ -444,6 +453,14 @@ void ReplayMaster<Bus>::loadState(ckpt::StateReader& r) {
   stallOpen_ = r.b();
   stallSyncedThrough_ = r.u64();
   stats_.completed = r.u64();
+  if (stats_.completed != nextIssue_) {
+    // Nothing is in flight at a quiesce point: every issued entry has
+    // completed, and the idle rule reads the entry at the cursor.
+    throw ckpt::CheckpointError(
+        "ReplayMaster::loadState: completed count " +
+        std::to_string(stats_.completed) + " differs from the issue cursor " +
+        std::to_string(nextIssue_));
+  }
   stats_.errors = r.u64();
   stats_.issueStallCycles = r.u64();
   stats_.finishCycle = r.u64();

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "bus/bus_codec.h"
 #include "bus/memory_slave.h"
 #include "bus_test_util.h"
 #include "sim/clock.h"
@@ -446,6 +449,87 @@ TEST_F(Tl1Fixture, SuspendParksTheProcessAndResumeRestoresService) {
   req.address = 0x40;
   EXPECT_EQ(driveOne(clk, bus, req), BusStatus::Ok);
   EXPECT_EQ(req.data[0], 0x600DBEEFu);
+}
+
+// Misuse that would strand or split work throws in every build, naming
+// the bus.
+void expectLogicErrorNamingTheBus(const std::function<void()>& misuse) {
+  try {
+    misuse();
+    ADD_FAILURE() << "no std::logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("ecbus"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(Tl1Fixture, SuspendOnABusyBusThrows) {
+  MemorySlave ram("ram", window(0, 0x1000, 0, /*rw=*/3));
+  bus.attach(ram);
+  Tl1Request req;
+  req.kind = Kind::Read;
+  req.address = 0x40;
+  ASSERT_EQ(bus.read(req), BusStatus::Request);
+  expectLogicErrorNamingTheBus([&] { bus.suspendProcess(); });
+  EXPECT_FALSE(bus.suspended());
+  // The queued request is still served.
+  clk.runCycles(10);
+  EXPECT_EQ(bus.read(req), BusStatus::Ok);
+}
+
+TEST_F(Tl1Fixture, SetCodecOnABusyBusThrows) {
+  struct PlainCodec final : BusCodec {
+    std::string_view name() const override { return "plain"; }
+  } codec;
+  MemorySlave ram("ram", window(0, 0x1000));
+  bus.attach(ram);
+  Tl1Request req;
+  req.kind = Kind::Write;
+  req.address = 0x40;
+  req.beats = 4;
+  ASSERT_EQ(bus.write(req), BusStatus::Request);
+  expectLogicErrorNamingTheBus([&] { bus.setCodec(&codec); });
+  EXPECT_EQ(bus.codec(), nullptr);
+  clk.runCycles(10);
+  EXPECT_EQ(bus.write(req), BusStatus::Ok);
+  bus.setCodec(&codec);  // Idle again: legal.
+  EXPECT_EQ(bus.codec(), &codec);
+}
+
+TEST_F(Tl1Fixture, SubmitToASuspendedBusThrows) {
+  MemorySlave ram("ram", window(0, 0x1000));
+  bus.attach(ram);
+  bus.suspendProcess();
+  Tl1Request req;
+  req.kind = Kind::Read;
+  req.address = 0x40;
+  expectLogicErrorNamingTheBus([&] { bus.read(req); });
+  EXPECT_EQ(req.stage, Tl1Stage::Idle);
+  EXPECT_TRUE(bus.idle());
+  bus.resumeProcess();
+  EXPECT_EQ(driveOne(clk, bus, req), BusStatus::Ok);
+}
+
+TEST_F(Tl1Fixture, IdleParkCountsEverySkippedCycle) {
+  // The model alone parks the idle bus; stats() still counts one cycle
+  // per falling edge, from any edge, and a submit wakes the process.
+  MemorySlave ram("ram", window(0, 0x1000));
+  bus.attach(ram);
+  std::vector<std::uint64_t> seen;
+  const auto probe = clk.onRising([&] { seen.push_back(bus.stats().cycles); });
+  clk.runCycles(40);
+  ASSERT_EQ(seen.size(), 40u);
+  for (std::uint64_t c = 0; c < seen.size(); ++c) EXPECT_EQ(seen[c], c);
+  EXPECT_EQ(bus.stats().cycles, 40u);
+  clk.removeHandler(probe);
+  clk.runCycles(100);
+  EXPECT_EQ(bus.stats().cycles, 140u);
+  Tl1Request req;
+  req.kind = Kind::Read;
+  req.address = 0x40;
+  EXPECT_EQ(driveOne(clk, bus, req), BusStatus::Ok);
+  EXPECT_EQ(bus.stats().cycles, clk.cycle());
+  EXPECT_EQ(bus.stats().busyCycles, 1u);
 }
 
 TEST_F(Tl1Fixture, ObserverRemovalStopsEvents) {

@@ -358,6 +358,20 @@ TEST(SnapshotBufferNegative, Tl1MasterPayloadByteNamingNothingIsRefused) {
                             "request 0 result byte 4 names no bus status");
 }
 
+TEST(SnapshotBufferNegative, Tl1MasterCompletedCountOffItsIssueCursorIsRefused) {
+  // At a quiesce point every issued entry has completed. A count short
+  // of the cursor would leave the master idle past the trace's end.
+  // The completed count follows the one 47-byte payload, the two flags
+  // and the stall mark (offset 24 + 47 + 2 + 8).
+  const trace::BusTrace t = oneRead();
+  testbench::Tl1Bench a;
+  testbench::Tl1Bench b;
+  trace::ReplayMaster saved(a.clk, "m", a.bus, a.bus, t);
+  trace::ReplayMaster target(b.clk, "m", b.bus, b.bus, t);
+  loadMasterWithPatchedByte(saved, target, 81, 0,
+                            "completed count 0 differs from the issue cursor 1");
+}
+
 TEST(SnapshotBufferNegative, Tl2MasterPayloadByteNamingNothingIsRefused) {
   const trace::BusTrace t = oneRead();
   testbench::Tl2Bench a;

@@ -223,5 +223,134 @@ TEST(HybridEquivalence, RoiWindowsAreBitIdenticalToPureTl1) {
   EXPECT_GT(pm2.totalEnergy_fJ(), 0.0);
 }
 
+// The same contract with nothing observing the TL1 layer, as perfbench
+// runs the hybrid: the layer's bus parks whenever it is idle and its
+// model quiet, and the ROI masters park between transactions. The ROI
+// segments are issued with gaps, relative to the cycle each segment
+// starts on, so the layer parks inside every region. The reference is
+// the pure layer-1 run with an observer that does nothing attached,
+// which keeps that bus ticking every cycle.
+struct NoOpObserver final : bus::Tl1Observer {};
+
+/// `t` shifted so its first entry may issue on `start`.
+trace::BusTrace startingAt(const trace::BusTrace& t, std::uint64_t start) {
+  trace::BusTrace shifted;
+  shifted.append(t, start);
+  return shifted;
+}
+
+trace::BusTrace gappedRoiSegment(std::uint64_t seed) {
+  return trace::randomMix(seed, 60, std::vector{testbench::fastRegion()},
+                          trace::MixRatios{}, /*issueGapMax=*/24);
+}
+
+TEST(HybridEquivalence, ParkedRoiWindowsAreBitIdenticalToTickingTl1) {
+  const auto table = distinctTable();
+
+  testbench::Tl1Bench pure;
+  power::Tl1PowerModel purePm(table);
+  obs::EnergyLedger pureLedger;
+  purePm.attachLedger(pureLedger);
+  pure.bus.addObserver(purePm);
+  NoOpObserver ticking;
+  pure.bus.addObserver(ticking);
+
+  std::vector<SegmentRecord> pureSeg(kSegments);
+  for (std::uint64_t s = 0; s < kSegments; ++s) {
+    const std::uint64_t before = purePm.totalEnergy_aJ();
+    const auto t = startingAt(gappedRoiSegment(301 + s), pure.clk.cycle());
+    trace::ReplayMaster m(pure.clk, "roi", pure.bus, pure.bus, t);
+    pureSeg[s].elapsed = m.runToCompletion();
+    EXPECT_TRUE(m.done());
+    pure.clk.runCycles(2);
+    pureSeg[s].cumulativeEnergy_aJ = purePm.totalEnergy_aJ();
+    pureSeg[s].delta_aJ = purePm.totalEnergy_aJ() - before;
+    for (const auto& r : m.requests()) pureSeg[s].readWords.push_back(r.data[0]);
+  }
+
+  sim::Kernel kernel;
+  sim::Clock clk{kernel, "clk", 10};
+  HybridBus hb{clk, "ecbus"};
+  bus::MemorySlave fast{"ram", testbench::fastCtl()};
+  bus::MemorySlave waited{"eeprom", testbench::waitedCtl()};
+  hb.attach(fast);
+  hb.attach(waited);
+  power::Tl1PowerModel pm1(table);
+  obs::EnergyLedger ledger1;
+  pm1.attachLedger(ledger1);
+  hb.tl1().addObserver(pm1);
+  power::Tl2PowerModel pm2(table);
+  hb.tl2().addObserver(pm2);
+  FidelityController ctrl(clk, hb);
+  ctrl.attachPower(pm1, pm2);
+
+  std::vector<SegmentRecord> hybSeg(kSegments);
+  for (std::uint64_t s = 0; s < kSegments; ++s) {
+    {
+      RoiScope roi(ctrl);
+      ASSERT_EQ(hb.active(), Fidelity::Tl1);
+      const auto t = startingAt(gappedRoiSegment(301 + s), clk.cycle());
+      trace::ReplayMaster m(clk, "roi", hb, hb, t);
+      hybSeg[s].elapsed = m.runToCompletion();
+      EXPECT_TRUE(m.done());
+      clk.runCycles(2);
+      hybSeg[s].cumulativeEnergy_aJ = pm1.totalEnergy_aJ();
+      for (const auto& r : m.requests())
+        hybSeg[s].readWords.push_back(r.data[0]);
+    }
+    ASSERT_EQ(hb.active(), Fidelity::Tl2);
+    const auto bgTrace = backgroundSegment(700 + s);
+    trace::ReplayMaster bg(clk, "bg", hb, hb, bgTrace);
+    bg.runToCompletion();
+    EXPECT_TRUE(bg.done());
+  }
+  ctrl.finalize();
+
+  for (std::uint64_t s = 0; s < kSegments; ++s) {
+    SCOPED_TRACE("segment " + std::to_string(s));
+    EXPECT_EQ(hybSeg[s].elapsed, pureSeg[s].elapsed);
+    EXPECT_EQ(hybSeg[s].readWords, pureSeg[s].readWords);
+    EXPECT_EQ(hybSeg[s].cumulativeEnergy_aJ, pureSeg[s].cumulativeEnergy_aJ);
+  }
+  EXPECT_EQ(pm1.totalEnergy_aJ(), purePm.totalEnergy_aJ());
+  EXPECT_EQ(pm1.energyLastCycle_aJ(), purePm.energyLastCycle_aJ());
+  EXPECT_EQ(ledger1.view(), pureLedger.view());
+  for (std::size_t i = 0; i < bus::kSignalCount; ++i) {
+    const auto id = static_cast<SignalId>(i);
+    EXPECT_EQ(pm1.transitions(id), purePm.transitions(id))
+        << bus::signalName(id);
+    EXPECT_EQ(pm1.frame().get(id), purePm.frame().get(id))
+        << bus::signalName(id);
+  }
+
+  const bus::Tl1BusStats& h = hb.tl1().stats();
+  const bus::Tl1BusStats& p = pure.bus.stats();
+  EXPECT_EQ(h.cycles, p.cycles);
+  EXPECT_EQ(h.busyCycles, p.busyCycles);
+  EXPECT_EQ(h.addrCycles, p.addrCycles);
+  EXPECT_EQ(h.readBeats, p.readBeats);
+  EXPECT_EQ(h.writeBeats, p.writeBeats);
+  EXPECT_EQ(h.instrTransactions, p.instrTransactions);
+  EXPECT_EQ(h.readTransactions, p.readTransactions);
+  EXPECT_EQ(h.writeTransactions, p.writeTransactions);
+  EXPECT_EQ(h.readBusErrors, p.readBusErrors);
+  EXPECT_EQ(h.writeBusErrors, p.writeBusErrors);
+  EXPECT_EQ(h.bytesRead, p.bytesRead);
+  EXPECT_EQ(h.bytesWritten, p.bytesWritten);
+
+  std::vector<const FidelityController::Region*> tl1Regions;
+  for (const auto& r : ctrl.regions()) {
+    if (r.fidelity == Fidelity::Tl1) tl1Regions.push_back(&r);
+  }
+  ASSERT_EQ(tl1Regions.size(), kSegments);
+  for (std::uint64_t s = 0; s < kSegments; ++s) {
+    SCOPED_TRACE("region " + std::to_string(s));
+    EXPECT_EQ(tl1Regions[s]->energy_fJ,
+              bus::toFemtojoules(pureSeg[s].delta_aJ));
+    EXPECT_EQ(tl1Regions[s]->toCycle - tl1Regions[s]->fromCycle,
+              pureSeg[s].elapsed + 2);
+  }
+}
+
 } // namespace
 } // namespace sct::hier

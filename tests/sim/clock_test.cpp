@@ -159,6 +159,38 @@ TEST(ClockTest, WarpLandsOnWakeCyclesAndOnTheLastCycle) {
   EXPECT_EQ(warps->count, 3u);
 }
 
+TEST(ClockTest, WarpFindsTheEarliestWakeAfterParksAmidBusyCycles) {
+  // A falling handler that parks and is woken while a rising one runs
+  // every cycle, as the layer-1 bus process is beside a running core;
+  // then both park, and each warp must land on the earliest wake.
+  Kernel k;
+  Clock clk(k, "clk", 10);
+  std::vector<std::uint64_t> rose;
+  std::vector<std::uint64_t> fell;
+  Clock::HandlerId fallId = 0;
+  Clock::HandlerId riseId = 0;
+  fallId = clk.onFalling([&] {
+    fell.push_back(clk.cycle());
+    clk.parkHandler(fallId, Clock::kNeverWake);
+  });
+  riseId = clk.onRising([&] {
+    rose.push_back(clk.cycle());
+    if (clk.cycle() % 3 == 0) clk.parkHandler(fallId, 0);
+    if (clk.cycle() == 10) {
+      clk.parkHandler(fallId, 57);
+      clk.parkHandler(riseId, 73);
+    }
+  });
+  clk.runCycles(100);
+  std::vector<std::uint64_t> wantRose;
+  for (std::uint64_t c = 1; c <= 10; ++c) wantRose.push_back(c);
+  for (std::uint64_t c = 73; c <= 100; ++c) wantRose.push_back(c);
+  EXPECT_EQ(rose, wantRose);
+  EXPECT_EQ(fell, (std::vector<std::uint64_t>{1, 3, 6, 9, 57, 75, 78, 81, 84,
+                                              87, 90, 93, 96, 99}));
+  EXPECT_EQ(k.dispatchedEvents(), 2u * (10 + 1 + 28));
+}
+
 TEST(ClockTest, BreakEndsTheRunAfterItsFallingEdge) {
   Kernel k;
   Clock clk(k, "clk", 10);
